@@ -18,7 +18,6 @@ from tiltcomp import (
     LeverArms,
     poi_position,
     prism_to_poi_body,
-    rotate_lever,
     rotation_b_to_n,
 )
 
@@ -58,7 +57,7 @@ print(np.array2string(R, precision=6, suppress_small=True))
 print(f"orthonormal: R @ R.T deviates from I by "
       f"{np.max(np.abs(R @ R.T - np.eye(3))):.1e}, det = {np.linalg.det(R):.6f}")
 
-lever_nav = rotate_lever(R, offset_b)
+lever_nav = R @ offset_b
 print(f"rotated prism->tip offset:   {lever_nav}")
 print(f"prism + offset:              {prism_nav + lever_nav}")
 print(f"poi_position (same thing):   {poi_position(prism_nav, att, arms)}")
@@ -73,7 +72,7 @@ for _ in range(1000):
         pitch=rng.uniform(-math.pi / 2, math.pi / 2),
         yaw=rng.uniform(-math.pi, math.pi),
     )
-    lengths.append(np.linalg.norm(rotate_lever(rotation_b_to_n(att), offset_b)))
+    lengths.append(np.linalg.norm(rotation_b_to_n(att) @ offset_b))
 print()
 print(f"1000 random attitudes: rotated offset length spans "
       f"[{min(lengths):.12f}, {max(lengths):.12f}] m")

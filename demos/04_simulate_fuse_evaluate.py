@@ -16,7 +16,6 @@ import numpy as np
 from tiltcomp import (
     NoiseSpec,
     Pipeline,
-    PipelineConfig,
     ScenarioConfig,
     compute_stats,
     generate_scenario,
@@ -31,23 +30,12 @@ print(f"simulated {len(imu)} IMU samples, {len(rts)} tracker observations, "
 
 # Replay both streams in time order (IMU first on equal stamps).  The
 # pipeline holds observations until calibration finishes and pairs each
-# one with the newest attitude estimate at or before it.  The pairing
-# tolerance exists for live streams, where the attitude history has
-# already run ahead of a late-arriving observation; in a lockstep replay
-# it would let the calibration backlog borrow slightly newer attitudes,
-# so zero it here.
-pipe = Pipeline(PipelineConfig(pairing_tolerance_s=0.0))
-records = []
-i = j = 0
-while i < len(imu) or j < len(rts):
-    if j >= len(rts) or (i < len(imu) and imu[i].timestamp <= rts[j].timestamp):
-        pipe.push_imu(imu[i])
-        i += 1
-    else:
-        pipe.push_rts(rts[j])
-        records.extend(pipe.drain())
-        j += 1
-records.extend(pipe.drain())
+# one with the newest attitude estimate at or before it.  A positive
+# pairing tolerance (PipelineConfig) is for live streams whose clocks
+# jitter; it would let the calibration backlog borrow slightly newer
+# attitudes, so the default is zero.
+pipe = Pipeline()
+records = pipe.replay(imu, rts)
 print(f"fused {len(records)} records "
       f"({pipe.rts_dropped} observations dropped during calibration)")
 

@@ -69,7 +69,6 @@ from .kinematics import (
     LeverArms,
     poi_position,
     prism_to_poi_body,
-    rotate_lever,
     rotation_b_to_n,
 )
 from .pipeline import FusedRecord, Pipeline, PipelineConfig
@@ -78,7 +77,6 @@ from .sim import (
     NoiseSpec,
     ScenarioConfig,
     generate_scenario,
-    lever_kinematic_accel,
     truth_attitude,
 )
 
@@ -98,7 +96,6 @@ __all__ = [
     "LeverArms",
     "rotation_b_to_n",
     "prism_to_poi_body",
-    "rotate_lever",
     "poi_position",
     "RtsObservation",
     "HelmertParams",
@@ -136,7 +133,6 @@ __all__ = [
     "GroundTruthSample",
     "truth_attitude",
     "generate_scenario",
-    "lever_kinematic_accel",
     "ErrorStats",
     "compute_stats",
     "render_report",

@@ -146,17 +146,16 @@ def adaptive_alpha(accel, cfg: FilterConfig) -> float:
     )
 
 
-def _check_sample(state: FilterState, sample: ImuSample) -> None:
+def _check_sample(sample: ImuSample, last_timestamp: float | None) -> None:
+    """Reject a non-finite sample or one stamped before ``last_timestamp``."""
     if not (
         math.isfinite(sample.timestamp)
         and np.all(np.isfinite(sample.accel))
         and np.all(np.isfinite(sample.gyro))
     ):
         raise ValueError(f"non-finite IMU sample at t={sample.timestamp!r}")
-    if state.last_timestamp is not None and sample.timestamp < state.last_timestamp:
-        raise ValueError(
-            f"non-monotone IMU timestamp: {sample.timestamp} < {state.last_timestamp}"
-        )
+    if last_timestamp is not None and sample.timestamp < last_timestamp:
+        raise ValueError(f"non-monotone IMU timestamp: {sample.timestamp} < {last_timestamp}")
 
 
 def filter_step(state: FilterState, sample: ImuSample, cfg: FilterConfig) -> FilterState:
@@ -167,7 +166,7 @@ def filter_step(state: FilterState, sample: ImuSample, cfg: FilterConfig) -> Fil
     from consecutive timestamps. ``state.gyro_bias`` is subtracted from the
     gyro reading. Output angles satisfy the Attitude range invariants.
     """
-    _check_sample(state, sample)
+    _check_sample(sample, state.last_timestamp)
 
     if state.last_timestamp is None:
         roll, pitch = accel_angles(sample.accel)

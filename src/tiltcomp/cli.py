@@ -205,18 +205,8 @@ def cmd_fuse(args) -> int:
 
     pipeline = Pipeline(config)
     pipeline.set_yaw(math.radians(args.initial_yaw_deg))
-    records = []
-    i = j = 0
     try:
-        while i < len(imu) or j < len(rts):
-            if j >= len(rts) or (i < len(imu) and imu[i].timestamp <= rts[j].timestamp):
-                pipeline.push_imu(imu[i])
-                i += 1
-            else:
-                pipeline.push_rts(rts[j])
-                j += 1
-                records.extend(pipeline.drain())
-        records.extend(pipeline.drain())
+        records = pipeline.replay(imu, rts)
     except ValueError as exc:
         return _data_error(str(exc))
 

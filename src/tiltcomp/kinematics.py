@@ -26,7 +26,6 @@ __all__ = [
     "LeverArms",
     "rotation_b_to_n",
     "prism_to_poi_body",
-    "rotate_lever",
     "poi_position",
 ]
 
@@ -64,32 +63,34 @@ class LeverArms:
         )
 
 
+def _zyx_rows(cr, sr, cp, sp, cy, sy):
+    """Rows of ``Rz(yaw) @ Ry(pitch) @ Rx(roll)`` from the cosines and sines of
+    roll, pitch and yaw; elementwise, so it takes floats or equal-shape arrays."""
+    return (
+        (cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr),
+        (sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr),
+        (-sp, cp * sr, cp * cr),
+    )
+
+
 def rotation_b_to_n(att: Attitude) -> np.ndarray:
     """Rotation matrix from the body frame to the navigation frame.
 
     Composition order is exactly ``Rz(yaw) @ Ry(pitch) @ Rx(roll)``; the
     returned 3x3 matrix is orthonormal with determinant +1.
     """
-    cr, sr = math.cos(att.roll), math.sin(att.roll)
-    cp, sp = math.cos(att.pitch), math.sin(att.pitch)
-    cy, sy = math.cos(att.yaw), math.sin(att.yaw)
     return np.array(
-        [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
+        _zyx_rows(
+            math.cos(att.roll), math.sin(att.roll),
+            math.cos(att.pitch), math.sin(att.pitch),
+            math.cos(att.yaw), math.sin(att.yaw),
+        )
     )
 
 
 def prism_to_poi_body(arms: LeverArms) -> np.ndarray:
     """Lever arm from the prism center to the POI, in the body frame."""
     return arms.imu_to_poi_b - arms.imu_to_prism_b
-
-
-def rotate_lever(r_b2n: np.ndarray, lever_b) -> np.ndarray:
-    """Express a body-frame lever arm in the navigation frame."""
-    return np.asarray(r_b2n, dtype=float) @ np.asarray(lever_b, dtype=float)
 
 
 def poi_position(prism_nav, att: Attitude, arms: LeverArms) -> np.ndarray:

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .attitude import (
     FilterConfig,
     FilterState,
     ImuSample,
+    _check_sample,
+    calibrate_bias,
     filter_step,
     set_yaw,
     wrap_angle,
@@ -60,8 +63,11 @@ class PipelineConfig:
 
     pairing_tolerance_s: how far past an observation's (latency-corrected)
         timestamp an attitude estimate may lie and still be paired with it.
-        Zero gives the strict replay rule (attitude at or before the
-        observation); the nonzero default absorbs clock jitter in live use.
+        The default zero is the strict rule: the attitude at or before the
+        observation. A positive value absorbs clock jitter between live
+        streams, at the price of pairing an observation that waited (during
+        calibration, or for a late drain) with an attitude up to that much
+        newer than the observation itself.
     rts_latency_s: constant age of observation timestamps relative to the IMU
         clock, subtracted before pairing. Zero when both streams are stamped
         on one clock.
@@ -74,7 +80,7 @@ class PipelineConfig:
     lever_arms: LeverArms = field(default_factory=LeverArms)
     helmert: HelmertParams = field(default_factory=HelmertParams)
     rts_buffer_capacity: int = 32
-    pairing_tolerance_s: float = 0.25
+    pairing_tolerance_s: float = 0.0
     rts_latency_s: float = 0.0
     hold_yaw: bool = True
 
@@ -107,9 +113,7 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config if config is not None else PipelineConfig()
-        self._calib_gyro_sum = np.zeros(3)
-        self._calib_count = 0
-        self._last_imu_timestamp: float | None = None
+        self._calib_samples: list[ImuSample] = []
         self._state: FilterState | None = None
         self._held_yaw = 0.0
         self._att_times: list[float] = []
@@ -143,37 +147,25 @@ class Pipeline:
         """Observations evicted by ring-buffer overflow since construction."""
         return self._dropped
 
-    def _check_imu(self, sample: ImuSample) -> None:
-        if not (
-            math.isfinite(sample.timestamp)
-            and np.all(np.isfinite(sample.accel))
-            and np.all(np.isfinite(sample.gyro))
-        ):
-            raise ValueError(f"non-finite IMU sample at t={sample.timestamp!r}")
-        if self._last_imu_timestamp is not None and sample.timestamp < self._last_imu_timestamp:
-            raise ValueError(
-                f"non-monotone IMU timestamp: {sample.timestamp} < {self._last_imu_timestamp}"
-            )
-
     def push_imu(self, sample: ImuSample) -> None:
         """Feed one IMU sample: calibrates until the count is reached, then filters."""
         cfg = self.config.filter_config
         if self._state is None:
-            self._check_imu(sample)
-            self._last_imu_timestamp = sample.timestamp
-            self._calib_gyro_sum = self._calib_gyro_sum + sample.gyro
-            self._calib_count += 1
-            if self._calib_count < cfg.bias_calibration_count:
+            calib = self._calib_samples
+            _check_sample(sample, calib[-1].timestamp if calib else None)
+            if len(calib) + 1 < cfg.bias_calibration_count:
+                calib.append(sample)
                 return
-            bias = self._calib_gyro_sum / self._calib_count
+            # Keep the seed sample out of the list until the filter accepts it.
+            bias = calibrate_bias([*calib, sample], cfg.bias_calibration_count)
             seed = FilterState(attitude=Attitude(yaw=self._held_yaw), gyro_bias=bias)
             self._state = filter_step(seed, sample, cfg)
+            calib.clear()
         else:
             state = filter_step(self._state, sample, cfg)
             if self.config.hold_yaw:
                 state = set_yaw(state, self._held_yaw)
             self._state = state
-            self._last_imu_timestamp = sample.timestamp
         self._att_times.append(sample.timestamp)
         self._att_entries.append((self._state.attitude, self._state.last_alpha))
 
@@ -227,4 +219,28 @@ class Pipeline:
                     imu_timestamp_used=self._att_times[idx],
                 )
             )
+        return records
+
+    def replay(
+        self, imu: Sequence[ImuSample], rts: Sequence[RtsObservation]
+    ) -> list[FusedRecord]:
+        """Feed two recorded streams in timestamp order and return every record.
+
+        The streams are merged by timestamp, IMU first on ties. The pipeline
+        drains after each observation and once more at the end, so an
+        observation is paired as soon as its attitude exists. Observations
+        still waiting at the end stay buffered (see :attr:`rts_buffered`).
+        A rejected IMU sample raises ValueError, as in :meth:`push_imu`.
+        """
+        records = []
+        i = j = 0
+        while i < len(imu) or j < len(rts):
+            if j >= len(rts) or (i < len(imu) and imu[i].timestamp <= rts[j].timestamp):
+                self.push_imu(imu[i])
+                i += 1
+            else:
+                self.push_rts(rts[j])
+                j += 1
+                records.extend(self.drain())
+        records.extend(self.drain())
         return records

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .attitude import Attitude, ImuSample
 from .geodesy import RtsObservation
-from .kinematics import LeverArms, prism_to_poi_body, rotation_b_to_n, _vec3
+from .kinematics import LeverArms, _vec3, _zyx_rows, prism_to_poi_body
 
 __all__ = [
     "NoiseSpec",
@@ -40,7 +39,6 @@ __all__ = [
     "GroundTruthSample",
     "truth_attitude",
     "generate_scenario",
-    "lever_kinematic_accel",
 ]
 
 _DIFF_STEP = 1e-4
@@ -215,22 +213,12 @@ def _rate_arrays(cfg: ScenarioConfig, t: np.ndarray):
     return roll_rate, pitch_rate, yaw_rate
 
 
-def _rotation_arrays(roll, pitch, yaw) -> np.ndarray:
-    """Stack of body-to-navigation matrices, shape (n, 3, 3)."""
-    sr, cr = np.sin(roll), np.cos(roll)
-    sp, cp = np.sin(pitch), np.cos(pitch)
-    sy, cy = np.sin(yaw), np.cos(yaw)
-    rot = np.empty(np.shape(roll) + (3, 3))
-    rot[..., 0, 0] = cy * cp
-    rot[..., 0, 1] = cy * sp * sr - sy * cr
-    rot[..., 0, 2] = cy * sp * cr + sy * sr
-    rot[..., 1, 0] = sy * cp
-    rot[..., 1, 1] = sy * sp * sr + cy * cr
-    rot[..., 1, 2] = sy * sp * cr - cy * sr
-    rot[..., 2, 0] = -sp
-    rot[..., 2, 1] = cp * sr
-    rot[..., 2, 2] = cp * cr
-    return rot
+def _rotations(roll, pitch, yaw) -> np.ndarray:
+    """C-contiguous stack of body-to-navigation matrices, shape (n, 3, 3)."""
+    rows = _zyx_rows(
+        np.cos(roll), np.sin(roll), np.cos(pitch), np.sin(pitch), np.cos(yaw), np.sin(yaw)
+    )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def truth_attitude(cfg: ScenarioConfig, t: float) -> Attitude:
@@ -241,7 +229,7 @@ def truth_attitude(cfg: ScenarioConfig, t: float) -> Attitude:
 
 def _imu_positions(cfg: ScenarioConfig, t: np.ndarray) -> np.ndarray:
     """Navigation-frame IMU positions implied by pivoting about the fixed POI."""
-    rot = _rotation_arrays(*_angle_arrays(cfg, t))
+    rot = _rotations(*_angle_arrays(cfg, t))
     return cfg.poi_nav - np.einsum("nij,j->ni", rot, cfg.lever_arms.imu_to_poi_b)
 
 
@@ -268,35 +256,6 @@ def _kinematic_accels(cfg: ScenarioConfig, t: np.ndarray) -> np.ndarray:
             + _imu_positions(cfg, tf + 2.0 * h)
         ) / (h * h)
     return accel
-
-
-def lever_kinematic_accel(
-    attitude_at: Callable[[float], Attitude],
-    arms: LeverArms,
-    t: float,
-    *,
-    step: float = _DIFF_STEP,
-    motion_start: float | None = None,
-) -> np.ndarray:
-    """Acceleration of the IMU point for a body pivoting about a fixed POI.
-
-    ``attitude_at`` maps time [s] to the true attitude; the IMU position is
-    then -R(t) @ imu_to_poi (the fixed POI drops out of the derivative).
-    Differencing is central with the given step, except around an optional
-    ``motion_start`` kink: exact zero before it, forward stencil within one
-    step after it.
-    """
-    def position(s: float) -> np.ndarray:
-        return -(rotation_b_to_n(attitude_at(s)) @ arms.imu_to_poi_b)
-
-    if motion_start is not None:
-        if t < motion_start:
-            return np.zeros(3)
-        if t < motion_start + step:
-            return (position(t) - 2.0 * position(t + step) + position(t + 2.0 * step)) / (
-                step * step
-            )
-    return (position(t - step) - 2.0 * position(t) + position(t + step)) / (step * step)
 
 
 def generate_scenario(
@@ -333,7 +292,7 @@ def generate_scenario(
     v_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
 
     roll, pitch, yaw = _angle_arrays(cfg, t_imu)
-    rot = _rotation_arrays(roll, pitch, yaw)
+    rot = _rotations(roll, pitch, yaw)
     roll_rate, pitch_rate, yaw_rate = _rate_arrays(cfg, t_imu)
 
     sr, cr = np.sin(roll), np.cos(roll)
@@ -364,7 +323,7 @@ def generate_scenario(
         for i in range(n_imu)
     ]
 
-    rot_rts = _rotation_arrays(*_angle_arrays(cfg, t_rts))
+    rot_rts = _rotations(*_angle_arrays(cfg, t_rts))
     prism_rts = cfg.poi_nav - np.einsum("nij,j->ni", rot_rts, lever)
     diff = prism_rts - cfg.rts_station
     horiz = np.hypot(diff[:, 0], diff[:, 1])

@@ -1,29 +1,14 @@
 import pytest
 
-from tiltcomp import Pipeline, PipelineConfig
+from tiltcomp import Pipeline
 
 
 @pytest.fixture
 def replay():
-    """Feed full IMU and RTS streams through a pipeline, IMU first on ties."""
+    """Replay full IMU and RTS streams through a new pipeline; returns (records, pipeline)."""
 
     def _replay(imu_samples, rts_observations, config=None):
-        pipe = Pipeline(config or PipelineConfig())
-        records = []
-        i = j = 0
-        while i < len(imu_samples) or j < len(rts_observations):
-            take_imu = j >= len(rts_observations) or (
-                i < len(imu_samples)
-                and imu_samples[i].timestamp <= rts_observations[j].timestamp
-            )
-            if take_imu:
-                pipe.push_imu(imu_samples[i])
-                i += 1
-            else:
-                pipe.push_rts(rts_observations[j])
-                j += 1
-                records.extend(pipe.drain())
-        records.extend(pipe.drain())
-        return records, pipe
+        pipe = Pipeline(config)
+        return pipe.replay(imu_samples, rts_observations), pipe
 
     return _replay

@@ -11,10 +11,13 @@ from tiltcomp import (
     GroundTruthSample,
     HelmertParams,
     ImuSample,
+    Pipeline,
     RtsObservation,
     apply_helmert,
     decode_can_frames,
     parse_can_dump_line,
+    parse_imu_line,
+    parse_rts_line,
     read_fused_csv,
     read_helmert_file,
     write_fused_csv,
@@ -186,6 +189,29 @@ def test_fuse_is_deterministic(tmp_path):
         ) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_fuse_defaults_match_library_replay(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("duration_s = 60\nseed = 3\n")
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(run)]) == 0
+    cli_out = tmp_path / "cli.csv"
+    assert main(
+        ["fuse", "--imu", str(run / "imu.txt"), "--rts", str(run / "rts.txt"),
+         "--out", str(cli_out)]
+    ) == 0
+
+    def read(path, parse_line):
+        lines = path.read_text().splitlines()
+        return [parse_line(line, line_number=i) for i, line in enumerate(lines, 1)]
+
+    records = Pipeline().replay(
+        read(run / "imu.txt", parse_imu_line), read(run / "rts.txt", parse_rts_line)
+    )
+    lib_out = tmp_path / "library.csv"
+    write_fused_csv(records, lib_out)
+    assert lib_out.read_bytes() == cli_out.read_bytes()
 
 
 def test_fuse_pairs_on_the_grid(tmp_path, capsys):

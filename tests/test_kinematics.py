@@ -10,7 +10,6 @@ from tiltcomp import (
     LeverArms,
     poi_position,
     prism_to_poi_body,
-    rotate_lever,
     rotation_b_to_n,
 )
 
@@ -85,11 +84,11 @@ def test_prism_to_poi_difference():
 
 def test_rotate_lever_identity_and_roll():
     offset = prism_to_poi_body(LeverArms())
-    assert_allclose(rotate_lever(np.eye(3), offset), offset, atol=0.0)
+    assert_allclose(rotation_b_to_n(Attitude()) @ offset, offset, atol=0.0)
 
     r = rotation_b_to_n(Attitude(roll=math.radians(60.0)))
     assert_allclose(
-        rotate_lever(r, offset),
+        r @ offset,
         [0.0, 0.9245687210802668, -0.5338000000000002],
         atol=1e-15,
     )

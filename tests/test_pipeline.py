@@ -33,7 +33,6 @@ def obs_at(t):
 
 def fast_config(**kwargs):
     kwargs.setdefault("filter_config", FilterConfig(bias_calibration_count=10))
-    kwargs.setdefault("pairing_tolerance_s", 0.0)
     return PipelineConfig(**kwargs)
 
 
@@ -265,6 +264,18 @@ def test_pipeline_rejects_non_finite_imu():
 def test_pipeline_config_validation(kwargs):
     with pytest.raises(ValueError):
         PipelineConfig(**kwargs)
+
+
+def test_rejected_seed_sample_leaves_no_trace_in_the_bias():
+    pipe = Pipeline(fast_config(filter_config=FilterConfig(bias_calibration_count=3)))
+    pipe.push_imu(imu_at(0))
+    pipe.push_imu(imu_at(1))
+    with pytest.raises(ValueError, match="zero norm"):
+        pipe.push_imu(imu_at(2, accel=np.zeros(3), gyro=(9.0, 9.0, 9.0)))
+    assert not pipe.calibrated
+    pipe.push_imu(imu_at(3))
+    assert pipe.calibrated
+    assert_allclose(pipe.gyro_bias, np.zeros(3), atol=0.0)
 
 
 def test_default_config_uses_full_calibration_count():

@@ -10,7 +10,6 @@ from tiltcomp import (
     NoiseSpec,
     ScenarioConfig,
     generate_scenario,
-    lever_kinematic_accel,
     poi_position,
     polar_to_cartesian,
     rotation_b_to_n,
@@ -18,6 +17,30 @@ from tiltcomp import (
 )
 
 G = 9.80665
+DIFF_STEP = 1e-4
+
+
+def lever_kinematic_accel(attitude_at, arms, t, *, step=DIFF_STEP, motion_start=None):
+    """Reference acceleration of the IMU point for a body pivoting about a fixed POI.
+
+    ``attitude_at`` maps time [s] to the true attitude; the IMU position is
+    then -R(t) @ imu_to_poi (the fixed POI drops out of the derivative).
+    Differencing is central with the given step, except around an optional
+    ``motion_start`` kink: exact zero before it, forward stencil within one
+    step after it.
+    """
+
+    def position(s):
+        return -(rotation_b_to_n(attitude_at(s)) @ arms.imu_to_poi_b)
+
+    if motion_start is not None:
+        if t < motion_start:
+            return np.zeros(3)
+        if t < motion_start + step:
+            return (position(t) - 2.0 * position(t + step) + position(t + 2.0 * step)) / (
+                step * step
+            )
+    return (position(t - step) - 2.0 * position(t) + position(t + step)) / (step * step)
 
 
 def quiet(**kwargs):
