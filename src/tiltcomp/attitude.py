@@ -148,11 +148,9 @@ def adaptive_alpha(accel, cfg: FilterConfig) -> float:
 
 def _check_sample(sample: ImuSample, last_timestamp: float | None) -> None:
     """Reject a non-finite sample or one stamped before ``last_timestamp``."""
-    if not (
-        math.isfinite(sample.timestamp)
-        and np.all(np.isfinite(sample.accel))
-        and np.all(np.isfinite(sample.gyro))
-    ):
+    ax, ay, az = sample.accel.tolist()
+    gx, gy, gz = sample.gyro.tolist()
+    if not all(map(math.isfinite, (sample.timestamp, ax, ay, az, gx, gy, gz))):
         raise ValueError(f"non-finite IMU sample at t={sample.timestamp!r}")
     if last_timestamp is not None and sample.timestamp < last_timestamp:
         raise ValueError(f"non-monotone IMU timestamp: {sample.timestamp} < {last_timestamp}")

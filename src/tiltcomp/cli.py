@@ -9,9 +9,11 @@ or inconsistent inputs). All randomness comes from the scenario config's
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -45,31 +47,6 @@ class ConfigError(ValueError):
     """Invalid scenario config; the message names the offending key."""
 
 
-_SCALAR_KEYS = (
-    "duration_s",
-    "imu_rate_hz",
-    "rts_rate_hz",
-    "idle_duration_s",
-    "roll_amplitude_deg",
-    "roll_frequency_hz",
-    "roll_phase_rad",
-    "pitch_amplitude_deg",
-    "pitch_frequency_hz",
-    "pitch_phase_rad",
-    "yaw_deg",
-    "yaw_rate_deg_s",
-    "gravity",
-)
-_VECTOR_KEYS = ("poi_nav", "rts_station", "imu_to_prism_b", "imu_to_poi_b")
-_NOISE_KEYS = (
-    "gyro_noise_density_deg",
-    "gyro_bias_deg_per_h",
-    "accel_sigma",
-    "rts_range_sigma_m",
-    "rts_angle_sigma_rad",
-)
-
-
 def _parse_triple(text: str) -> np.ndarray:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
@@ -77,11 +54,33 @@ def _parse_triple(text: str) -> np.ndarray:
     return np.array([float(p) for p in parts])
 
 
+def _format_triple(vector) -> str:
+    return ",".join(str(float(v)) for v in vector)
+
+
+def _config_keys() -> dict[str, tuple[type, Callable[[str], object]]]:
+    """Config key -> (owning dataclass, value parser) for each config field whose
+    default is a float, an int or an array. The type of the default picks the
+    parser; object-valued fields (``noise``, ``lever_arms``) are not keys."""
+    parsers = {float: float, int: int, np.ndarray: _parse_triple}
+    keys = {}
+    for owner in (ScenarioConfig, NoiseSpec, LeverArms):
+        for f in dataclasses.fields(owner):
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            if type(default) in parsers:
+                keys[f.name] = (owner, parsers[type(default)])
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
+
+
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Build a scenario from ``key = value`` lines (# comments allowed).
 
-    Scalar keys take one number, vector keys an ``x,y,z`` triple, ``seed`` an
-    integer; unknown keys are rejected. Omitted keys keep their defaults.
+    Keys are the number, integer and ``x,y,z`` fields of
+    :class:`ScenarioConfig`, :class:`NoiseSpec` and :class:`LeverArms`;
+    unknown keys are rejected. Omitted keys keep their defaults.
     """
     raw: dict[str, str] = {}
     for i, line in enumerate(text.splitlines(), start=1):
@@ -96,36 +95,21 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {i}: duplicate key {key!r}")
         raw[key] = value
 
-    scenario_kwargs: dict = {}
-    noise_kwargs: dict = {}
+    given: dict[type, dict] = {ScenarioConfig: {}, NoiseSpec: {}, LeverArms: {}}
     for key, value in raw.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        owner, parse = _CONFIG_KEYS[key]
         try:
-            if key in _SCALAR_KEYS:
-                scenario_kwargs[key] = float(value)
-            elif key in _VECTOR_KEYS:
-                scenario_kwargs[key] = _parse_triple(value)
-            elif key in _NOISE_KEYS:
-                noise_kwargs[key] = float(value)
-            elif key == "seed":
-                scenario_kwargs[key] = int(value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
+            given[owner][key] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-    prism = scenario_kwargs.pop("imu_to_prism_b", None)
-    poi = scenario_kwargs.pop("imu_to_poi_b", None)
-    if prism is not None or poi is not None:
-        default = LeverArms()
-        scenario_kwargs["lever_arms"] = LeverArms(
-            imu_to_prism_b=default.imu_to_prism_b if prism is None else prism,
-            imu_to_poi_b=default.imu_to_poi_b if poi is None else poi,
-        )
     try:
-        noise = NoiseSpec(**noise_kwargs)
-        return ScenarioConfig(noise=noise, **scenario_kwargs)
+        return ScenarioConfig(
+            noise=NoiseSpec(**given[NoiseSpec]),
+            lever_arms=LeverArms(**given[LeverArms]),
+            **given[ScenarioConfig],
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -319,10 +303,8 @@ def _build_parser() -> _ArgumentParser:
         help="generate imu.txt, rts.txt, and truth.csv from a scenario config",
         description=(
             "Generate a pole-pivot scenario. The config is 'key = value' text; "
-            "keys mirror the scenario fields (duration_s, imu_rate_hz, "
-            "rts_rate_hz, idle_duration_s, poi_nav, rts_station, imu_to_prism_b, "
-            "imu_to_poi_b, roll/pitch amplitude/frequency/phase, yaw_deg, "
-            "yaw_rate_deg_s, gravity, seed, and the noise sigmas)."
+            "the keys are the number, integer and x,y,z fields of ScenarioConfig, "
+            "NoiseSpec and LeverArms: " + ", ".join(_CONFIG_KEYS) + "."
         ),
     )
     p_sim.add_argument("--config", required=True, help="scenario config file")
@@ -349,18 +331,25 @@ def _build_parser() -> _ArgumentParser:
         help="base identifier for the three coordinate frames (default 0x300)",
     )
     p_fuse.add_argument("--helmert", help="transform file from helmert-fit (default identity)")
+    arms = LeverArms()
     p_fuse.add_argument(
-        "--imu-to-prism", default="0,0,0.0756", help="body lever arm IMU->prism, meters"
+        "--imu-to-prism",
+        default=_format_triple(arms.imu_to_prism_b),
+        help="body lever arm IMU->prism, meters",
     )
     p_fuse.add_argument(
-        "--imu-to-poi", default="0,0,-0.992", help="body lever arm IMU->POI, meters"
+        "--imu-to-poi",
+        default=_format_triple(arms.imu_to_poi_b),
+        help="body lever arm IMU->POI, meters",
     )
-    p_fuse.add_argument("--alpha-base", type=float, default=0.9)
-    p_fuse.add_argument("--delta-a-threshold", type=float, default=1.0)
-    p_fuse.add_argument("--gravity", type=float, default=9.80665)
-    p_fuse.add_argument("--bias-count", type=int, default=1000)
-    p_fuse.add_argument("--pairing-tolerance", type=float, default=0.0)
-    p_fuse.add_argument("--rts-latency", type=float, default=0.0)
+    p_fuse.add_argument("--alpha-base", type=float, default=FilterConfig.alpha_base)
+    p_fuse.add_argument("--delta-a-threshold", type=float, default=FilterConfig.delta_a_threshold)
+    p_fuse.add_argument("--gravity", type=float, default=FilterConfig.gravity)
+    p_fuse.add_argument("--bias-count", type=int, default=FilterConfig.bias_calibration_count)
+    p_fuse.add_argument(
+        "--pairing-tolerance", type=float, default=PipelineConfig.pairing_tolerance_s
+    )
+    p_fuse.add_argument("--rts-latency", type=float, default=PipelineConfig.rts_latency_s)
     p_fuse.add_argument(
         "--integrate-yaw",
         action="store_true",

@@ -149,6 +149,10 @@ def write_rts_line(obs: RtsObservation) -> str:
     )
 
 
+def _csv_line(values) -> str:
+    return ",".join(f"{v:.9f}" for v in values)
+
+
 def write_csv_record(record: FusedRecord) -> str:
     """One fused CSV line (without newline), fields in header order."""
     px, py, pz = record.prism_nav
@@ -163,13 +167,33 @@ def write_csv_record(record: FusedRecord) -> str:
         record.alpha_used,
         record.imu_timestamp_used,
     )
-    return ",".join(f"{v:.9f}" for v in values)
+    return _csv_line(values)
 
 
-def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
-    fields = _split_fields(line, 12, "fused CSV record", line_number)
-    names = FUSED_CSV_HEADER.split(",")
-    values = [_parse_float(tok, name, line_number) for tok, name in zip(fields, names)]
+def _parse_row(line: str, names: list[str], what: str, line_number: int | None) -> list[float]:
+    fields = _split_fields(line, len(names), what, line_number)
+    return [_parse_float(tok, name, line_number) for tok, name in zip(fields, names)]
+
+
+def _read_csv(path, header: str, what: str, build) -> list:
+    """``build(values)`` for each non-blank row of a CSV file that starts with
+    ``header``; line numbers in error messages count the header as line 1."""
+    with open(path, "r", newline="") as f:
+        lines = f.read().splitlines()
+    if not lines:
+        raise FormatError(f"{path}: empty file, expected {what} header")
+    if lines[0].strip() != header:
+        raise FormatError(f"{path}: header mismatch: expected {header!r}, got {lines[0]!r}")
+    names = header.split(",")
+    row_what = f"{what} record"
+    return [
+        build(_parse_row(line, names, row_what, i))
+        for i, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
+
+
+def _fused_record(values: list[float]) -> FusedRecord:
     return FusedRecord(
         timestamp=values[0],
         prism_nav=values[1:4],
@@ -184,6 +208,11 @@ def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
     )
 
 
+def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
+    names = FUSED_CSV_HEADER.split(",")
+    return _fused_record(_parse_row(line, names, "fused CSV record", line_number))
+
+
 def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
     with open(path, "w", newline="") as f:
         f.write(FUSED_CSV_HEADER + "\n")
@@ -192,19 +221,20 @@ def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
 
 
 def read_fused_csv(path) -> list[FusedRecord]:
-    with open(path, "r", newline="") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file, expected fused CSV header")
-    if lines[0].strip() != FUSED_CSV_HEADER:
-        raise FormatError(
-            f"{path}: header mismatch: expected {FUSED_CSV_HEADER!r}, got {lines[0]!r}"
-        )
-    return [
-        read_csv_record(line, line_number=i)
-        for i, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
+    return _read_csv(path, FUSED_CSV_HEADER, "fused CSV", _fused_record)
+
+
+def _truth_sample(values: list[float]) -> GroundTruthSample:
+    return GroundTruthSample(
+        timestamp=values[0],
+        attitude=Attitude(
+            roll=math.radians(values[1]),
+            pitch=math.radians(values[2]),
+            yaw=math.radians(values[3]),
+        ),
+        prism_nav=values[4:7],
+        poi_nav=values[7:10],
+    )
 
 
 def write_truth_csv(samples: Iterable[GroundTruthSample], path) -> None:
@@ -220,38 +250,11 @@ def write_truth_csv(samples: Iterable[GroundTruthSample], path) -> None:
                 math.degrees(s.attitude.yaw),
                 px, py, pz, qx, qy, qz,
             )
-            f.write(",".join(f"{v:.9f}" for v in values) + "\n")
+            f.write(_csv_line(values) + "\n")
 
 
 def read_truth_csv(path) -> list[GroundTruthSample]:
-    with open(path, "r", newline="") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file, expected truth CSV header")
-    if lines[0].strip() != TRUTH_CSV_HEADER:
-        raise FormatError(
-            f"{path}: header mismatch: expected {TRUTH_CSV_HEADER!r}, got {lines[0]!r}"
-        )
-    samples = []
-    names = TRUTH_CSV_HEADER.split(",")
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = _split_fields(line, 10, "truth CSV record", i)
-        values = [_parse_float(tok, name, i) for tok, name in zip(fields, names)]
-        samples.append(
-            GroundTruthSample(
-                timestamp=values[0],
-                attitude=Attitude(
-                    roll=math.radians(values[1]),
-                    pitch=math.radians(values[2]),
-                    yaw=math.radians(values[3]),
-                ),
-                prism_nav=values[4:7],
-                poi_nav=values[7:10],
-            )
-        )
-    return samples
+    return _read_csv(path, TRUTH_CSV_HEADER, "truth CSV", _truth_sample)
 
 
 @dataclass(frozen=True)
@@ -393,18 +396,10 @@ def read_helmert_file(path) -> HelmertParams:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _point_pair(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(values[0:3]), np.array(values[3:6])
+
+
 def read_pairs_csv(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """Load (source, target) point pairs for transform fitting."""
-    with open(path, "r", newline="") as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != PAIRS_CSV_HEADER:
-        raise FormatError(f"{path}: expected header {PAIRS_CSV_HEADER!r}")
-    pairs = []
-    names = PAIRS_CSV_HEADER.split(",")
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = _split_fields(line, 6, "point pair", i)
-        values = [_parse_float(tok, name, i) for tok, name in zip(fields, names)]
-        pairs.append((np.array(values[0:3]), np.array(values[3:6])))
-    return pairs
+    return _read_csv(path, PAIRS_CSV_HEADER, "point pairs CSV", _point_pair)

@@ -248,6 +248,25 @@ def test_filter_step_rejects_non_finite_sample():
         filter_step(state, sample, cfg)
 
 
+IMU_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
+
+
+def imu_sample_with(field, value, t=0.01):
+    """A level sample at ``t`` with one of its seven numbers set to ``value``."""
+    numbers = [t, 0.0, 0.0, G, 0.0, 0.0, 0.0]
+    numbers[IMU_FIELDS.index(field)] = value
+    return ImuSample(numbers[0], numbers[1:4], numbers[4:7])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", IMU_FIELDS)
+def test_filter_step_rejects_each_non_finite_field(field, value):
+    cfg = FilterConfig()
+    for state in (FilterState(), FilterState(attitude=Attitude(), last_timestamp=0.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            filter_step(state, imu_sample_with(field, value), cfg)
+
+
 def test_calibrate_bias_averages_samples():
     rng = np.random.default_rng(42)
     gyros = rng.normal(0.0, 0.001, size=(1000, 3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,12 @@ from tiltcomp import (
     GroundTruthSample,
     HelmertParams,
     ImuSample,
+    LeverArms,
+    NoiseSpec,
     Pipeline,
+    PipelineConfig,
     RtsObservation,
+    ScenarioConfig,
     apply_helmert,
     decode_can_frames,
     parse_can_dump_line,
@@ -25,6 +30,7 @@ from tiltcomp import (
     write_rts_line,
     write_truth_csv,
 )
+from tiltcomp import cli
 from tiltcomp.cli import ConfigError, main, parse_scenario_config
 from tiltcomp.evaluate import STATS_CSV_HEADER
 
@@ -82,6 +88,51 @@ def test_parse_config_merges_lever_arm_keys():
     cfg = parse_scenario_config("imu_to_poi_b = 0, 0, -1.5\n")
     assert_allclose(cfg.lever_arms.imu_to_poi_b, [0.0, 0.0, -1.5])
     assert_allclose(cfg.lever_arms.imu_to_prism_b, [0.0, 0.0, 0.0756])
+
+
+# Every key a scenario config accepts: the number, integer and x,y,z fields of
+# ScenarioConfig, NoiseSpec and LeverArms, each with a non-default value.
+ALL_CONFIG_KEYS = {
+    "duration_s": ("40", 40.0),
+    "imu_rate_hz": ("200", 200.0),
+    "rts_rate_hz": ("10", 10.0),
+    "idle_duration_s": ("6", 6.0),
+    "poi_nav": ("4, 1, -0.5", [4.0, 1.0, -0.5]),
+    "rts_station": ("0.5, -0.25, 1", [0.5, -0.25, 1.0]),
+    "roll_amplitude_deg": ("15", 15.0),
+    "roll_frequency_hz": ("0.05", 0.05),
+    "roll_phase_rad": ("0.3", 0.3),
+    "pitch_amplitude_deg": ("12", 12.0),
+    "pitch_frequency_hz": ("0.04", 0.04),
+    "pitch_phase_rad": ("-0.2", -0.2),
+    "yaw_deg": ("30", 30.0),
+    "yaw_rate_deg_s": ("0.5", 0.5),
+    "gravity": ("9.81", 9.81),
+    "seed": ("3", 3),
+    "gyro_noise_density_deg": ("0.001", 0.001),
+    "gyro_bias_deg_per_h": ("0.5", 0.5),
+    "accel_sigma": ("0.02", 0.02),
+    "rts_range_sigma_m": ("0.002", 0.002),
+    "rts_angle_sigma_rad": ("1e-5", 1e-5),
+    "imu_to_prism_b": ("0.01, 0, 0.08", [0.01, 0.0, 0.08]),
+    "imu_to_poi_b": ("0, 0.005, -1.2", [0.0, 0.005, -1.2]),
+}
+
+
+def test_parse_config_accepts_exactly_the_config_field_keys():
+    text = "".join(f"{key} = {text}\n" for key, (text, _) in ALL_CONFIG_KEYS.items())
+    cfg = parse_scenario_config(text)
+    for key, (_, expected) in ALL_CONFIG_KEYS.items():
+        owner = next(obj for obj in (cfg, cfg.noise, cfg.lever_arms) if hasattr(obj, key))
+        np.testing.assert_array_equal(getattr(owner, key), expected)
+
+    field_names = {
+        f.name for cls in (ScenarioConfig, NoiseSpec, LeverArms) for f in dataclasses.fields(cls)
+    }
+    assert field_names - set(ALL_CONFIG_KEYS) == {"noise", "lever_arms"}
+    for name in ("noise", "lever_arms"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{name}'"):
+            parse_scenario_config(f"{name} = 1\n")
 
 
 def test_parse_config_comments_and_blanks():
@@ -212,6 +263,30 @@ def test_fuse_defaults_match_library_replay(tmp_path):
     lib_out = tmp_path / "library.csv"
     write_fused_csv(records, lib_out)
     assert lib_out.read_bytes() == cli_out.read_bytes()
+
+
+def assert_same_config(actual, expected):
+    for f in dataclasses.fields(expected):
+        a, b = getattr(actual, f.name), getattr(expected, f.name)
+        if dataclasses.is_dataclass(b):
+            assert_same_config(a, b)
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+def test_fuse_flag_defaults_build_the_default_pipeline_config(tmp_path, monkeypatch):
+    configs = []
+
+    class RecordingPipeline(Pipeline):
+        def __init__(self, config=None):
+            configs.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(cli, "Pipeline", RecordingPipeline)
+    imu, rts = write_level_streams(tmp_path)
+    assert main(["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv")]) == 0
+    assert len(configs) == 1
+    assert_same_config(configs[0], PipelineConfig())
 
 
 def test_fuse_pairs_on_the_grid(tmp_path, capsys):

@@ -438,6 +438,38 @@ def test_pairs_csv_rejects_malformed(tmp_path):
         read_pairs_csv(path)
 
 
+@pytest.mark.parametrize(
+    "reader, header",
+    [
+        (read_fused_csv, FUSED_CSV_HEADER),
+        (read_truth_csv, TRUTH_CSV_HEADER),
+        (read_pairs_csv, PAIRS_CSV_HEADER),
+    ],
+    ids=["fused", "truth", "pairs"],
+)
+def test_csv_tables_share_one_reader(tmp_path, reader, header):
+    path = tmp_path / "table.csv"
+    n_fields = len(header.split(","))
+    row = ",".join(f"{0.25 * i:.9f}" for i in range(n_fields))
+
+    path.write_text("")
+    with pytest.raises(FormatError, match="empty file"):
+        reader(path)
+    path.write_text("a,b,c\n" + row + "\n")
+    with pytest.raises(FormatError, match="header mismatch"):
+        reader(path)
+
+    path.write_text(header + "\n\n" + row + "\n  \n" + row + "\n\n")
+    assert len(reader(path)) == 2
+
+    short_row = row.rsplit(",", 1)[0]
+    non_finite_row = "nan" + row[row.index(","):]
+    for bad in (short_row, non_finite_row):
+        path.write_text(header + "\n" + row + "\n\n" + bad + "\n" + row + "\n")
+        with pytest.raises(FormatError, match="line 4"):
+            reader(path)
+
+
 MUTATION_ALPHABET = "0123456789.,-+eEIMURTSX# abc"
 
 

@@ -1,0 +1,35 @@
+"""The package namespace: built from the library modules' ``__all__`` lists."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import tiltcomp
+from tiltcomp import attitude, codec, evaluate, geodesy, kinematics, pipeline, sim
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = (attitude, codec, evaluate, geodesy, kinematics, pipeline, sim)
+
+
+def test_package_exports_the_union_of_module_exports():
+    names = tiltcomp.__all__
+    assert len(names) == len(set(names))
+    expected = {name for module in MODULES for name in module.__all__} | {"__version__"}
+    assert set(names) == expected
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(tiltcomp, name) is getattr(module, name)
+    assert isinstance(tiltcomp.__version__, str)
+
+
+def test_import_leaves_cli_unloaded():
+    code = "import sys, tiltcomp; print('tiltcomp.cli' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=SRC,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "False"

@@ -252,6 +252,28 @@ def test_pipeline_rejects_non_finite_imu():
         pipe.push_imu(ImuSample(0.0, [0.0, np.nan, G], np.zeros(3)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(7), ids=["t", "ax", "ay", "az", "gx", "gy", "gz"])
+@pytest.mark.parametrize("calibrated", [False, True], ids=["calibrating", "calibrated"])
+def test_pipeline_rejects_each_non_finite_imu_field(field, value, calibrated):
+    pipe, clean = Pipeline(fast_config()), Pipeline(fast_config())
+    start = 15 if calibrated else 5
+    for i in range(start):
+        pipe.push_imu(imu_at(i))
+        clean.push_imu(imu_at(i))
+    assert pipe.calibrated == calibrated
+    numbers = [start / 100.0, *LEVEL, 0.0, 0.0, 0.0]
+    numbers[field] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        pipe.push_imu(ImuSample(numbers[0], numbers[1:4], numbers[4:7]))
+    # the rejected sample leaves no trace
+    for i in range(start, 20):
+        pipe.push_imu(imu_at(i))
+        clean.push_imu(imu_at(i))
+    assert pipe.latest_attitude == clean.latest_attitude
+    assert_allclose(pipe.gyro_bias, clean.gyro_bias, rtol=0, atol=0)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
