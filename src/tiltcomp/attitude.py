@@ -11,6 +11,14 @@ saturating at 1.0 once the deviation reaches ``delta_a_threshold``. Yaw is
 obtained by integrating the z gyro alone and therefore drifts; it can be reset
 externally with :func:`set_yaw`.
 
+One private scalar kernel, ``_step``, holds the recurrence: it validates a
+sample and maps the previous roll, pitch, yaw and timestamp, as floats, to
+the new ``(roll, pitch, yaw, alpha)``. :func:`filter_step` unpacks a
+:class:`FilterState` into it and packs the result; the streaming pipeline
+keeps its state as floats and calls the kernel directly, so both paths run
+the same arithmetic. :func:`accel_angles` and :func:`adaptive_alpha` share the
+kernel's formulas.
+
 Units: all angles radians, accel m/s^2, gyro rad/s, time seconds. All
 operations are pure functions over an explicitly passed state value; a single
 filter state must be stepped from one logical thread at a time.
@@ -38,6 +46,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = math.pi / 2
 
 
 def wrap_angle(angle: float) -> float:
@@ -59,15 +68,26 @@ class Attitude:
 
 @dataclass(frozen=True)
 class ImuSample:
-    """One timestamped IMU reading: body-frame accel [m/s^2] and gyro [rad/s]."""
+    """One timestamped IMU reading: body-frame accel [m/s^2] and gyro [rad/s].
+
+    ``accel`` and ``gyro`` are stored as float arrays of shape (3,); any other
+    shape raises ValueError.
+    """
 
     timestamp: float
     accel: np.ndarray
     gyro: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "accel", np.asarray(self.accel, dtype=float))
-        object.__setattr__(self, "gyro", np.asarray(self.gyro, dtype=float))
+        accel = np.asarray(self.accel, dtype=float)
+        gyro = np.asarray(self.gyro, dtype=float)
+        if accel.shape != (3,) or gyro.shape != (3,):
+            raise ValueError(
+                f"IMU accel and gyro readings must have shape (3,), "
+                f"got {accel.shape} and {gyro.shape}"
+            )
+        object.__setattr__(self, "accel", accel)
+        object.__setattr__(self, "gyro", gyro)
 
 
 @dataclass(frozen=True)
@@ -118,6 +138,29 @@ class FilterState:
         object.__setattr__(self, "gyro_bias", np.asarray(self.gyro_bias, dtype=float))
 
 
+def _gravity_angles(ax: float, ay: float, az: float) -> tuple[float, float]:
+    if ax == 0.0 and ay == 0.0 and az == 0.0:
+        raise ValueError("accelerometer reading has zero norm; no usable gravity reference")
+    return wrap_angle(math.atan2(ay, az)), math.atan2(-ax, math.hypot(ay, az))
+
+
+def _alpha(accel_norm: float, cfg: FilterConfig) -> float:
+    delta_a = abs(accel_norm - cfg.gravity)
+    return min(
+        1.0, cfg.alpha_base + (1.0 - cfg.alpha_base) * delta_a / cfg.delta_a_threshold
+    )
+
+
+def _accel_norm(accel: np.ndarray) -> float:
+    """``||accel||`` for a (3,) float array, bit-identical to ``np.linalg.norm``.
+
+    Both take the square root of the BLAS dot product, which accumulates with
+    fused multiply-adds; ``math.sqrt(ax*ax + ay*ay + az*az)`` or
+    ``math.hypot`` round differently.
+    """
+    return math.sqrt(accel.dot(accel))
+
+
 def accel_angles(accel) -> tuple[float, float]:
     """Roll and pitch implied by the gravity direction in an accel reading.
 
@@ -127,11 +170,7 @@ def accel_angles(accel) -> tuple[float, float]:
     Raises ValueError if the reading has zero norm (no usable gravity reference).
     """
     ax, ay, az = (float(c) for c in np.asarray(accel, dtype=float))
-    if ax == 0.0 and ay == 0.0 and az == 0.0:
-        raise ValueError("accelerometer reading has zero norm; no usable gravity reference")
-    roll = wrap_angle(math.atan2(ay, az))
-    pitch = math.atan2(-ax, math.hypot(ay, az))
-    return roll, pitch
+    return _gravity_angles(ax, ay, az)
 
 
 def adaptive_alpha(accel, cfg: FilterConfig) -> float:
@@ -139,21 +178,58 @@ def adaptive_alpha(accel, cfg: FilterConfig) -> float:
 
     alpha = min(1, alpha_base + (1 - alpha_base) * |  ||a|| - g | / threshold).
     """
-    norm = float(np.linalg.norm(np.asarray(accel, dtype=float)))
-    delta_a = abs(norm - cfg.gravity)
-    return min(
-        1.0, cfg.alpha_base + (1.0 - cfg.alpha_base) * delta_a / cfg.delta_a_threshold
-    )
+    return _alpha(_accel_norm(np.asarray(accel, dtype=float)), cfg)
 
 
-def _check_sample(sample: ImuSample, last_timestamp: float | None) -> None:
-    """Reject a non-finite sample or one stamped before ``last_timestamp``."""
+def _check_sample(sample: ImuSample, last_timestamp: float | None) -> tuple[float, ...]:
+    """The sample's seven numbers ``(t, ax, ay, az, gx, gy, gz)``; rejects a
+    non-finite sample or one stamped before ``last_timestamp``."""
+    t = sample.timestamp
     ax, ay, az = sample.accel.tolist()
     gx, gy, gz = sample.gyro.tolist()
-    if not all(map(math.isfinite, (sample.timestamp, ax, ay, az, gx, gy, gz))):
-        raise ValueError(f"non-finite IMU sample at t={sample.timestamp!r}")
-    if last_timestamp is not None and sample.timestamp < last_timestamp:
-        raise ValueError(f"non-monotone IMU timestamp: {sample.timestamp} < {last_timestamp}")
+    # A finite sum implies seven finite terms; only a non-finite sum (which
+    # finite terms can reach by overflow) needs the term-by-term test.
+    if not math.isfinite(t + ax + ay + az + gx + gy + gz) and not all(
+        map(math.isfinite, (t, ax, ay, az, gx, gy, gz))
+    ):
+        raise ValueError(f"non-finite IMU sample at t={t!r}")
+    if last_timestamp is not None and t < last_timestamp:
+        raise ValueError(f"non-monotone IMU timestamp: {t} < {last_timestamp}")
+    return t, ax, ay, az, gx, gy, gz
+
+
+def _step(
+    roll: float,
+    pitch: float,
+    yaw: float,
+    last_timestamp: float | None,
+    sample: ImuSample,
+    gyro_bias: tuple[float, float, float],
+    cfg: FilterConfig,
+) -> tuple[float, float, float, float]:
+    """The filter kernel: one sample maps the previous angles to the new
+    ``(roll, pitch, yaw, alpha)``, all plain floats.
+
+    ``last_timestamp`` None seeds roll and pitch from the accelerometer and
+    wraps ``yaw``, with alpha 0. Raises ValueError for a non-finite or
+    out-of-order sample and for a zero-norm accel reading.
+    """
+    t, ax, ay, az, gx, gy, gz = _check_sample(sample, last_timestamp)
+    roll_acc, pitch_acc = _gravity_angles(ax, ay, az)
+    if last_timestamp is None:
+        return roll_acc, pitch_acc, wrap_angle(yaw), 0.0
+
+    dt = t - last_timestamp
+    bx, by, bz = gyro_bias
+    alpha = _alpha(_accel_norm(sample.accel), cfg)
+    roll = alpha * (roll + (gx - bx) * dt) + (1.0 - alpha) * roll_acc
+    pitch = alpha * (pitch + (gy - by) * dt) + (1.0 - alpha) * pitch_acc
+    return (
+        wrap_angle(roll),
+        min(_HALF_PI, max(-_HALF_PI, pitch)),
+        wrap_angle(yaw + (gz - bz) * dt),
+        alpha,
+    )
 
 
 def filter_step(state: FilterState, sample: ImuSample, cfg: FilterConfig) -> FilterState:
@@ -164,32 +240,16 @@ def filter_step(state: FilterState, sample: ImuSample, cfg: FilterConfig) -> Fil
     from consecutive timestamps. ``state.gyro_bias`` is subtracted from the
     gyro reading. Output angles satisfy the Attitude range invariants.
     """
-    _check_sample(sample, state.last_timestamp)
-
-    if state.last_timestamp is None:
-        roll, pitch = accel_angles(sample.accel)
-        seeded = Attitude(roll=roll, pitch=pitch, yaw=wrap_angle(state.attitude.yaw))
-        return replace(
-            state, attitude=seeded, last_timestamp=sample.timestamp, last_alpha=0.0
-        )
-
-    dt = sample.timestamp - state.last_timestamp
-    gx, gy, gz = (float(g) for g in (sample.gyro - state.gyro_bias))
-    roll_acc, pitch_acc = accel_angles(sample.accel)
-    alpha = adaptive_alpha(sample.accel, cfg)
-
     att = state.attitude
-    roll = alpha * (att.roll + gx * dt) + (1.0 - alpha) * roll_acc
-    pitch = alpha * (att.pitch + gy * dt) + (1.0 - alpha) * pitch_acc
-    yaw = att.yaw + gz * dt
-
-    new_att = Attitude(
-        roll=wrap_angle(roll),
-        pitch=min(math.pi / 2, max(-math.pi / 2, pitch)),
-        yaw=wrap_angle(yaw),
+    roll, pitch, yaw, alpha = _step(
+        att.roll, att.pitch, att.yaw, state.last_timestamp,
+        sample, state.gyro_bias.tolist(), cfg,
     )
-    return replace(
-        state, attitude=new_att, last_timestamp=sample.timestamp, last_alpha=alpha
+    return FilterState(
+        attitude=Attitude(roll=roll, pitch=pitch, yaw=yaw),
+        last_timestamp=sample.timestamp,
+        gyro_bias=state.gyro_bias,
+        last_alpha=alpha,
     )
 
 

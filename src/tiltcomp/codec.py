@@ -105,6 +105,17 @@ def _split_fields(
 
 def parse_imu_line(line: str, line_number: int | None = None) -> ImuSample:
     """Parse one IMU stream line; whitespace around commas is tolerated."""
+    # Fast path for a well-formed line; anything unexpected goes on to the
+    # field-by-field parser, which gives the same sample or names the fault.
+    tag, *tokens = line.split(",")
+    if tag == "IMU" and len(tokens) == 7:
+        try:
+            t, ax, ay, az, gx, gy, gz = map(float, tokens)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(t + ax + ay + az + gx + gy + gz):
+                return ImuSample(t, np.array((ax, ay, az)), np.array((gx, gy, gz)))
     fields = _split_fields(line, 8, "IMU line", line_number)
     if fields[0] != "IMU":
         _fail(f"expected tag 'IMU', got {fields[0]!r}", line_number)

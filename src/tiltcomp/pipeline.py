@@ -15,6 +15,7 @@ zero, bit-deterministic for a given push ordering.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -22,12 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .attitude import (
+# set_yaw is unused here but stays importable: bench/run.py traces the
+# attitude layer under the names pipeline.filter_step and pipeline.set_yaw.
+from .attitude import (  # noqa: F401
     Attitude,
     FilterConfig,
     FilterState,
     ImuSample,
     _check_sample,
+    _step,
     calibrate_bias,
     filter_step,
     set_yaw,
@@ -109,34 +113,44 @@ class Pipeline:
     Records are emitted in observation order. A buffered observation earlier
     than the first attitude estimate blocks the queue until the ring buffer
     evicts it; feed the pipeline its idle segment first to avoid the churn.
+
+    After calibration the filter state is plain floats (roll, pitch, yaw, the
+    last IMU timestamp and the three gyro-bias components), advanced by the
+    attitude module's scalar kernel, the one :func:`filter_step` runs. The
+    attitude history is two float arrays: IMU timestamps, and roll, pitch,
+    yaw and alpha per sample. :class:`Attitude` objects are built only where
+    they are handed out, by :meth:`drain` and :attr:`latest_attitude`.
     """
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config if config is not None else PipelineConfig()
         self._calib_samples: list[ImuSample] = []
-        self._state: FilterState | None = None
         self._held_yaw = 0.0
-        self._att_times: list[float] = []
-        self._att_entries: list[tuple[Attitude, float]] = []
+        self._bias: tuple[float, float, float] | None = None
+        self._roll = self._pitch = self._yaw = 0.0
+        self._last_timestamp: float | None = None
+        self._att_times = array("d")
+        self._att_values = array("d")
         self._buffer: deque[RtsObservation] = deque()
         self._dropped = 0
 
     @property
     def calibrated(self) -> bool:
         """True once the gyro bias is fixed and the filter is running."""
-        return self._state is not None
+        return self._bias is not None
 
     @property
     def gyro_bias(self) -> np.ndarray | None:
         """Calibrated gyro bias [rad/s], or None during the calibration phase."""
-        return None if self._state is None else self._state.gyro_bias.copy()
+        return None if self._bias is None else np.array(self._bias)
 
     @property
     def latest_attitude(self) -> tuple[float, Attitude] | None:
         """Most recent (imu_timestamp, attitude) estimate, or None before seeding."""
         if not self._att_times:
             return None
-        return self._att_times[-1], self._att_entries[-1][0]
+        roll, pitch, yaw, _ = self._att_values[-4:]
+        return self._att_times[-1], Attitude(roll, pitch, yaw)
 
     @property
     def rts_buffered(self) -> int:
@@ -150,7 +164,18 @@ class Pipeline:
     def push_imu(self, sample: ImuSample) -> None:
         """Feed one IMU sample: calibrates until the count is reached, then filters."""
         cfg = self.config.filter_config
-        if self._state is None:
+        if self._bias is not None:
+            roll, pitch, yaw, alpha = _step(
+                self._roll, self._pitch, self._yaw, self._last_timestamp,
+                sample, self._bias, cfg,
+            )
+            if self.config.hold_yaw:
+                # The state keeps wrap_angle(held yaw), set by the seed step
+                # and by set_yaw; the kernel's integrated yaw is dropped.
+                yaw = self._yaw
+            else:
+                self._yaw = yaw
+        else:
             calib = self._calib_samples
             _check_sample(sample, calib[-1].timestamp if calib else None)
             if len(calib) + 1 < cfg.bias_calibration_count:
@@ -159,15 +184,16 @@ class Pipeline:
             # Keep the seed sample out of the list until the filter accepts it.
             bias = calibrate_bias([*calib, sample], cfg.bias_calibration_count)
             seed = FilterState(attitude=Attitude(yaw=self._held_yaw), gyro_bias=bias)
-            self._state = filter_step(seed, sample, cfg)
+            state = filter_step(seed, sample, cfg)
             calib.clear()
-        else:
-            state = filter_step(self._state, sample, cfg)
-            if self.config.hold_yaw:
-                state = set_yaw(state, self._held_yaw)
-            self._state = state
+            self._bias = tuple(bias.tolist())
+            att, alpha = state.attitude, state.last_alpha
+            roll, pitch, yaw = att.roll, att.pitch, att.yaw
+            self._yaw = yaw
+        self._roll, self._pitch = roll, pitch
+        self._last_timestamp = sample.timestamp
         self._att_times.append(sample.timestamp)
-        self._att_entries.append((self._state.attitude, self._state.last_alpha))
+        self._att_values.extend((roll, pitch, yaw, alpha))
 
     def push_rts(self, obs: RtsObservation) -> None:
         """Buffer one observation; past capacity the oldest is dropped and counted."""
@@ -181,8 +207,8 @@ class Pipeline:
         if not math.isfinite(yaw):
             raise ValueError(f"yaw must be finite, got {yaw}")
         self._held_yaw = wrap_angle(yaw)
-        if self._state is not None:
-            self._state = set_yaw(self._state, self._held_yaw)
+        if self._bias is not None:
+            self._yaw = wrap_angle(self._held_yaw)
 
     def drain(self) -> list[FusedRecord]:
         """Pair and emit all buffered observations that have an eligible attitude.
@@ -194,7 +220,7 @@ class Pipeline:
         buffered together with everything behind it. Returns an empty list
         during the calibration phase.
         """
-        if self._state is None:
+        if self._bias is None:
             return []
         records = []
         cfg = self.config
@@ -205,7 +231,8 @@ class Pipeline:
             if idx < 0:
                 break
             self._buffer.popleft()
-            attitude, alpha = self._att_entries[idx]
+            roll, pitch, yaw, alpha = self._att_values[4 * idx : 4 * idx + 4]
+            attitude = Attitude(roll, pitch, yaw)
             prism_rts = polar_to_cartesian(obs)
             prism_nav = apply_helmert(cfg.helmert, prism_rts)
             poi_nav = poi_position(prism_nav, attitude, cfg.lever_arms)

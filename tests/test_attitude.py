@@ -320,3 +320,44 @@ def test_imu_sample_converts_sequences_to_arrays():
     assert isinstance(sample.accel, np.ndarray)
     assert sample.accel.shape == (3,)
     assert sample.gyro.shape == (3,)
+
+
+BAD_READINGS = {
+    "3x1": np.array([[0.0], [0.0], [G]]),
+    "2": [0.0, G],
+    "4": [0.0, 0.0, G, 0.0],
+}
+
+
+@pytest.mark.parametrize("reading", BAD_READINGS.values(), ids=BAD_READINGS.keys())
+@pytest.mark.parametrize("which", ["accel", "gyro"])
+def test_readings_not_of_shape_3_are_rejected(which, reading):
+    readings = {"accel": [0.0, 0.0, G], "gyro": [0.0, 0.0, 0.0], which: reading}
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        ImuSample(0.01, **readings)
+    cfg = FilterConfig()
+    for state in (FilterState(), FilterState(attitude=Attitude(), last_timestamp=0.0)):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            filter_step(state, ImuSample(0.01, **readings), cfg)
+
+
+def test_kernel_accel_norm_is_bitwise_numpy_norm():
+    from tiltcomp.attitude import _accel_norm
+
+    rng = np.random.default_rng(23)
+    readings = np.concatenate(
+        [
+            rng.normal(0.0, 1.0, size=(5000, 3)) + np.array([0.0, 0.0, G]),
+            rng.uniform(-40.0, 40.0, size=(5000, 3)),
+            rng.normal(0.0, 1e-3, size=(2000, 3)),
+        ]
+    )
+    naive_differs = 0
+    for accel in readings:
+        norm = _accel_norm(accel)
+        assert norm.hex() == float(np.linalg.norm(accel)).hex(), accel.tolist()
+        ax, ay, az = accel.tolist()
+        naive_differs += math.sqrt(ax * ax + ay * ay + az * az) != norm
+    # numpy's norm rounds through fused multiply-adds: a plain sum of squares
+    # differs on some of these readings, so they can tell the two apart.
+    assert naive_differs > 0

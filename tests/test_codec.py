@@ -1,8 +1,11 @@
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
@@ -13,6 +16,7 @@ from tiltcomp import (
     FusedRecord,
     GroundTruthSample,
     HelmertParams,
+    ImuSample,
     decode_attitude_frame,
     decode_can_frames,
     encode_attitude_frame,
@@ -33,6 +37,7 @@ from tiltcomp import (
     write_rts_line,
     write_truth_csv,
 )
+from tiltcomp import codec
 from tiltcomp.codec import FUSED_CSV_HEADER, PAIRS_CSV_HEADER, TRUTH_CSV_HEADER
 
 
@@ -86,6 +91,74 @@ def test_imu_line_rejects_malformed(line):
 def test_imu_line_error_carries_line_number():
     with pytest.raises(FormatError, match="line 17"):
         parse_imu_line("IMU,bad", line_number=17)
+
+
+def imu_parse_outcome(line, line_number):
+    """The bits of the sample parse_imu_line makes of a line, or its error."""
+    try:
+        sample = parse_imu_line(line, line_number)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "sample", float(sample.timestamp).hex(), sample.accel.tobytes(), sample.gyro.tobytes()
+
+
+def test_imu_line_fast_path_skips_the_field_parser():
+    rng = np.random.default_rng(8)
+    lines = [
+        write_imu_line(ImuSample(float(t), rng.normal(size=3), rng.normal(size=3)))
+        for t in rng.uniform(0.0, 1e4, size=20)
+    ]
+    with mock.patch.object(codec, "_split_fields", wraps=codec._split_fields) as slow:
+        for line in lines:
+            parse_imu_line(line + "\n", 3)
+        assert not slow.called
+        # a leading blank defeats the fast path; the field parser strips it
+        parse_imu_line(" " + lines[0], 3)
+        assert slow.called
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map("{:.6f}".format),
+    st.integers(-(10**6), 10**6).map(str),
+)
+_ODD_TOKEN = st.one_of(
+    st.sampled_from(["nan", "-inf", "1e999", "", "x", "1_0", " 2.5 ", "\t+.5", "0x1", "IMU"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def imu_lines(draw):
+    """Well-formed IMU lines, and the same lines with one or two faults: an odd
+    field, tag or field count, padding, or a random character edit."""
+    fields = ["IMU", *draw(st.lists(_NUMBER, min_size=7, max_size=7))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        fault = draw(st.sampled_from(["field", "tag", "count", "pad", "edit"]))
+        at = draw(st.integers(0, len(fields) - 1))
+        if fault == "field":
+            fields[at] = draw(_ODD_TOKEN)
+        elif fault == "tag":
+            fields[0] = draw(st.sampled_from(["imu", "RTS", " IMU", "IMU ", ""]))
+        elif fault == "count":
+            fields = fields[:-1] if draw(st.booleans()) else [*fields, draw(_NUMBER)]
+        elif fault == "pad":
+            fields[at] = draw(st.sampled_from([" ", "\t", "\u00a0"])) + fields[at] + " "
+        else:
+            line = ",".join(fields)
+            pos = draw(st.integers(0, len(line)))
+            fields = (line[:pos] + draw(st.text(max_size=2)) + line[pos + 1 :]).split(",")
+    return ",".join(fields) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(imu_lines(), st.one_of(st.none(), st.integers(1, 10**6)))
+def test_imu_line_fast_path_agrees_with_the_field_parser(line, line_number):
+    """Bit for bit the same sample, or the same FormatError message."""
+    with mock.patch.object(codec, "_split_fields", wraps=codec._split_fields) as slow:
+        field_by_field = imu_parse_outcome(" " + line, line_number)
+        assert slow.called
+    assert imu_parse_outcome(line, line_number) == field_by_field
 
 
 def test_rts_line_example_converts_degrees():

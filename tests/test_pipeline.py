@@ -2,20 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tiltcomp import (
     Attitude,
     FilterConfig,
+    FilterState,
     HelmertParams,
     ImuSample,
     LeverArms,
     Pipeline,
     PipelineConfig,
     RtsObservation,
+    ScenarioConfig,
     apply_helmert,
+    calibrate_bias,
+    filter_step,
+    generate_scenario,
     poi_position,
     polar_to_cartesian,
+    set_yaw,
+    wrap_angle,
 )
 
 G = 9.80665
@@ -324,3 +333,138 @@ def test_tilted_static_scene_produces_corrected_poi(replay):
     offset = record.poi_nav - record.prism_nav
     assert offset[1] == pytest.approx(1.0676 * math.sin(roll), rel=1e-9)
     assert offset[2] == pytest.approx(-1.0676 * math.cos(roll), rel=1e-9)
+
+
+BAD_READINGS = {
+    "3x1": np.array([[0.0], [0.0], [G]]),
+    "2": [0.0, G],
+    "4": [0.0, 0.0, G, 0.0],
+}
+
+
+@pytest.mark.parametrize("reading", BAD_READINGS.values(), ids=BAD_READINGS.keys())
+@pytest.mark.parametrize("which", ["accel", "gyro"])
+@pytest.mark.parametrize("calibrated", [False, True], ids=["calibrating", "calibrated"])
+def test_pipeline_rejects_readings_not_of_shape_3(which, reading, calibrated):
+    pipe, clean = Pipeline(fast_config()), Pipeline(fast_config())
+    start = 15 if calibrated else 5
+    for i in range(start):
+        pipe.push_imu(imu_at(i))
+        clean.push_imu(imu_at(i))
+    assert pipe.calibrated == calibrated
+    readings = {"accel": LEVEL, "gyro": np.zeros(3), which: reading}
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        pipe.push_imu(ImuSample(start / 100.0, **readings))
+    for i in range(start, 20):
+        pipe.push_imu(imu_at(i))
+        clean.push_imu(imu_at(i))
+    assert pipe.latest_attitude == clean.latest_attitude
+    assert_allclose(pipe.gyro_bias, clean.gyro_bias, rtol=0, atol=0)
+
+
+def reference_history(imu, cfg, hold_yaw, initial_yaw, reset_index, reset_yaw):
+    """``{imu timestamp: (attitude, alpha)}`` from one FilterState stepped by the
+    public filter_step, with set_yaw for the held heading and the reset."""
+    n = cfg.bias_calibration_count
+    held = wrap_angle(initial_yaw)
+    state = FilterState(attitude=Attitude(yaw=held), gyro_bias=calibrate_bias(imu[:n], n))
+    history = {}
+    for i in range(n - 1, len(imu)):
+        if i == reset_index:
+            held = wrap_angle(reset_yaw)
+            state = set_yaw(state, held)
+        state = filter_step(state, imu[i], cfg)
+        if hold_yaw and i >= n:
+            state = set_yaw(state, held)
+        history[imu[i].timestamp] = (state.attitude, state.last_alpha)
+    return history
+
+
+def bits(*values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("initial_deg, reset_deg", [(37.0, 200.0), (-250.0, 12.5)])
+@pytest.mark.parametrize("hold_yaw", [True, False], ids=["hold", "integrate"])
+def test_paired_attitudes_match_a_filter_step_loop_bitwise(hold_yaw, initial_deg, reset_deg):
+    initial, reset = math.radians(initial_deg), math.radians(reset_deg)
+    # wrap_angle changes these headings in the last bit, so a held yaw that
+    # skipped a wrap would show.
+    assert wrap_angle(initial) != initial and wrap_angle(reset) != reset
+    imu, rts, _ = generate_scenario(ScenarioConfig(duration_s=60.0, rts_rate_hz=100.0, seed=5))
+    config = PipelineConfig(hold_yaw=hold_yaw)
+    reset_index = len(imu) // 2
+    expected = reference_history(
+        imu, config.filter_config, hold_yaw, initial, reset_index, reset
+    )
+
+    pipe = Pipeline(config)
+    pipe.set_yaw(initial)
+    t_reset = imu[reset_index].timestamp
+    records = pipe.replay(imu[:reset_index], [o for o in rts if o.timestamp < t_reset])
+    pipe.set_yaw(reset)
+    records += pipe.replay(imu[reset_index:], [o for o in rts if o.timestamp >= t_reset])
+
+    assert len(records) > 4500
+    for record in records:
+        want, alpha = expected[record.imu_timestamp_used]
+        got = record.attitude_used
+        assert bits(got.roll, got.pitch, got.yaw, record.alpha_used) == bits(
+            want.roll, want.pitch, want.yaw, alpha
+        ), record.timestamp
+
+
+def same_records(a, b):
+    return (
+        a.timestamp == b.timestamp
+        and np.array_equal(a.prism_nav, b.prism_nav)
+        and np.array_equal(a.poi_nav, b.poi_nav)
+        and a.attitude_used == b.attitude_used
+        and a.alpha_used == b.alpha_used
+        and a.imu_timestamp_used == b.imu_timestamp_used
+    )
+
+
+INTERLEAVE_IMU = [imu_at(i, gyro=(0.02 * math.sin(i / 7.0), 0.01, -0.03)) for i in range(120)]
+INTERLEAVE_RTS = [obs_at(0.1 + 0.037 * k) for k in range(28)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_any_causal_interleaving_gives_the_replay_records(data):
+    """Each stream keeps its own order, an observation is pushed only once the
+    IMU stream has reached its time, and drains come anywhere: the records are
+    exactly those of Pipeline.replay (tolerance 0, a buffer that never
+    overflows)."""
+    config = fast_config(rts_buffer_capacity=len(INTERLEAVE_RTS))
+    expected = Pipeline(config).replay(INTERLEAVE_IMU, INTERLEAVE_RTS)
+
+    # Push position of each observation: the number of IMU samples pushed
+    # before it, never fewer than those at or before its timestamp.
+    positions, earliest = [], 0
+    for obs in INTERLEAVE_RTS:
+        due = sum(s.timestamp <= obs.timestamp for s in INTERLEAVE_IMU)
+        earliest = max(earliest, due)
+        earliest = data.draw(st.integers(earliest, len(INTERLEAVE_IMU)))
+        positions.append(earliest)
+    events, j = [], 0
+    for i in range(len(INTERLEAVE_IMU) + 1):
+        while j < len(positions) and positions[j] == i:
+            events.append(("rts", INTERLEAVE_RTS[j]))
+            j += 1
+        if i < len(INTERLEAVE_IMU):
+            events.append(("imu", INTERLEAVE_IMU[i]))
+    drains = data.draw(st.sets(st.integers(0, len(events) - 1), max_size=len(events)))
+
+    pipe, records = Pipeline(config), []
+    for k, (kind, item) in enumerate(events):
+        if kind == "imu":
+            pipe.push_imu(item)
+        else:
+            pipe.push_rts(item)
+        if k in drains:
+            records += pipe.drain()
+    records += pipe.drain()
+
+    assert len(records) == len(expected)
+    assert all(same_records(a, b) for a, b in zip(records, expected))
