@@ -20,6 +20,7 @@ import numpy as np
 from .attitude import FilterConfig
 from .codec import (
     FormatError,
+    _open_utf8,
     encode_can_frames,
     format_can_dump_line,
     parse_imu_line,
@@ -115,12 +116,8 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
 
 
 def _read_stream(path: Path, parse_line):
-    items = []
-    with open(path, "r", newline="") as f:
-        for i, line in enumerate(f, start=1):
-            if line.strip():
-                items.append(parse_line(line, line_number=i))
-    return items
+    with _open_utf8(path) as f:
+        return [parse_line(line, line_number=i) for i, line in enumerate(f, 1) if line.strip()]
 
 
 def _data_error(message: str) -> int:
@@ -130,21 +127,20 @@ def _data_error(message: str) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        text = Path(args.config).read_text()
+        with _open_utf8(args.config) as f:
+            cfg = parse_scenario_config(f.read())
+        imu, rts, truth = generate_scenario(cfg)
     except OSError as exc:
         return _data_error(f"cannot read config: {exc}")
-    try:
-        cfg = parse_scenario_config(text)
-        imu, rts, truth = generate_scenario(cfg)
     except ValueError as exc:
         return _data_error(str(exc))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "imu.txt", "w", newline="") as f:
+    with open(out_dir / "imu.txt", "w", newline="", encoding="utf-8") as f:
         for sample in imu:
             f.write(write_imu_line(sample) + "\n")
-    with open(out_dir / "rts.txt", "w", newline="") as f:
+    with open(out_dir / "rts.txt", "w", newline="", encoding="utf-8") as f:
         for obs in rts:
             f.write(write_rts_line(obs) + "\n")
     write_truth_csv(truth, out_dir / "truth.csv")
@@ -196,10 +192,13 @@ def cmd_fuse(args) -> int:
 
     write_fused_csv(records, args.out)
     if args.can_out:
-        with open(args.can_out, "w", newline="") as f:
-            for record in records:
-                for frame in encode_can_frames(record, args.can_base_id):
-                    f.write(format_can_dump_line(frame) + "\n")
+        try:
+            with open(args.can_out, "w", newline="", encoding="utf-8") as f:
+                for record in records:
+                    for frame in encode_can_frames(record, args.can_base_id):
+                        f.write(format_can_dump_line(frame) + "\n")
+        except FormatError as exc:
+            return _data_error(f"{args.can_out}: {exc}")
     leftover = pipeline.rts_buffered
     note = f", {leftover} observations left unpaired" if leftover else ""
     print(f"wrote {len(records)} fused records to {args.out}{note}")
@@ -273,7 +272,7 @@ def cmd_eval(args) -> int:
 
     stats = compute_stats(estimates, reference)
     print(render_report([(args.label, stats)]))
-    with open(args.out, "w", newline="") as f:
+    with open(args.out, "w", newline="", encoding="utf-8") as f:
         f.write(STATS_CSV_HEADER + "\n")
         f.write(stats_csv_row(args.label, stats) + "\n")
     return 0

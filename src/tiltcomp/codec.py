@@ -5,7 +5,13 @@ Text stream lines (formats specific to this toolkit):
 * IMU:    ``IMU,<t_s>,<ax>,<ay>,<az>,<gx>,<gy>,<gz>`` (m/s^2, rad/s)
 * RTS:    ``RTS,<t_s>,<D_m>,<Hz_deg>,<V_deg>`` (degrees on the wire)
 * fused:  CSV with header :data:`FUSED_CSV_HEADER`, nine-decimal fields
-* truth:  CSV with header :data:`TRUTH_CSV_HEADER`
+* truth:  CSV with header :data:`TRUTH_CSV_HEADER`, nine-decimal fields
+* pairs:  CSV with header :data:`PAIRS_CSV_HEADER` (read only)
+
+Each record line format is declared once: its tag (none for a CSV row), field
+names and decimals. One parser reads every record line, with a fast path (one
+split, one ``float`` per field, one finiteness test) that hands anything else
+to the field-by-field parser; one ``%`` template per format writes it.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2), plus an optional
@@ -14,16 +20,18 @@ counter. Hex dumps use ``<id hex>#<payload hex>`` lines.
 
 Angles are radians inside the toolkit; codecs convert at the boundary.
 Parsing failures raise :class:`FormatError` carrying line-number context;
-parsers never raise anything else on malformed text. Decimal points only,
-independent of locale.
+parsers never raise anything else on malformed text. Files are read and
+written as UTF-8 whatever the locale; bytes that are not UTF-8 raise
+:class:`FormatError` naming the file. Decimal points only.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,65 +111,68 @@ def _split_fields(
     return fields
 
 
-def parse_imu_line(line: str, line_number: int | None = None) -> ImuSample:
-    """Parse one IMU stream line; whitespace around commas is tolerated."""
-    # Fast path for a well-formed line; anything unexpected goes on to the
-    # field-by-field parser, which gives the same sample or names the fault.
-    tag, *tokens = line.split(",")
-    if tag == "IMU" and len(tokens) == 7:
+class _Format(NamedTuple):
+    """One record line format: its tag (the first field of a stream line, None
+    for a CSV row), its field names, and the ``%`` template that writes it."""
+
+    tag: str | None
+    names: tuple[str, ...]
+    template: str
+
+
+def _declare(tag: str | None, names: Sequence[str], decimals: int) -> _Format:
+    fields = [f"%.{decimals}f"] * len(names)
+    return _Format(tag, tuple(names), ",".join(fields if tag is None else [tag, *fields]))
+
+
+_IMU = _declare("IMU", ("t_s", "ax", "ay", "az", "gx", "gy", "gz"), 6)
+_RTS = _declare("RTS", ("t_s", "D_m", "Hz_deg", "V_deg"), 6)
+_FUSED = _declare(None, FUSED_CSV_HEADER.split(","), 9)
+_TRUTH = _declare(None, TRUTH_CSV_HEADER.split(","), 9)
+
+
+def _numbers(
+    line: str, tag: str | None, names: Sequence[str], what: str, line_number: int | None
+) -> list[float]:
+    """The numbers of one record line after its ``tag`` (None for a CSV row).
+    A fast path reads a well-formed line; anything else goes on to the field
+    parser, which tolerates blanks around commas or names the faulty field."""
+    tokens = line.split(",")
+    if (tag is None or tokens.pop(0) == tag) and len(tokens) == len(names):
         try:
-            t, ax, ay, az, gx, gy, gz = map(float, tokens)
+            values = list(map(float, tokens))
+            if math.isfinite(sum(values)):
+                return values
         except ValueError:
             pass
-        else:
-            if math.isfinite(t + ax + ay + az + gx + gy + gz):
-                return ImuSample(t, np.array((ax, ay, az)), np.array((gx, gy, gz)))
-    fields = _split_fields(line, 8, "IMU line", line_number)
-    if fields[0] != "IMU":
-        _fail(f"expected tag 'IMU', got {fields[0]!r}", line_number)
-    names = ("t_s", "ax", "ay", "az", "gx", "gy", "gz")
-    values = [_parse_float(tok, name, line_number) for tok, name in zip(fields[1:], names)]
-    return ImuSample(timestamp=values[0], accel=values[1:4], gyro=values[4:7])
+    fields = _split_fields(line, len(names) + (tag is not None), what, line_number)
+    if tag is not None and (found := fields.pop(0)) != tag:
+        _fail(f"expected tag {tag!r}, got {found!r}", line_number)
+    return [_parse_float(tok, name, line_number) for tok, name in zip(fields, names)]
+
+
+def parse_imu_line(line: str, line_number: int | None = None) -> ImuSample:
+    """Parse one IMU stream line; whitespace around commas is tolerated."""
+    t, ax, ay, az, gx, gy, gz = _numbers(line, _IMU.tag, _IMU.names, "IMU line", line_number)
+    return ImuSample(t, np.array((ax, ay, az)), np.array((gx, gy, gz)))
 
 
 def write_imu_line(sample: ImuSample) -> str:
-    ax, ay, az = sample.accel
-    gx, gy, gz = sample.gyro
-    return (
-        f"IMU,{sample.timestamp:.6f},{ax:.6f},{ay:.6f},{az:.6f},"
-        f"{gx:.6f},{gy:.6f},{gz:.6f}"
-    )
+    return _IMU.template % (sample.timestamp, *sample.accel.tolist(), *sample.gyro.tolist())
 
 
 def parse_rts_line(line: str, line_number: int | None = None) -> RtsObservation:
     """Parse one observation line; wire angles are degrees, output radians."""
-    fields = _split_fields(line, 5, "RTS line", line_number)
-    if fields[0] != "RTS":
-        _fail(f"expected tag 'RTS', got {fields[0]!r}", line_number)
-    t = _parse_float(fields[1], "t_s", line_number)
-    distance = _parse_float(fields[2], "D_m", line_number)
-    hz_deg = _parse_float(fields[3], "Hz_deg", line_number)
-    v_deg = _parse_float(fields[4], "V_deg", line_number)
+    t, distance, hz_deg, v_deg = _numbers(line, _RTS.tag, _RTS.names, "RTS line", line_number)
     try:
-        return RtsObservation(
-            timestamp=t,
-            slant_distance=distance,
-            horizontal_angle=math.radians(hz_deg),
-            zenith_angle=math.radians(v_deg),
-        )
+        return RtsObservation(t, distance, math.radians(hz_deg), math.radians(v_deg))
     except ValueError as exc:
         _fail(str(exc), line_number)
 
 
 def write_rts_line(obs: RtsObservation) -> str:
-    return (
-        f"RTS,{obs.timestamp:.6f},{obs.slant_distance:.6f},"
-        f"{math.degrees(obs.horizontal_angle):.6f},{math.degrees(obs.zenith_angle):.6f}"
-    )
-
-
-def _csv_line(values) -> str:
-    return ",".join(f"{v:.9f}" for v in values)
+    hz_deg, v_deg = math.degrees(obs.horizontal_angle), math.degrees(obs.zenith_angle)
+    return _RTS.template % (obs.timestamp, obs.slant_distance, hz_deg, v_deg)
 
 
 def write_csv_record(record: FusedRecord) -> str:
@@ -169,27 +180,28 @@ def write_csv_record(record: FusedRecord) -> str:
     px, py, pz = record.prism_nav
     qx, qy, qz = record.poi_nav
     att = record.attitude_used
-    values = (
-        record.timestamp,
-        px, py, pz, qx, qy, qz,
-        math.degrees(att.roll),
-        math.degrees(att.pitch),
-        math.degrees(att.yaw),
-        record.alpha_used,
-        record.imu_timestamp_used,
+    return _FUSED.template % (
+        record.timestamp, px, py, pz, qx, qy, qz,
+        math.degrees(att.roll), math.degrees(att.pitch), math.degrees(att.yaw),
+        record.alpha_used, record.imu_timestamp_used,
     )
-    return _csv_line(values)
 
 
-def _parse_row(line: str, names: list[str], what: str, line_number: int | None) -> list[float]:
-    fields = _split_fields(line, len(names), what, line_number)
-    return [_parse_float(tok, name, line_number) for tok, name in zip(fields, names)]
+@contextmanager
+def _open_utf8(path):
+    """Open a text file for reading as UTF-8, whatever the locale; a byte
+    that is not UTF-8 raises FormatError naming the file."""
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _read_csv(path, header: str, what: str, build) -> list:
     """``build(values)`` for each non-blank row of a CSV file that starts with
     ``header``; line numbers in error messages count the header as line 1."""
-    with open(path, "r", newline="") as f:
+    with _open_utf8(path) as f:
         lines = f.read().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty file, expected {what} header")
@@ -198,7 +210,7 @@ def _read_csv(path, header: str, what: str, build) -> list:
     names = header.split(",")
     row_what = f"{what} record"
     return [
-        build(_parse_row(line, names, row_what, i))
+        build(_numbers(line, None, names, row_what, i))
         for i, line in enumerate(lines[1:], start=2)
         if line.strip()
     ]
@@ -209,23 +221,18 @@ def _fused_record(values: list[float]) -> FusedRecord:
         timestamp=values[0],
         prism_nav=values[1:4],
         poi_nav=values[4:7],
-        attitude_used=Attitude(
-            roll=math.radians(values[7]),
-            pitch=math.radians(values[8]),
-            yaw=math.radians(values[9]),
-        ),
+        attitude_used=Attitude(*map(math.radians, values[7:10])),
         alpha_used=values[10],
         imu_timestamp_used=values[11],
     )
 
 
 def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
-    names = FUSED_CSV_HEADER.split(",")
-    return _fused_record(_parse_row(line, names, "fused CSV record", line_number))
+    return _fused_record(_numbers(line, None, _FUSED.names, "fused CSV record", line_number))
 
 
 def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(FUSED_CSV_HEADER + "\n")
         for record in records:
             f.write(write_csv_record(record) + "\n")
@@ -238,30 +245,24 @@ def read_fused_csv(path) -> list[FusedRecord]:
 def _truth_sample(values: list[float]) -> GroundTruthSample:
     return GroundTruthSample(
         timestamp=values[0],
-        attitude=Attitude(
-            roll=math.radians(values[1]),
-            pitch=math.radians(values[2]),
-            yaw=math.radians(values[3]),
-        ),
+        attitude=Attitude(*map(math.radians, values[1:4])),
         prism_nav=values[4:7],
         poi_nav=values[7:10],
     )
 
 
 def write_truth_csv(samples: Iterable[GroundTruthSample], path) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(TRUTH_CSV_HEADER + "\n")
         for s in samples:
             px, py, pz = s.prism_nav
             qx, qy, qz = s.poi_nav
-            values = (
-                s.timestamp,
-                math.degrees(s.attitude.roll),
-                math.degrees(s.attitude.pitch),
-                math.degrees(s.attitude.yaw),
-                px, py, pz, qx, qy, qz,
+            att = s.attitude
+            row = _TRUTH.template % (
+                s.timestamp, math.degrees(att.roll), math.degrees(att.pitch),
+                math.degrees(att.yaw), px, py, pz, qx, qy, qz,
             )
-            f.write(_csv_line(values) + "\n")
+            f.write(row + "\n")
 
 
 def read_truth_csv(path) -> list[GroundTruthSample]:
@@ -284,6 +285,8 @@ class CanFrame:
 
 
 def _to_counts(value_m: float, name: str) -> int:
+    if not math.isfinite(value_m):
+        raise FormatError(f"{name} = {value_m} m is not a finite coordinate")
     counts = round(value_m / _COUNT_SCALE)
     if abs(counts) > _COUNT_LIMIT:
         raise FormatError(
@@ -373,7 +376,7 @@ def write_helmert_file(params: HelmertParams, path) -> None:
     """Store a similarity transform as commented key = value text."""
     r = params.rotation
     t = params.translation
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("# 3D similarity transform: nav = scale * rotation @ point + translation\n")
         f.write(f"scale = {params.scale:.17g}\n")
         f.write("rotation = " + " ".join(f"{v:.17g}" for v in r.ravel()) + "\n")
@@ -382,7 +385,7 @@ def write_helmert_file(params: HelmertParams, path) -> None:
 
 def read_helmert_file(path) -> HelmertParams:
     values: dict[str, list[float]] = {}
-    with open(path, "r", newline="") as f:
+    with _open_utf8(path) as f:
         for i, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -23,12 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-# set_yaw is unused here but stays importable: bench/run.py traces the
-# attitude layer under the names pipeline.filter_step and pipeline.set_yaw.
+# filter_step and set_yaw are unused here but stay importable: bench/run.py
+# traces the attitude layer as pipeline.filter_step and pipeline.set_yaw.
 from .attitude import (  # noqa: F401
     Attitude,
     FilterConfig,
-    FilterState,
     ImuSample,
     _check_sample,
     _step,
@@ -114,8 +113,8 @@ class Pipeline:
     than the first attitude estimate blocks the queue until the ring buffer
     evicts it; feed the pipeline its idle segment first to avoid the churn.
 
-    After calibration the filter state is plain floats (roll, pitch, yaw, the
-    last IMU timestamp and the three gyro-bias components), advanced by the
+    The filter state is plain floats (roll, pitch, yaw, the last IMU
+    timestamp and the gyro bias), advanced from the seed step on by the
     attitude module's scalar kernel, the one :func:`filter_step` runs. The
     attitude history is two float arrays: IMU timestamps, and roll, pitch,
     yaw and alpha per sample. :class:`Attitude` objects are built only where
@@ -125,7 +124,6 @@ class Pipeline:
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config if config is not None else PipelineConfig()
         self._calib_samples: list[ImuSample] = []
-        self._held_yaw = 0.0
         self._bias: tuple[float, float, float] | None = None
         self._roll = self._pitch = self._yaw = 0.0
         self._last_timestamp: float | None = None
@@ -164,33 +162,25 @@ class Pipeline:
     def push_imu(self, sample: ImuSample) -> None:
         """Feed one IMU sample: calibrates until the count is reached, then filters."""
         cfg = self.config.filter_config
-        if self._bias is not None:
-            roll, pitch, yaw, alpha = _step(
-                self._roll, self._pitch, self._yaw, self._last_timestamp,
-                sample, self._bias, cfg,
-            )
-            if self.config.hold_yaw:
-                # The state keeps wrap_angle(held yaw), set by the seed step
-                # and by set_yaw; the kernel's integrated yaw is dropped.
-                yaw = self._yaw
-            else:
-                self._yaw = yaw
-        else:
+        bias = self._bias
+        if bias is None:
             calib = self._calib_samples
             _check_sample(sample, calib[-1].timestamp if calib else None)
             if len(calib) + 1 < cfg.bias_calibration_count:
                 calib.append(sample)
                 return
-            # Keep the seed sample out of the list until the filter accepts it.
-            bias = calibrate_bias([*calib, sample], cfg.bias_calibration_count)
-            seed = FilterState(attitude=Attitude(yaw=self._held_yaw), gyro_bias=bias)
-            state = filter_step(seed, sample, cfg)
-            calib.clear()
-            self._bias = tuple(bias.tolist())
-            att, alpha = state.attitude, state.last_alpha
-            roll, pitch, yaw = att.roll, att.pitch, att.yaw
-            self._yaw = yaw
-        self._roll, self._pitch = roll, pitch
+            # Keep the seed sample out of the list until the kernel accepts it.
+            bias = tuple(calibrate_bias([*calib, sample], cfg.bias_calibration_count).tolist())
+        roll, pitch, yaw, alpha = _step(
+            self._roll, self._pitch, self._yaw, self._last_timestamp, sample, bias, cfg
+        )
+        if self.config.hold_yaw:
+            # The state keeps the yaw set_yaw left; the kernel's integral is dropped.
+            yaw = self._yaw
+        if self._bias is None:
+            self._calib_samples.clear()
+            self._bias = bias
+        self._roll, self._pitch, self._yaw = roll, pitch, yaw
         self._last_timestamp = sample.timestamp
         self._att_times.append(sample.timestamp)
         self._att_values.extend((roll, pitch, yaw, alpha))
@@ -206,9 +196,7 @@ class Pipeline:
         """Reset the heading used for lever-arm rotation (and the held value)."""
         if not math.isfinite(yaw):
             raise ValueError(f"yaw must be finite, got {yaw}")
-        self._held_yaw = wrap_angle(yaw)
-        if self._bias is not None:
-            self._yaw = wrap_angle(self._held_yaw)
+        self._yaw = wrap_angle(yaw)
 
     def drain(self) -> list[FusedRecord]:
         """Pair and emit all buffered observations that have an eligible attitude.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tiltcomp import (
@@ -57,6 +59,21 @@ def test_wrap_angle_range_random():
         assert math.remainder(wrapped - angle, 2 * math.pi) == pytest.approx(
             0.0, abs=1e-9
         )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.floats(-1e6, 1e6),
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([math.pi, -math.pi, math.nextafter(-math.pi, 0.0), -0.0, 5e-324]),
+    )
+)
+def test_wrap_angle_is_idempotent(angle):
+    """Bit for bit, so a yaw wrapped once (Pipeline.set_yaw) is the yaw the
+    filter's seed step, which wraps it again, starts the stream with."""
+    wrapped = wrap_angle(angle)
+    assert wrap_angle(wrapped).hex() == wrapped.hex()
 
 
 def test_accel_angles_level():

@@ -26,6 +26,7 @@ from tiltcomp import (
     read_fused_csv,
     read_helmert_file,
     write_fused_csv,
+    write_helmert_file,
     write_imu_line,
     write_rts_line,
     write_truth_csv,
@@ -399,6 +400,63 @@ def test_fuse_writes_can_dump(tmp_path):
     prism, poi = decode_can_frames(frames)
     assert_allclose(prism, records[0].prism_nav, atol=5.1e-5)
     assert_allclose(poi, records[0].poi_nav, atol=5.1e-5)
+
+
+def test_fuse_can_out_rejects_coordinates_past_the_can_range(tmp_path, capsys):
+    imu, rts = write_level_streams(tmp_path)
+    utm = HelmertParams(translation=np.array([500000.0, 5000000.0, 300.0]))
+    helmert_path = tmp_path / "utm.txt"
+    write_helmert_file(utm, helmert_path)
+    dump = tmp_path / "frames.dump"
+    rc = main(
+        ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv"),
+         "--bias-count", "10", "--helmert", str(helmert_path), "--can-out", str(dump)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{dump}: prism_x = " in err
+    assert "exceeds the encodable range" in err
+
+
+def _spoil(path):
+    """Put a byte that is not UTF-8 at the end of a text file's first line."""
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"\n", b"\xff\n", 1) if b"\n" in data else data + b"\xff")
+
+
+@pytest.mark.parametrize(
+    "command, spoiled", [
+        ("simulate", "cfg"), ("fuse", "imu"), ("fuse", "rts"), ("fuse", "helmert"),
+        ("helmert-fit", "pairs"), ("eval", "fused"), ("eval", "truth"),
+    ]
+)
+def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, spoiled):
+    files = {name: tmp_path / f"{name}.txt" for name in ("cfg", "helmert", "pairs")}
+    files["cfg"].write_text(QUIET_CONFIG, encoding="utf-8")
+    files["pairs"].write_text("sx,sy,sz,tx,ty,tz\n" + "".join(
+        f"{x},{y},{z},{x},{y},{z}\n" for x, y, z in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    ), encoding="utf-8")
+    write_helmert_file(HelmertParams(), files["helmert"])
+    files["imu"], files["rts"] = write_level_streams(tmp_path)
+    files["fused"] = tmp_path / "fused.csv"
+    assert main(["fuse", "--imu", str(files["imu"]), "--rts", str(files["rts"]),
+                 "--out", str(files["fused"]), "--bias-count", "10"]) == 0
+    files["truth"] = tmp_path / "truth.csv"
+    write_truth_csv([GroundTruthSample(0.25, Attitude(), np.zeros(3), np.zeros(3))], files["truth"])
+    capsys.readouterr()
+    _spoil(files[spoiled])
+
+    argv = {
+        "simulate": ["--config", str(files["cfg"]), "--out-dir", str(tmp_path / "sim")],
+        "fuse": ["--imu", str(files["imu"]), "--rts", str(files["rts"]),
+                 "--helmert", str(files["helmert"]), "--out", str(tmp_path / "out.csv"),
+                 "--bias-count", "10"],
+        "helmert-fit": ["--pairs", str(files["pairs"]), "--out", str(tmp_path / "h.txt")],
+        "eval": ["--fused", str(files["fused"]), "--truth", str(files["truth"]),
+                 "--out", str(tmp_path / "stats.csv")],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert f"{files[spoiled]}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_helmert_fit_recovers_transform(tmp_path, capsys):

@@ -17,6 +17,7 @@ from tiltcomp import (
     GroundTruthSample,
     HelmertParams,
     ImuSample,
+    RtsObservation,
     decode_attitude_frame,
     decode_can_frames,
     encode_attitude_frame,
@@ -129,17 +130,20 @@ _ODD_TOKEN = st.one_of(
 
 
 @st.composite
-def imu_lines(draw):
-    """Well-formed IMU lines, and the same lines with one or two faults: an odd
-    field, tag or field count, padding, or a random character edit."""
-    fields = ["IMU", *draw(st.lists(_NUMBER, min_size=7, max_size=7))]
+def record_lines(draw, tag, count):
+    """Well-formed record lines of ``count`` numbers after ``tag`` (None for a
+    CSV row), and the same lines with one or two faults: an odd field, tag or
+    field count, padding, or a random character edit."""
+    fields = [tag] if tag else []
+    fields += draw(st.lists(_NUMBER, min_size=count, max_size=count))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         fault = draw(st.sampled_from(["field", "tag", "count", "pad", "edit"]))
         at = draw(st.integers(0, len(fields) - 1))
-        if fault == "field":
+        if fault == "field" or (fault == "tag" and not tag):
             fields[at] = draw(_ODD_TOKEN)
         elif fault == "tag":
-            fields[0] = draw(st.sampled_from(["imu", "RTS", " IMU", "IMU ", ""]))
+            other = "RTS" if tag == "IMU" else "IMU"
+            fields[0] = draw(st.sampled_from([tag.lower(), other, " " + tag, tag + " ", ""]))
         elif fault == "count":
             fields = fields[:-1] if draw(st.booleans()) else [*fields, draw(_NUMBER)]
         elif fault == "pad":
@@ -152,13 +156,156 @@ def imu_lines(draw):
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(imu_lines(), st.one_of(st.none(), st.integers(1, 10**6)))
+@given(record_lines("IMU", 7), st.one_of(st.none(), st.integers(1, 10**6)))
 def test_imu_line_fast_path_agrees_with_the_field_parser(line, line_number):
     """Bit for bit the same sample, or the same FormatError message."""
     with mock.patch.object(codec, "_split_fields", wraps=codec._split_fields) as slow:
         field_by_field = imu_parse_outcome(" " + line, line_number)
         assert slow.called
     assert imu_parse_outcome(line, line_number) == field_by_field
+
+
+def rts_parse_outcome(line, line_number):
+    """The bits of the observation parse_rts_line makes of a line, or its error."""
+    try:
+        obs = parse_rts_line(line, line_number)
+    except FormatError as exc:
+        return "error", str(exc)
+    fields = (obs.timestamp, obs.slant_distance, obs.horizontal_angle, obs.zenith_angle)
+    return "observation", [float(v).hex() for v in fields]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(record_lines("RTS", 4), st.one_of(st.none(), st.integers(1, 10**6)))
+def test_rts_line_fast_path_agrees_with_the_field_parser(line, line_number):
+    """Bit for bit the same observation, or the same FormatError message."""
+    with mock.patch.object(codec, "_split_fields", wraps=codec._split_fields) as slow:
+        field_by_field = rts_parse_outcome(" " + line, line_number)
+        assert slow.called
+    assert rts_parse_outcome(line, line_number) == field_by_field
+
+
+def row_outcome(parse, *args):
+    """The bits of the numbers ``parse(*args)`` reads from a CSV row, or its error."""
+    try:
+        values = parse(*args)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "row", [v.hex() for v in values]
+
+
+def field_by_field_row(line, names, what, line_number):
+    """A CSV row read one field at a time: the path the fast path falls back to."""
+    fields = codec._split_fields(line, len(names), what, line_number)
+    return [codec._parse_float(tok, name, line_number) for tok, name in zip(fields, names)]
+
+
+_TABLES = {
+    "fused": (FUSED_CSV_HEADER, "fused CSV record"),
+    "truth": (TRUTH_CSV_HEADER, "truth CSV record"),
+    "pairs": (PAIRS_CSV_HEADER, "point pairs CSV record"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), line_number=st.one_of(st.none(), st.integers(1, 10**6)))
+def test_csv_row_fast_path_agrees_with_the_field_parser(table, data, line_number):
+    """Bit for bit the same numbers, or the same FormatError message."""
+    header, what = _TABLES[table]
+    names = header.split(",")
+    line = data.draw(record_lines(None, len(names)))
+    expected = row_outcome(field_by_field_row, line, names, what, line_number)
+    assert row_outcome(codec._numbers, line, None, names, what, line_number) == expected
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_csv_row_fast_path_skips_the_field_parser(table):
+    names = _TABLES[table][0].split(",")
+    row = ",".join(f"{0.125 * i - 1:.9f}" for i in range(len(names)))
+    with mock.patch.object(codec, "_split_fields", wraps=codec._split_fields) as slow:
+        assert codec._numbers(row + "\n", None, names, "row", 2) == [
+            0.125 * i - 1 for i in range(len(names))
+        ]
+        assert not slow.called
+        with pytest.raises(FormatError, match=f"line 2: field {names[-1]}: 'x'"):
+            codec._numbers(row.rsplit(",", 1)[0] + ",x", None, names, "row", 2)
+        assert slow.called
+
+
+# The writers' formatting before they shared one template per format.
+def f_string_imu_line(sample):
+    ax, ay, az = sample.accel
+    gx, gy, gz = sample.gyro
+    return (
+        f"IMU,{sample.timestamp:.6f},{ax:.6f},{ay:.6f},{az:.6f},"
+        f"{gx:.6f},{gy:.6f},{gz:.6f}"
+    )
+
+
+def f_string_rts_line(obs):
+    return (
+        f"RTS,{obs.timestamp:.6f},{obs.slant_distance:.6f},"
+        f"{math.degrees(obs.horizontal_angle):.6f},{math.degrees(obs.zenith_angle):.6f}"
+    )
+
+
+def f_string_csv_line(values):
+    return ",".join(f"{v:.9f}" for v in values)
+
+
+def f_string_fused_row(r):
+    att = r.attitude_used
+    angles = (math.degrees(att.roll), math.degrees(att.pitch), math.degrees(att.yaw))
+    return f_string_csv_line(
+        (r.timestamp, *r.prism_nav, *r.poi_nav, *angles, r.alpha_used, r.imu_timestamp_used)
+    )
+
+
+def f_string_truth_row(s):
+    att = s.attitude
+    angles = (math.degrees(att.roll), math.degrees(att.pitch), math.degrees(att.yaw))
+    return f_string_csv_line((s.timestamp, *angles, *s.prism_nav, *s.poi_nav))
+
+
+@pytest.mark.parametrize(
+    "v",
+    [-0.0, 1e300, 5e-7, -5e-7, 5e-10, -5e-10, np.float64(-5e-10), np.float64(1e300), 7],
+    ids=repr,
+)
+def test_writers_match_the_f_string_formatting(tmp_path, v):
+    sample = ImuSample(v, [v, -v, 9.8], [-v, 0.5, v])
+    assert write_imu_line(sample) == f_string_imu_line(sample)
+
+    obs = RtsObservation(v, v if v > 0 else 5e-7, v, v if 0 < v < math.pi else 1.5)
+    assert write_rts_line(obs) == f_string_rts_line(obs)
+
+    record = FusedRecord(
+        timestamp=v,
+        prism_nav=[v, -v, 1.0],
+        poi_nav=np.array([-v, v, 0.0]),
+        attitude_used=Attitude(v, -v, v),
+        alpha_used=v,
+        imu_timestamp_used=v,
+    )
+    assert write_csv_record(record) == f_string_fused_row(record)
+    write_fused_csv([record, record], tmp_path / "fused.csv")
+    expected = [FUSED_CSV_HEADER, f_string_fused_row(record), f_string_fused_row(record)]
+    assert (tmp_path / "fused.csv").read_text() == "\n".join(expected) + "\n"
+
+    truth = GroundTruthSample(v, Attitude(-v, v, v), np.array([v, 0.0, -v]), [1.0, v, -v])
+    write_truth_csv([truth], tmp_path / "truth.csv")
+    expected = [TRUTH_CSV_HEADER, f_string_truth_row(truth)]
+    assert (tmp_path / "truth.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def test_writers_reject_a_coordinate_triple_of_another_length(tmp_path):
+    record = FusedRecord(0.0, np.zeros(4), np.zeros(3), Attitude(), 0.9, 0.0)
+    with pytest.raises(ValueError):
+        write_csv_record(record)
+    truth = GroundTruthSample(0.0, Attitude(), np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError):
+        write_truth_csv([truth], tmp_path / "truth.csv")
 
 
 def test_rts_line_example_converts_degrees():
@@ -584,3 +731,102 @@ def test_parsers_fail_only_with_format_errors(parser, valid):
             parser(line)
         except FormatError:
             pass
+
+
+def test_can_encoding_rejects_non_finite_coordinates():
+    for value in (math.inf, -math.inf, math.nan):
+        record = FusedRecord(0.0, [0.0, 0.0, 0.0], [0.0, value, 0.0], Attitude(), 0.9, 0.0)
+        with pytest.raises(FormatError, match="poi_y = .* not a finite coordinate"):
+            encode_can_frames(record, 0x300)
+
+
+def _helmert_text():
+    return (
+        "# 3D similarity transform\n"
+        "scale = 1.5\n"
+        "rotation = 0 -1 0 1 0 0 0 0 1\n"
+        "translation = 10 -20 30\n"
+    )
+
+
+def _fused_text():
+    rng = np.random.default_rng(21)
+    rows = [write_csv_record(random_record(rng)) for _ in range(2)]
+    return "\n".join([FUSED_CSV_HEADER, *rows]) + "\n"
+
+
+def _truth_text():
+    return TRUTH_CSV_HEADER + "\n" + ",".join(["0.5"] * 10) + "\n"
+
+
+FILE_READERS = [
+    (read_fused_csv, _fused_text()),
+    (read_truth_csv, _truth_text()),
+    (read_pairs_csv, PAIRS_CSV_HEADER + "\n1,2,3,4,5,6\n0.5,0,0,-0.5,0,0\n"),
+    (read_helmert_file, _helmert_text()),
+]
+FILE_READER_IDS = ["fused", "truth", "pairs", "helmert"]
+
+
+@pytest.mark.parametrize("reader, valid", FILE_READERS, ids=FILE_READER_IDS)
+def test_file_readers_decode_utf8_and_reject_other_bytes(tmp_path, reader, valid):
+    path = tmp_path / "input.txt"
+    path.write_bytes(valid.encode("utf-8"))
+    reader(path)
+    # a comment in UTF-8 reads whatever the locale
+    if reader is read_helmert_file:
+        path.write_bytes(("# réseau géodésique\n" + valid).encode("utf-8"))
+        reader(path)
+    path.write_bytes(valid.encode("utf-8").replace(b"\n", b"\xff\n", 2))
+    with pytest.raises(FormatError, match=r"input\.txt: not UTF-8 text"):
+        reader(path)
+
+
+@st.composite
+def mangled(draw, valid, alphabet):
+    """``valid`` with up to four random splices drawn from ``alphabet``."""
+    text = valid
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 3)))
+        text = text[:start] + draw(alphabet) + text[end:]
+    return text
+
+
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=3)
+_LINE_PARSERS = [
+    (parse_imu_line, "IMU,0.010000,0.000000,0.000000,9.806650,0.001000,-0.002000,0.000500"),
+    (parse_rts_line, "RTS,2.400000,5.125000,45.000000,88.500000"),
+    (read_csv_record, _fused_text().splitlines()[1]),
+    (parse_can_dump_line, "00000300#3930000078ECFFFF"),
+]
+
+
+@pytest.mark.parametrize(
+    "parser, valid", _LINE_PARSERS, ids=["imu", "rts", "csv_record", "can_dump"]
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_line_parsers_raise_only_format_errors(parser, valid, data):
+    line = data.draw(
+        st.one_of(st.text(st.characters(exclude_categories=())), mangled(valid, _ANY_TEXT))
+    )
+    try:
+        parser(line, 3)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("reader, valid", FILE_READERS, ids=FILE_READER_IDS)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_file_readers_raise_only_format_errors(tmp_path_factory, reader, valid, data):
+    content = data.draw(
+        st.one_of(st.binary(), mangled(valid.encode("utf-8"), st.binary(max_size=3)))
+    )
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_bytes(content)
+    try:
+        reader(path)
+    except FormatError:
+        pass

@@ -1,5 +1,6 @@
 """The package namespace: built from the library modules' ``__all__`` lists."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,20 @@ def test_import_leaves_cli_unloaded():
         timeout=60,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_every_open_call_names_its_encoding():
+    """Files are read and written as UTF-8 whatever the locale, as the codec
+    module promises: no text file is opened with the locale's encoding."""
+    calls = []
+    for path in sorted((SRC / "tiltcomp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("open", "read_text", "write_text"):
+                has_encoding = any(kw.arg == "encoding" for kw in node.keywords)
+                calls.append((f"{path.name}:{node.lineno}", has_encoding))
+    assert calls
+    assert [where for where, has_encoding in calls if not has_encoding] == []
