@@ -108,12 +108,10 @@ class FilterConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha_base <= 1.0:
             raise ValueError(f"alpha_base must be in [0, 1], got {self.alpha_base}")
-        if self.delta_a_threshold <= 0.0:
-            raise ValueError(
-                f"delta_a_threshold must be positive, got {self.delta_a_threshold}"
-            )
-        if self.gravity <= 0.0:
-            raise ValueError(f"gravity must be positive, got {self.gravity}")
+        for name in ("delta_a_threshold", "gravity"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.bias_calibration_count < 1:
             raise ValueError(
                 f"bias_calibration_count must be >= 1, got {self.bias_calibration_count}"

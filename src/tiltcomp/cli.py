@@ -20,6 +20,7 @@ import numpy as np
 from .attitude import FilterConfig
 from .codec import (
     FormatError,
+    _check_base_id,
     _open_utf8,
     encode_can_frames,
     format_can_dump_line,
@@ -152,6 +153,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if args.can_out:
+        try:
+            _check_base_id(args.can_base_id)
+        except ValueError as exc:
+            return _data_error(str(exc))
     try:
         imu = _read_stream(Path(args.imu), parse_imu_line)
         rts = _read_stream(Path(args.rts), parse_rts_line)

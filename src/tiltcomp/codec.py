@@ -296,14 +296,20 @@ def _to_counts(value_m: float, name: str) -> int:
     return counts
 
 
+def _check_base_id(base_id: int, count: int = 3) -> None:
+    """Raise ValueError unless base_id .. base_id + count - 1 are all 29-bit ids."""
+    if not 0 <= base_id <= _CAN_ID_LIMIT - count:
+        words = {3: "three", 4: "four"}
+        raise ValueError(f"base_id must leave room for {words[count]} 29-bit ids, got {base_id:#x}")
+
+
 def encode_can_frames(record: FusedRecord, base_id: int) -> list[CanFrame]:
     """Pack prism and POI coordinates into three frames at base_id, +1, +2.
 
     Coordinates are rounded to 0.1 mm counts in signed 32-bit little-endian:
     [prism_x, prism_y], [prism_z, poi_x], [poi_y, poi_z].
     """
-    if not 0 <= base_id < _CAN_ID_LIMIT - 2:
-        raise ValueError(f"base_id must leave room for three 29-bit ids, got {base_id:#x}")
+    _check_base_id(base_id)
     px, py, pz = (_to_counts(v, n) for v, n in zip(record.prism_nav, ("prism_x", "prism_y", "prism_z")))
     qx, qy, qz = (_to_counts(v, n) for v, n in zip(record.poi_nav, ("poi_x", "poi_y", "poi_z")))
     return [
@@ -335,8 +341,7 @@ def decode_can_frames(frames: Sequence[CanFrame]) -> tuple[np.ndarray, np.ndarra
 def encode_attitude_frame(attitude: Attitude, base_id: int, sequence: int = 0) -> CanFrame:
     """Optional fourth frame (base_id + 3): angles in 0.01-degree signed
     16-bit counts, roll/pitch/yaw, then an unsigned 16-bit sequence counter."""
-    if not 0 <= base_id < _CAN_ID_LIMIT - 3:
-        raise ValueError(f"base_id must leave room for four 29-bit ids, got {base_id:#x}")
+    _check_base_id(base_id, 4)
     if not 0 <= sequence <= 0xFFFF:
         raise ValueError(f"sequence must fit 16 bits, got {sequence}")
     counts = [round(math.degrees(a) * 100.0) for a in (attitude.roll, attitude.pitch, attitude.yaw)]
@@ -394,6 +399,8 @@ def read_helmert_file(path) -> HelmertParams:
                 _fail(f"expected 'key = values', got {line!r}", i)
             key, _, rest = line.partition("=")
             key = key.strip()
+            if key in values:
+                _fail(f"duplicate key {key!r}", i)
             values[key] = [_parse_float(tok, key, i) for tok in rest.split()]
     for key, count in (("scale", 1), ("rotation", 9), ("translation", 3)):
         if key not in values:

@@ -15,17 +15,19 @@ Every run starts with an idle segment (zero rates, level pose) long enough
 for downstream gyro-bias calibration. All randomness flows from the seed, so
 identical configs produce bit-identical streams.
 
-Kinematic accelerations are obtained by differencing the analytic IMU
-position with step 1e-4 s: central stencils away from the idle/motion
-boundary, a forward stencil just after it, and exact zeros during idle (the
-rate profile has a kink at motion start that a crossing stencil would smear
-into a spurious spike).
+One function, ``_motion``, gives the Euler angles and their rates at any
+times; one, ``_points``, places a body point (IMU or prism) from the fixed
+POI and its body lever. Kinematic accelerations difference the analytic IMU
+position with step 1e-4 s through one second-difference stencil, central or
+forward by sample: forward just after the idle/motion boundary, central
+elsewhere, and exact zeros during idle (the rate profile has a kink at motion
+start that a crossing stencil would smear into a spurious spike).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,20 +66,14 @@ class NoiseSpec:
     rts_angle_sigma_rad: float = 5e-6
 
     def __post_init__(self):
-        for name in (
-            "gyro_noise_density_deg",
-            "gyro_bias_deg_per_h",
-            "accel_sigma",
-            "rts_range_sigma_m",
-            "rts_angle_sigma_rad",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
     @classmethod
     def zero(cls) -> "NoiseSpec":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
+        return cls(**{f.name: 0.0 for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -173,8 +169,9 @@ def _wrap_array(angles: np.ndarray) -> np.ndarray:
     return np.where(wrapped <= -np.pi, np.pi, wrapped)
 
 
-def _angle_arrays(cfg: ScenarioConfig, t: np.ndarray):
-    """True (roll, pitch, yaw) [rad] at each time; zero tilt during idle."""
+def _motion(cfg: ScenarioConfig, t: np.ndarray):
+    """True (roll, pitch, yaw) [rad] and their rates [rad/s] at each time;
+    level and still during idle."""
     tau = np.asarray(t, dtype=float) - cfg.idle_duration_s
     active = tau >= 0.0
     tau_m = np.where(active, tau, 0.0)
@@ -182,35 +179,19 @@ def _angle_arrays(cfg: ScenarioConfig, t: np.ndarray):
     def sinusoid(amp_deg, freq, phase):
         amp = math.radians(amp_deg)
         w = 2.0 * math.pi * freq
-        return np.where(
-            active, amp * (np.sin(w * tau_m + phase) - math.sin(phase)), 0.0
+        arg = w * tau_m + phase
+        return (
+            np.where(active, amp * (np.sin(arg) - math.sin(phase)), 0.0),
+            np.where(active, amp * w * np.cos(arg), 0.0),
         )
 
-    roll = sinusoid(cfg.roll_amplitude_deg, cfg.roll_frequency_hz, cfg.roll_phase_rad)
-    pitch = sinusoid(cfg.pitch_amplitude_deg, cfg.pitch_frequency_hz, cfg.pitch_phase_rad)
-    yaw = math.radians(cfg.yaw_deg) + np.where(
-        active, math.radians(cfg.yaw_rate_deg_s) * tau_m, 0.0
-    )
-    return roll, pitch, _wrap_array(yaw)
-
-
-def _rate_arrays(cfg: ScenarioConfig, t: np.ndarray):
-    """Euler-angle rates [rad/s] matching :func:`_angle_arrays`."""
-    tau = np.asarray(t, dtype=float) - cfg.idle_duration_s
-    active = tau >= 0.0
-    tau_m = np.where(active, tau, 0.0)
-
-    def sinusoid_rate(amp_deg, freq, phase):
-        amp = math.radians(amp_deg)
-        w = 2.0 * math.pi * freq
-        return np.where(active, amp * w * np.cos(w * tau_m + phase), 0.0)
-
-    roll_rate = sinusoid_rate(cfg.roll_amplitude_deg, cfg.roll_frequency_hz, cfg.roll_phase_rad)
-    pitch_rate = sinusoid_rate(
+    roll, roll_rate = sinusoid(cfg.roll_amplitude_deg, cfg.roll_frequency_hz, cfg.roll_phase_rad)
+    pitch, pitch_rate = sinusoid(
         cfg.pitch_amplitude_deg, cfg.pitch_frequency_hz, cfg.pitch_phase_rad
     )
     yaw_rate = np.where(active, math.radians(cfg.yaw_rate_deg_s), 0.0)
-    return roll_rate, pitch_rate, yaw_rate
+    yaw = _wrap_array(math.radians(cfg.yaw_deg) + yaw_rate * tau_m)
+    return (roll, pitch, yaw), (roll_rate, pitch_rate, yaw_rate)
 
 
 def _rotations(roll, pitch, yaw) -> np.ndarray:
@@ -223,38 +204,32 @@ def _rotations(roll, pitch, yaw) -> np.ndarray:
 
 def truth_attitude(cfg: ScenarioConfig, t: float) -> Attitude:
     """True attitude of the scenario at time ``t`` seconds."""
-    roll, pitch, yaw = _angle_arrays(cfg, np.array([float(t)]))
+    (roll, pitch, yaw), _ = _motion(cfg, np.array([float(t)]))
     return Attitude(roll=float(roll[0]), pitch=float(pitch[0]), yaw=float(yaw[0]))
 
 
-def _imu_positions(cfg: ScenarioConfig, t: np.ndarray) -> np.ndarray:
-    """Navigation-frame IMU positions implied by pivoting about the fixed POI."""
-    rot = _rotations(*_angle_arrays(cfg, t))
-    return cfg.poi_nav - np.einsum("nij,j->ni", rot, cfg.lever_arms.imu_to_poi_b)
+def _points(cfg: ScenarioConfig, t: np.ndarray, lever_b: np.ndarray) -> np.ndarray:
+    """Navigation-frame positions, shape (n, 3), of the body point whose lever
+    to the fixed POI is ``lever_b``: poi_nav - R(t) @ lever_b."""
+    angles, _ = _motion(cfg, t)
+    return cfg.poi_nav - np.einsum("nij,j->ni", _rotations(*angles), lever_b)
 
 
 def _kinematic_accels(cfg: ScenarioConfig, t: np.ndarray) -> np.ndarray:
     """Second derivative of the IMU position at each time, shape (n, 3)."""
     t = np.asarray(t, dtype=float)
     h = _DIFF_STEP
-    boundary = cfg.idle_duration_s
+    moving = t >= cfg.idle_duration_s
+    tm = t[moving]
+    central = tm >= cfg.idle_duration_s + h
+    lo = np.where(central, tm - h, tm)
+    mid = np.where(central, tm, tm + h)
+    hi = np.where(central, tm + h, tm + 2.0 * h)
+    lever = cfg.lever_arms.imu_to_poi_b
     accel = np.zeros(t.shape + (3,))
-    central = t >= boundary + h
-    forward = (t >= boundary) & ~central
-    if np.any(central):
-        tc = t[central]
-        accel[central] = (
-            _imu_positions(cfg, tc - h)
-            - 2.0 * _imu_positions(cfg, tc)
-            + _imu_positions(cfg, tc + h)
-        ) / (h * h)
-    if np.any(forward):
-        tf = t[forward]
-        accel[forward] = (
-            _imu_positions(cfg, tf)
-            - 2.0 * _imu_positions(cfg, tf + h)
-            + _imu_positions(cfg, tf + 2.0 * h)
-        ) / (h * h)
+    accel[moving] = (
+        _points(cfg, lo, lever) - 2.0 * _points(cfg, mid, lever) + _points(cfg, hi, lever)
+    ) / (h * h)
     return accel
 
 
@@ -291,9 +266,8 @@ def generate_scenario(
     hz_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
     v_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
 
-    roll, pitch, yaw = _angle_arrays(cfg, t_imu)
+    (roll, pitch, yaw), (roll_rate, pitch_rate, yaw_rate) = _motion(cfg, t_imu)
     rot = _rotations(roll, pitch, yaw)
-    roll_rate, pitch_rate, yaw_rate = _rate_arrays(cfg, t_imu)
 
     sr, cr = np.sin(roll), np.cos(roll)
     sp, cp = np.sin(pitch), np.cos(pitch)
@@ -307,7 +281,7 @@ def generate_scenario(
     specific_force = np.einsum("nji,nj->ni", rot, accel_nav) + accel_noise
 
     lever = prism_to_poi_body(cfg.lever_arms)
-    prism = cfg.poi_nav - np.einsum("nij,j->ni", rot, lever)
+    prism = _points(cfg, t_imu, lever)
 
     imu_stream = [
         ImuSample(timestamp=float(t_imu[i]), accel=specific_force[i], gyro=gyro[i])
@@ -323,9 +297,7 @@ def generate_scenario(
         for i in range(n_imu)
     ]
 
-    rot_rts = _rotations(*_angle_arrays(cfg, t_rts))
-    prism_rts = cfg.poi_nav - np.einsum("nij,j->ni", rot_rts, lever)
-    diff = prism_rts - cfg.rts_station
+    diff = _points(cfg, t_rts, lever) - cfg.rts_station
     horiz = np.hypot(diff[:, 0], diff[:, 1])
     slant = np.linalg.norm(diff, axis=1)
     if np.any(horiz < 1e-9):

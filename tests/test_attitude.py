@@ -324,6 +324,10 @@ def test_set_yaw_preserves_roll_and_pitch():
         {"delta_a_threshold": -1.0},
         {"gravity": 0.0},
         {"bias_calibration_count": 0},
+        {"gravity": math.nan},
+        {"gravity": math.inf},
+        {"delta_a_threshold": math.nan},
+        {"delta_a_threshold": math.inf},
     ],
 )
 def test_filter_config_validation(kwargs):

@@ -418,6 +418,47 @@ def test_fuse_can_out_rejects_coordinates_past_the_can_range(tmp_path, capsys):
     assert "exceeds the encodable range" in err
 
 
+@pytest.mark.parametrize("base_id", ["0x1FFFFFFE", "0x1FFFFFFF", "-1"])
+def test_fuse_rejects_a_can_base_id_without_room_before_replay(tmp_path, capsys, base_id):
+    imu, rts = write_level_streams(tmp_path)
+    out = tmp_path / "f.csv"
+    dump = tmp_path / "frames.dump"
+    rc = main(
+        ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
+         "--bias-count", "10", "--can-out", str(dump), f"--can-base-id={base_id}"]
+    )
+    assert rc == 2
+    got = int(base_id, 0)
+    assert capsys.readouterr().err == (
+        f"error: base_id must leave room for three 29-bit ids, got {got:#x}\n"
+    )
+    assert not out.exists() and not dump.exists()
+
+
+def test_fuse_accepts_the_highest_can_base_id(tmp_path):
+    imu, rts = write_level_streams(tmp_path)
+    dump = tmp_path / "frames.dump"
+    assert main(
+        ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv"),
+         "--bias-count", "10", "--can-out", str(dump), "--can-base-id", "0x1FFFFFFD"]
+    ) == 0
+    ids = [parse_can_dump_line(line).can_id for line in dump.read_text().splitlines()]
+    assert ids[:3] == [0x1FFFFFFD, 0x1FFFFFFE, 0x1FFFFFFF]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--gravity", "nan"), ("--gravity", "inf"), ("--delta-a-threshold", "nan")]
+)
+def test_fuse_rejects_non_finite_filter_constants(tmp_path, capsys, flag, value):
+    imu, rts = write_level_streams(tmp_path)
+    rc = main(
+        ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv"),
+         "--bias-count", "10", flag, value]
+    )
+    assert rc == 2
+    assert f"must be positive, got {value}" in capsys.readouterr().err
+
+
 def _spoil(path):
     """Put a byte that is not UTF-8 at the end of a text file's first line."""
     data = path.read_bytes()

@@ -563,6 +563,26 @@ def test_attitude_frame_sequence_range():
         encode_attitude_frame(Attitude(), 0x300, sequence=0x10000)
 
 
+def test_can_base_id_leaves_room_for_every_frame():
+    record = FusedRecord(
+        timestamp=0.0,
+        prism_nav=np.zeros(3),
+        poi_nav=np.zeros(3),
+        attitude_used=Attitude(),
+        alpha_used=0.9,
+        imu_timestamp_used=0.0,
+    )
+    top = (1 << 29) - 1
+    assert encode_can_frames(record, top - 2)[-1].can_id == top
+    assert encode_attitude_frame(Attitude(), top - 3).can_id == top
+    for bad in (top - 1, top, -1):
+        with pytest.raises(ValueError, match=f"^base_id must leave room for three 29-bit ids, got {bad:#x}$"):
+            encode_can_frames(record, bad)
+    for bad in (top - 2, -1):
+        with pytest.raises(ValueError, match=f"^base_id must leave room for four 29-bit ids, got {bad:#x}$"):
+            encode_attitude_frame(Attitude(), bad)
+
+
 def test_dump_line_round_trip():
     frame = CanFrame(0x300, struct.pack("<ii", 12345, -5000))
     line = format_can_dump_line(frame)
@@ -628,12 +648,20 @@ def test_helmert_file_accepts_comments_and_blank_lines(tmp_path):
         "scale = 0\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n",
         "scale one\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n",
         "scale = abc\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n",
+        "scale = 1\nscale = 2\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n",
     ],
 )
 def test_helmert_file_rejects_malformed(tmp_path, text):
     path = tmp_path / "helmert.txt"
     path.write_text(text)
     with pytest.raises(FormatError):
+        read_helmert_file(path)
+
+
+def test_helmert_file_names_the_duplicate_key(tmp_path):
+    path = tmp_path / "helmert.txt"
+    path.write_text("scale = 1\nscale = 2\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n")
+    with pytest.raises(FormatError, match="^line 2: duplicate key 'scale'$"):
         read_helmert_file(path)
 
 

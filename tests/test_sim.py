@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from tiltcomp import (
     rotation_b_to_n,
     truth_attitude,
 )
+from tiltcomp.cli import main
 
 G = 9.80665
 DIFF_STEP = 1e-4
@@ -291,6 +294,13 @@ def test_noise_spec_validation(kwargs):
         NoiseSpec(**kwargs)
 
 
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NoiseSpec)])
+def test_noise_spec_rejects_each_field_out_of_range(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
+        NoiseSpec(**{name: value})
+
+
 def test_noise_zero_factory():
     spec = NoiseSpec.zero()
     assert spec.gyro_noise_density_deg == 0.0
@@ -298,6 +308,42 @@ def test_noise_zero_factory():
     assert spec.accel_sigma == 0.0
     assert spec.rts_range_sigma_m == 0.0
     assert spec.rts_angle_sigma_rad == 0.0
+    assert all(getattr(spec, f.name) == 0.0 for f in dataclasses.fields(NoiseSpec))
+
+
+# sha256 of simulate's imu.txt, rts.txt and truth.csv. The text, not the float
+# bits, is pinned, so the last bit of the platform's sin cannot move it.
+PINNED_STREAMS = {
+    # defaults: the IMU grid holds the forward-stencil row at t = 10.0 s
+    "duration_s = 30\n": (
+        "be356ccf0207df678a8cf32f8f886e152ecfe602108509cbac80c85974883f26",
+        "d71e65c1248f1a76fe72d005b8116bf55f92e1733ef22088ec3c3100448a19b9",
+        "fe3852982c62b6d90b743d002d80b6f0da41c679972246e6c536bc755b28493d",
+    ),
+    "duration_s = 30\nseed = 5\nrts_rate_hz = 100\nroll_amplitude_deg = 20\n"
+    "roll_frequency_hz = 0.3\npitch_amplitude_deg = 20\npitch_frequency_hz = 0.24\n": (
+        "38b86ed97af73cace26af5ffc0e68cfc6f392954dec2afc6d598f69f0129e9c1",
+        "d5f77edaf346a4e0ef5ae3ced781bc5d0892d29f67c2efce90ec195f517ed39a",
+        "e9ccf6c283bef1a2f8d6a7e68d43aac7fcfcfccae8979b2be2155d2e803d2ef2",
+    ),
+    "duration_s = 40\nseed = 9\nyaw_deg = 30\nyaw_rate_deg_s = -7\nroll_phase_rad = 0.4\n"
+    "pitch_phase_rad = -0.3\nrts_rate_hz = 7\n": (
+        "a05a9f2b29094101b942e9013204b2db2ec4ec8975472d67451e0dea79ef5a5b",
+        "de17702ea3c227a331fc244b1631e9f5b69cecf7749edc10fc52ec340ff5a923",
+        "53dd1dc7c486fe09ca42554ffc3ffdaf8ff591935edae06a7a952aa81bdc0b0d",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", PINNED_STREAMS, ids=["defaults", "tracker_100hz", "yaw_7hz"])
+def test_streams_match_pinned_fingerprints(tmp_path, capsys, config):
+    (tmp_path / "scenario.cfg").write_text(config)
+    assert main(["simulate", "--config", str(tmp_path / "scenario.cfg"), "--out-dir", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("imu.txt", "rts.txt", "truth.csv")
+    )
+    assert digests == PINNED_STREAMS[config]
 
 
 def test_halving_gyro_density_halves_attitude_wander():
