@@ -1,9 +1,10 @@
 """Command-line front end: scenario generation, stream fusion, transform
 calibration, and accuracy evaluation as composable file-based runs.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable, malformed,
-or inconsistent inputs). All randomness comes from the scenario config's
-``seed`` key, so every run is reproducible from its input files.
+Exit codes: 0 success, 1 usage error, 2 data error (an input that cannot be
+read or is malformed or inconsistent, or an output that cannot be written).
+Files are read and written by :mod:`tiltcomp.codec`. All randomness comes from
+the scenario config's ``seed`` key, so every run is reproducible from its inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from .attitude import FilterConfig
 from .codec import (
     FormatError,
     _check_base_id,
-    _open_utf8,
+    _key_values,
+    _read_records,
+    _read_text,
+    _write_lines,
     encode_can_frames,
     format_can_dump_line,
     parse_imu_line,
@@ -36,7 +40,7 @@ from .codec import (
     write_rts_line,
     write_truth_csv,
 )
-from .evaluate import STATS_CSV_HEADER, compute_stats, render_report, stats_csv_row
+from .evaluate import STATS_CSV_HEADER, _check_label, compute_stats, render_report, stats_csv_row
 from .geodesy import HelmertParams, apply_helmert, fit_helmert
 from .kinematics import LeverArms
 from .pipeline import Pipeline, PipelineConfig
@@ -84,23 +88,12 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
     :class:`ScenarioConfig`, :class:`NoiseSpec` and :class:`LeverArms`;
     unknown keys are rejected. Omitted keys keep their defaults.
     """
-    raw: dict[str, str] = {}
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {i}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in raw:
-            raise ConfigError(f"line {i}: duplicate key {key!r}")
-        raw[key] = value
-
+    try:
+        settings = _key_values(text, _CONFIG_KEYS, "config")
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from exc
     given: dict[type, dict] = {ScenarioConfig: {}, NoiseSpec: {}, LeverArms: {}}
-    for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+    for key, (_, value) in settings.items():
         owner, parse = _CONFIG_KEYS[key]
         try:
             given[owner][key] = parse(value)
@@ -116,34 +109,17 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _read_stream(path: Path, parse_line):
-    with _open_utf8(path) as f:
-        return [parse_line(line, line_number=i) for i, line in enumerate(f, 1) if line.strip()]
-
-
 def _data_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with _open_utf8(args.config) as f:
-            cfg = parse_scenario_config(f.read())
-        imu, rts, truth = generate_scenario(cfg)
-    except OSError as exc:
-        return _data_error(f"cannot read config: {exc}")
-    except ValueError as exc:
-        return _data_error(str(exc))
-
+    imu, rts, truth = generate_scenario(parse_scenario_config(_read_text(args.config)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "imu.txt", "w", newline="", encoding="utf-8") as f:
-        for sample in imu:
-            f.write(write_imu_line(sample) + "\n")
-    with open(out_dir / "rts.txt", "w", newline="", encoding="utf-8") as f:
-        for obs in rts:
-            f.write(write_rts_line(obs) + "\n")
+    _write_lines(out_dir / "imu.txt", map(write_imu_line, imu))
+    _write_lines(out_dir / "rts.txt", map(write_rts_line, rts))
     write_truth_csv(truth, out_dir / "truth.csv")
     print(
         f"wrote {len(imu)} IMU samples, {len(rts)} observations, "
@@ -154,55 +130,40 @@ def cmd_simulate(args) -> int:
 
 def cmd_fuse(args) -> int:
     if args.can_out:
-        try:
-            _check_base_id(args.can_base_id)
-        except ValueError as exc:
-            return _data_error(str(exc))
-    try:
-        imu = _read_stream(Path(args.imu), parse_imu_line)
-        rts = _read_stream(Path(args.rts), parse_rts_line)
-    except OSError as exc:
-        return _data_error(f"cannot read input: {exc}")
-    except FormatError as exc:
-        return _data_error(str(exc))
+        _check_base_id(args.can_base_id)
+    imu = _read_records(args.imu, parse_imu_line)
+    rts = _read_records(args.rts, parse_rts_line)
     if not imu:
         return _data_error(f"{args.imu}: no IMU samples")
 
-    try:
-        helmert = read_helmert_file(args.helmert) if args.helmert else HelmertParams()
-        config = PipelineConfig(
-            filter_config=FilterConfig(
-                alpha_base=args.alpha_base,
-                delta_a_threshold=args.delta_a_threshold,
-                gravity=args.gravity,
-                bias_calibration_count=args.bias_count,
-            ),
-            lever_arms=LeverArms(
-                imu_to_prism_b=_parse_triple(args.imu_to_prism),
-                imu_to_poi_b=_parse_triple(args.imu_to_poi),
-            ),
-            helmert=helmert,
-            pairing_tolerance_s=args.pairing_tolerance,
-            rts_latency_s=args.rts_latency,
-            hold_yaw=not args.integrate_yaw,
-        )
-    except (OSError, ValueError) as exc:
-        return _data_error(str(exc))
-
+    helmert = read_helmert_file(args.helmert) if args.helmert else HelmertParams()
+    config = PipelineConfig(
+        filter_config=FilterConfig(
+            alpha_base=args.alpha_base,
+            delta_a_threshold=args.delta_a_threshold,
+            gravity=args.gravity,
+            bias_calibration_count=args.bias_count,
+        ),
+        lever_arms=LeverArms(
+            imu_to_prism_b=_parse_triple(args.imu_to_prism),
+            imu_to_poi_b=_parse_triple(args.imu_to_poi),
+        ),
+        helmert=helmert,
+        pairing_tolerance_s=args.pairing_tolerance,
+        rts_latency_s=args.rts_latency,
+        hold_yaw=not args.integrate_yaw,
+    )
     pipeline = Pipeline(config)
     pipeline.set_yaw(math.radians(args.initial_yaw_deg))
-    try:
-        records = pipeline.replay(imu, rts)
-    except ValueError as exc:
-        return _data_error(str(exc))
+    records = pipeline.replay(imu, rts)
 
     write_fused_csv(records, args.out)
     if args.can_out:
+        frames = (
+            frame for record in records for frame in encode_can_frames(record, args.can_base_id)
+        )
         try:
-            with open(args.can_out, "w", newline="", encoding="utf-8") as f:
-                for record in records:
-                    for frame in encode_can_frames(record, args.can_base_id):
-                        f.write(format_can_dump_line(frame) + "\n")
+            _write_lines(args.can_out, map(format_can_dump_line, frames))
         except FormatError as exc:
             return _data_error(f"{args.can_out}: {exc}")
     leftover = pipeline.rts_buffered
@@ -212,13 +173,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_helmert_fit(args) -> int:
-    try:
-        pairs = read_pairs_csv(args.pairs)
-        params = fit_helmert(pairs)
-    except OSError as exc:
-        return _data_error(f"cannot read pairs: {exc}")
-    except ValueError as exc:
-        return _data_error(str(exc))
+    pairs = read_pairs_csv(args.pairs)
+    params = fit_helmert(pairs)
     write_helmert_file(params, args.out)
     residuals = [
         float(np.linalg.norm(target - apply_helmert(params, source)))
@@ -230,18 +186,12 @@ def cmd_helmert_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        records = read_fused_csv(args.fused)
-    except (OSError, FormatError) as exc:
-        return _data_error(str(exc))
+    records = read_fused_csv(args.fused)
     if not records:
         return _data_error(f"{args.fused}: no fused records")
 
     if args.truth:
-        try:
-            truth = read_truth_csv(args.truth)
-        except (OSError, FormatError) as exc:
-            return _data_error(str(exc))
+        truth = read_truth_csv(args.truth)
         poi_by_time = {s.timestamp: s.poi_nav for s in truth}
         estimates = []
         references = []
@@ -270,18 +220,20 @@ def cmd_eval(args) -> int:
             )
         reference = references[0]
     else:
-        try:
-            reference = _parse_triple(args.ref)
-        except ValueError as exc:
-            return _data_error(str(exc))
+        reference = _parse_triple(args.ref)
         estimates = [record.poi_nav for record in records]
 
     stats = compute_stats(estimates, reference)
     print(render_report([(args.label, stats)]))
-    with open(args.out, "w", newline="", encoding="utf-8") as f:
-        f.write(STATS_CSV_HEADER + "\n")
-        f.write(stats_csv_row(args.label, stats) + "\n")
+    _write_lines(args.out, [STATS_CSV_HEADER, stats_csv_row(args.label, stats)])
     return 0
+
+
+def _label(text: str) -> str:
+    try:
+        return _check_label(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -380,16 +332,22 @@ def _build_parser() -> _ArgumentParser:
     ref_group.add_argument("--truth", help="truth CSV from simulate (joined by timestamp)")
     ref_group.add_argument("--ref", help="fixed reference point 'x,y,z' in meters")
     p_eval.add_argument("--out", required=True, help="stats CSV output path")
-    p_eval.add_argument("--label", default="run", help="series label for the report")
+    p_eval.add_argument(
+        "--label", type=_label, default="run", help="series label (no comma or line break)"
+    )
     p_eval.set_defaults(func=cmd_eval)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    # Inputs are rejected with ValueError (FormatError, ConfigError, the config
+    # checks) and unreadable or unwritable paths with OSError: all exit 2.
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        return _data_error(str(exc))
 
 
 if __name__ == "__main__":

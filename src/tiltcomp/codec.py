@@ -18,20 +18,27 @@ counts of 0.1 mm across three frames (base id, +1, +2), plus an optional
 attitude frame (+3) with 0.01-degree signed 16-bit angles and a sequence
 counter. Hex dumps use ``<id hex>#<payload hex>`` lines.
 
-Angles are radians inside the toolkit; codecs convert at the boundary.
-Parsing failures raise :class:`FormatError` carrying line-number context;
-parsers never raise anything else on malformed text. Files are read and
-written as UTF-8 whatever the locale; bytes that are not UTF-8 raise
-:class:`FormatError` naming the file. Decimal points only.
+The transform file, like the scenario config, is ``key = value`` text where
+``#`` starts a comment; a line without ``=``, an unknown or a repeated key is
+rejected.
+
+Every file is opened here, by one reader and one writer, as UTF-8 whatever
+the locale (other bytes raise :class:`FormatError` naming the file). Lines
+break at ``\n``, ``\r\n`` or ``\r`` only, as an editor shows them, are numbered
+from 1, and are written with ``\n``. Angles are radians inside the toolkit;
+codecs convert at the boundary. Parsing failures raise :class:`FormatError`
+with line-number context, never anything else. Decimal points only.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +87,9 @@ PAIRS_CSV_HEADER = "sx,sy,sz,tx,ty,tz"
 _CAN_ID_LIMIT = 1 << 29
 _COUNT_SCALE = 1e-4
 _COUNT_LIMIT = 2**31 - 1
+# The coordinate frames' counts in order, two per frame: prism then POI.
+_CAN_FIELDS = ("prism_x", "prism_y", "prism_z", "poi_x", "poi_y", "poi_z")
+_CAN_FRAMES = len(_CAN_FIELDS) // 2
 
 
 class FormatError(ValueError):
@@ -129,6 +139,7 @@ _IMU = _declare("IMU", ("t_s", "ax", "ay", "az", "gx", "gy", "gz"), 6)
 _RTS = _declare("RTS", ("t_s", "D_m", "Hz_deg", "V_deg"), 6)
 _FUSED = _declare(None, FUSED_CSV_HEADER.split(","), 9)
 _TRUTH = _declare(None, TRUTH_CSV_HEADER.split(","), 9)
+_PAIRS_NAMES = PAIRS_CSV_HEADER.split(",")
 
 
 def _numbers(
@@ -189,34 +200,63 @@ def write_csv_record(record: FusedRecord) -> str:
 
 @contextmanager
 def _open_utf8(path):
-    """Open a text file for reading as UTF-8, whatever the locale; a byte
+    """Open a text file for reading as UTF-8 with universal newlines; a byte
     that is not UTF-8 raises FormatError naming the file."""
-    with open(path, "r", newline="", encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f:
         try:
             yield f
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _read_csv(path, header: str, what: str, build) -> list:
-    """``build(values)`` for each non-blank row of a CSV file that starts with
-    ``header``; line numbers in error messages count the header as line 1."""
+def _read_text(path) -> str:
     with _open_utf8(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file, expected {what} header")
-    if lines[0].strip() != header:
-        raise FormatError(f"{path}: header mismatch: expected {header!r}, got {lines[0]!r}")
-    names = header.split(",")
-    row_what = f"{what} record"
-    return [
-        build(_numbers(line, None, names, row_what, i))
-        for i, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
+        return f.read()
 
 
-def _fused_record(values: list[float]) -> FusedRecord:
+def _read_records(path, parse, header: str | None = None, what: str = "") -> list:
+    """``parse(line, line_number)`` for each non-blank line of a text file. A
+    CSV table passes its ``header``, which must be line 1, and its name."""
+    with _open_utf8(path) as f:
+        if header is not None:
+            first = f.readline()
+            if not first:
+                raise FormatError(f"{path}: empty file, expected {what} header")
+            if first.strip() != header:
+                got = first.removesuffix("\n")
+                raise FormatError(f"{path}: header mismatch: expected {header!r}, got {got!r}")
+        return [parse(line, i) for i, line in enumerate(f, 2 if header else 1) if line.strip()]
+
+
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line and a ``\n`` to a UTF-8 text file."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+def _key_values(text: str, keys: Container[str], what: str) -> dict[str, tuple[int, str]]:
+    """``key -> (line number, value text)`` of ``key = value`` text, lines
+    broken as in a file; ``#`` starts a comment. A line without ``=``, a key
+    not in ``keys`` and a repeated key raise FormatError naming the line."""
+    settings: dict[str, tuple[int, str]] = {}
+    for i, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, equals, value = line.partition("=")
+        key = key.strip()
+        if not equals:
+            _fail(f"expected 'key = value', got {line!r}", i)
+        if key not in keys:
+            _fail(f"unknown {what} key {key!r}", i)
+        if key in settings:
+            _fail(f"duplicate key {key!r}", i)
+        settings[key] = (i, value.strip())
+    return settings
+
+
+def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
+    values = _numbers(line, None, _FUSED.names, "fused CSV record", line_number)
     return FusedRecord(
         timestamp=values[0],
         prism_nav=values[1:4],
@@ -227,22 +267,26 @@ def _fused_record(values: list[float]) -> FusedRecord:
     )
 
 
-def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
-    return _fused_record(_numbers(line, None, _FUSED.names, "fused CSV record", line_number))
-
-
 def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(FUSED_CSV_HEADER + "\n")
-        for record in records:
-            f.write(write_csv_record(record) + "\n")
+    _write_lines(path, chain([FUSED_CSV_HEADER], map(write_csv_record, records)))
 
 
 def read_fused_csv(path) -> list[FusedRecord]:
-    return _read_csv(path, FUSED_CSV_HEADER, "fused CSV", _fused_record)
+    return _read_records(path, read_csv_record, FUSED_CSV_HEADER, "fused CSV")
 
 
-def _truth_sample(values: list[float]) -> GroundTruthSample:
+def _truth_row(sample: GroundTruthSample) -> str:
+    px, py, pz = sample.prism_nav
+    qx, qy, qz = sample.poi_nav
+    att = sample.attitude
+    return _TRUTH.template % (
+        sample.timestamp, math.degrees(att.roll), math.degrees(att.pitch),
+        math.degrees(att.yaw), px, py, pz, qx, qy, qz,
+    )
+
+
+def _truth_sample(line: str, line_number: int) -> GroundTruthSample:
+    values = _numbers(line, None, _TRUTH.names, "truth CSV record", line_number)
     return GroundTruthSample(
         timestamp=values[0],
         attitude=Attitude(*map(math.radians, values[1:4])),
@@ -252,21 +296,11 @@ def _truth_sample(values: list[float]) -> GroundTruthSample:
 
 
 def write_truth_csv(samples: Iterable[GroundTruthSample], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(TRUTH_CSV_HEADER + "\n")
-        for s in samples:
-            px, py, pz = s.prism_nav
-            qx, qy, qz = s.poi_nav
-            att = s.attitude
-            row = _TRUTH.template % (
-                s.timestamp, math.degrees(att.roll), math.degrees(att.pitch),
-                math.degrees(att.yaw), px, py, pz, qx, qy, qz,
-            )
-            f.write(row + "\n")
+    _write_lines(path, chain([TRUTH_CSV_HEADER], map(_truth_row, samples)))
 
 
 def read_truth_csv(path) -> list[GroundTruthSample]:
-    return _read_csv(path, TRUTH_CSV_HEADER, "truth CSV", _truth_sample)
+    return _read_records(path, _truth_sample, TRUTH_CSV_HEADER, "truth CSV")
 
 
 @dataclass(frozen=True)
@@ -296,7 +330,7 @@ def _to_counts(value_m: float, name: str) -> int:
     return counts
 
 
-def _check_base_id(base_id: int, count: int = 3) -> None:
+def _check_base_id(base_id: int, count: int = _CAN_FRAMES) -> None:
     """Raise ValueError unless base_id .. base_id + count - 1 are all 29-bit ids."""
     if not 0 <= base_id <= _CAN_ID_LIMIT - count:
         words = {3: "three", 4: "four"}
@@ -306,23 +340,24 @@ def _check_base_id(base_id: int, count: int = 3) -> None:
 def encode_can_frames(record: FusedRecord, base_id: int) -> list[CanFrame]:
     """Pack prism and POI coordinates into three frames at base_id, +1, +2.
 
-    Coordinates are rounded to 0.1 mm counts in signed 32-bit little-endian:
-    [prism_x, prism_y], [prism_z, poi_x], [poi_y, poi_z].
+    Coordinates are rounded to 0.1 mm counts in signed 32-bit little-endian,
+    two per frame in :data:`_CAN_FIELDS` order.
     """
     _check_base_id(base_id)
-    px, py, pz = (_to_counts(v, n) for v, n in zip(record.prism_nav, ("prism_x", "prism_y", "prism_z")))
-    qx, qy, qz = (_to_counts(v, n) for v, n in zip(record.poi_nav, ("poi_x", "poi_y", "poi_z")))
+    values = (*record.prism_nav, *record.poi_nav)
+    counts = [_to_counts(v, name) for v, name in zip(values, _CAN_FIELDS)]
     return [
-        CanFrame(base_id, struct.pack("<ii", px, py)),
-        CanFrame(base_id + 1, struct.pack("<ii", pz, qx)),
-        CanFrame(base_id + 2, struct.pack("<ii", qy, qz)),
+        CanFrame(base_id + k, struct.pack("<ii", *counts[2 * k : 2 * k + 2]))
+        for k in range(_CAN_FRAMES)
     ]
 
 
 def decode_can_frames(frames: Sequence[CanFrame]) -> tuple[np.ndarray, np.ndarray]:
     """Invert :func:`encode_can_frames`; returns (prism_nav, poi_nav) meters."""
-    if len(frames) != 3:
-        raise FormatError(f"coordinate decoding needs exactly 3 frames, got {len(frames)}")
+    if len(frames) != _CAN_FRAMES:
+        raise FormatError(
+            f"coordinate decoding needs exactly {_CAN_FRAMES} frames, got {len(frames)}"
+        )
     base = frames[0].can_id
     for offset, frame in enumerate(frames):
         if frame.can_id != base + offset:
@@ -330,11 +365,8 @@ def decode_can_frames(frames: Sequence[CanFrame]) -> tuple[np.ndarray, np.ndarra
                 f"frame ids must be consecutive from {base:#x}, got {frame.can_id:#x} "
                 f"at position {offset}"
             )
-    px, py = struct.unpack("<ii", frames[0].payload)
-    pz, qx = struct.unpack("<ii", frames[1].payload)
-    qy, qz = struct.unpack("<ii", frames[2].payload)
-    prism = np.array([px, py, pz]) * _COUNT_SCALE
-    poi = np.array([qx, qy, qz]) * _COUNT_SCALE
+    counts = [struct.unpack("<ii", frame.payload) for frame in frames]
+    prism, poi = np.array(counts).reshape(2, 3) * _COUNT_SCALE
     return prism, poi
 
 
@@ -379,30 +411,24 @@ def parse_can_dump_line(line: str, line_number: int | None = None) -> CanFrame:
 
 def write_helmert_file(params: HelmertParams, path) -> None:
     """Store a similarity transform as commented key = value text."""
-    r = params.rotation
-    t = params.translation
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("# 3D similarity transform: nav = scale * rotation @ point + translation\n")
-        f.write(f"scale = {params.scale:.17g}\n")
-        f.write("rotation = " + " ".join(f"{v:.17g}" for v in r.ravel()) + "\n")
-        f.write("translation = " + " ".join(f"{v:.17g}" for v in t) + "\n")
+    _write_lines(path, [
+        "# 3D similarity transform: nav = scale * rotation @ point + translation",
+        f"scale = {params.scale:.17g}",
+        "rotation = " + " ".join(f"{v:.17g}" for v in params.rotation.ravel()),
+        "translation = " + " ".join(f"{v:.17g}" for v in params.translation),
+    ])
+
+
+_HELMERT_SIZES = {"scale": 1, "rotation": 9, "translation": 3}
 
 
 def read_helmert_file(path) -> HelmertParams:
-    values: dict[str, list[float]] = {}
-    with _open_utf8(path) as f:
-        for i, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                _fail(f"expected 'key = values', got {line!r}", i)
-            key, _, rest = line.partition("=")
-            key = key.strip()
-            if key in values:
-                _fail(f"duplicate key {key!r}", i)
-            values[key] = [_parse_float(tok, key, i) for tok in rest.split()]
-    for key, count in (("scale", 1), ("rotation", 9), ("translation", 3)):
+    settings = _key_values(_read_text(path), _HELMERT_SIZES, "transform")
+    values = {
+        key: [_parse_float(tok, key, i) for tok in text.split()]
+        for key, (i, text) in settings.items()
+    }
+    for key, count in _HELMERT_SIZES.items():
         if key not in values:
             raise FormatError(f"{path}: missing key {key!r}")
         if len(values[key]) != count:
@@ -417,10 +443,11 @@ def read_helmert_file(path) -> HelmertParams:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _point_pair(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _point_pair(line: str, line_number: int) -> tuple[np.ndarray, np.ndarray]:
+    values = _numbers(line, None, _PAIRS_NAMES, "point pairs CSV record", line_number)
     return np.array(values[0:3]), np.array(values[3:6])
 
 
 def read_pairs_csv(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """Load (source, target) point pairs for transform fitting."""
-    return _read_csv(path, PAIRS_CSV_HEADER, "point pairs CSV", _point_pair)
+    return _read_records(path, _point_pair, PAIRS_CSV_HEADER, "point pairs CSV")

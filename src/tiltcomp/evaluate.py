@@ -91,8 +91,17 @@ def render_report(rows: Sequence[tuple[str, ErrorStats]]) -> str:
     return "\n".join(lines)
 
 
+def _check_label(label: str) -> str:
+    """A stats CSV id: a comma or line break would break the row."""
+    if any(c in label for c in ",\r\n"):
+        raise ValueError(f"label must not hold a comma or line break, got {label!r}")
+    return label
+
+
 def stats_csv_row(label: str, stats: ErrorStats) -> str:
-    """One machine-readable line matching :data:`STATS_CSV_HEADER`."""
+    """One machine-readable line matching :data:`STATS_CSV_HEADER`; raises
+    ValueError for a label holding a comma or line break."""
+    _check_label(label)
     mx, my, mz = stats.mean_mm
     sx, sy, sz = stats.std_mm
     return (

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +9,11 @@ from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
 from tiltcomp import (
+    FUSED_CSV_HEADER,
+    PAIRS_CSV_HEADER,
+    TRUTH_CSV_HEADER,
     Attitude,
+    FormatError,
     FusedRecord,
     GroundTruthSample,
     HelmertParams,
@@ -25,6 +31,9 @@ from tiltcomp import (
     parse_rts_line,
     read_fused_csv,
     read_helmert_file,
+    read_pairs_csv,
+    read_truth_csv,
+    write_csv_record,
     write_fused_csv,
     write_helmert_file,
     write_imu_line,
@@ -678,3 +687,136 @@ def test_helmert_fit_degenerate_exits_two(tmp_path, capsys):
     rc = main(["helmert-fit", "--pairs", str(pairs_path), "--out", str(tmp_path / "h.txt")])
     assert rc == 2
     assert "collinear" in capsys.readouterr().err
+
+
+# Characters that str.splitlines breaks at but an editor does not.
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_BREAK_CASES = [("\n", char) for char in NOT_LINE_BREAKS] + [
+    ("\r\n", ""), ("\r", ""), ("\r\n", "\f"), ("\r", "\x85"),
+]
+
+
+def _text_with_a_bad_line(reader, filler):
+    """Lines of a valid file for ``reader``, then ``filler`` on a line of its
+    own, then a bad line; returns the lines and the bad line's number."""
+    row = write_csv_record(FusedRecord(0.5, np.zeros(3), np.zeros(3), Attitude(), 0.9, 0.5))
+    lines = {
+        "fused": [FUSED_CSV_HEADER, row, filler, "1,2"],
+        "truth": [TRUTH_CSV_HEADER, ",".join(["0.5"] * 10), filler, "1,2"],
+        "pairs": [PAIRS_CSV_HEADER, "1,2,3,4,5,6", filler, "1,2"],
+        "transform": ["# site", "scale = 1", filler, "rotation 1"],
+        "config": ["# run", "seed = 1", filler, "seed 1"],
+        "simulate": ["# run", "seed = 1", filler, "seed 1"],
+        "imu": [write_imu_line(ImuSample(0.0, [0, 0, G], [0, 0, 0])), filler, "IMU,oops"],
+        "rts": [write_rts_line(RtsObservation(0.25, 5.0, 0.3, 1.5)), filler, "RTS,oops"],
+    }[reader]
+    return lines, len(lines)
+
+
+@pytest.mark.parametrize("separator, filler", LINE_BREAK_CASES)
+@pytest.mark.parametrize(
+    "reader", ["fused", "truth", "pairs", "transform", "config", "simulate", "imu", "rts"]
+)
+def test_every_reader_numbers_lines_as_an_editor_shows_them(
+    tmp_path, capsys, reader, separator, filler
+):
+    lines, bad_line = _text_with_a_bad_line(reader, filler)
+    text = separator.join(lines) + separator
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    library = {"fused": read_fused_csv, "truth": read_truth_csv, "pairs": read_pairs_csv,
+               "transform": read_helmert_file, "config": parse_scenario_config}
+    if reader in library:
+        with pytest.raises((FormatError, ConfigError)) as info:
+            library[reader](text if reader == "config" else path)
+        message = str(info.value)
+    else:
+        imu, rts = write_level_streams(tmp_path, n_imu=20)
+        streams = {"imu": imu, "rts": rts, reader: path}
+        argv = (["simulate", "--config", str(path), "--out-dir", str(tmp_path / "sim")]
+                if reader == "simulate" else
+                ["fuse", "--imu", str(streams["imu"]), "--rts", str(streams["rts"]),
+                 "--out", str(tmp_path / "fused.csv"), "--bias-count", "2"])
+        assert main(argv) == 2
+        message = capsys.readouterr().err.removeprefix("error: ")
+    assert message.startswith(f"line {bad_line}: "), message
+
+
+def test_fuse_rejects_a_transform_file_with_an_unknown_key(tmp_path, capsys):
+    imu, rts = write_level_streams(tmp_path)
+    helmert = tmp_path / "site.helmert"
+    write_helmert_file(HelmertParams(), helmert)
+    helmert.write_text(helmert.read_text() + "scael = 2\n")
+    rc = main(["fuse", "--imu", str(imu), "--rts", str(rts), "--helmert", str(helmert),
+               "--out", str(tmp_path / "fused.csv"), "--bias-count", "10"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 5: unknown transform key 'scael'\n"
+    assert not (tmp_path / "fused.csv").exists()
+
+
+def _command_argv(tmp_path):
+    """Flag -> value for a run of each command that succeeds."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUIET_CONFIG)
+    imu, rts = write_level_streams(tmp_path)
+    helmert = tmp_path / "site.helmert"
+    write_helmert_file(HelmertParams(), helmert)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("sx,sy,sz,tx,ty,tz\n" + "".join(
+        f"{x},{y},{z},{x},{y},{z}\n" for x, y, z in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    ))
+    fused = tmp_path / "fused.csv"
+    write_fused_csv([FusedRecord(0.25, np.zeros(3), np.zeros(3), Attitude(), 0.9, 0.25)], fused)
+    truth = tmp_path / "truth.csv"
+    write_truth_csv([GroundTruthSample(0.25, Attitude(), np.zeros(3), np.zeros(3))], truth)
+    return {
+        "simulate": {"--config": cfg, "--out-dir": tmp_path / "sim"},
+        "fuse": {"--imu": imu, "--rts": rts, "--helmert": helmert,
+                 "--out": tmp_path / "out.csv", "--bias-count": 10},
+        "helmert-fit": {"--pairs": pairs, "--out": tmp_path / "fit.helmert"},
+        "eval": {"--fused": fused, "--truth": truth, "--out": tmp_path / "stats.csv"},
+    }
+
+
+def _run(command, flags):
+    return main([command, *(str(item) for pair in flags.items() for item in pair)])
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--out-dir"), ("fuse", "--out"), ("fuse", "--can-out"),
+    ("helmert-fit", "--out"), ("eval", "--out"),
+])
+def test_an_output_that_cannot_be_written_is_a_data_error(tmp_path, capsys, command, flag):
+    flags = _command_argv(tmp_path)[command]
+    assert _run(command, flags) == 0
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    flags[flag] = blocker / "output"
+    capsys.readouterr()
+    assert _run(command, flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker / "output") in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--config"), ("fuse", "--imu"), ("fuse", "--rts"), ("fuse", "--helmert"),
+    ("helmert-fit", "--pairs"), ("eval", "--fused"), ("eval", "--truth"),
+])
+def test_an_input_that_cannot_be_read_is_a_data_error(tmp_path, capsys, command, flag):
+    flags = _command_argv(tmp_path)[command]
+    missing = tmp_path / "missing.txt"
+    flags[flag] = missing
+    assert _run(command, flags) == 2
+    reason = os.strerror(errno.ENOENT)
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOENT}] {reason}: '{missing}'\n"
+
+
+@pytest.mark.parametrize("label", ["north, run 2", "north\nrun 2", "north\r"])
+def test_eval_rejects_a_label_that_would_break_the_stats_csv(tmp_path, capsys, label):
+    stats = tmp_path / "stats.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--fused", str(tmp_path / "missing.csv"), "--ref", "0,0,0",
+              "--out", str(stats), "--label", label])
+    assert info.value.code == 1
+    assert "--label" in capsys.readouterr().err
+    assert not stats.exists()

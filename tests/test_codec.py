@@ -649,6 +649,7 @@ def test_helmert_file_accepts_comments_and_blank_lines(tmp_path):
         "scale one\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n",
         "scale = abc\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n",
         "scale = 1\nscale = 2\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n",
+        "scale = 1\nscael = 2\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n",
     ],
 )
 def test_helmert_file_rejects_malformed(tmp_path, text):
@@ -662,6 +663,13 @@ def test_helmert_file_names_the_duplicate_key(tmp_path):
     path = tmp_path / "helmert.txt"
     path.write_text("scale = 1\nscale = 2\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n")
     with pytest.raises(FormatError, match="^line 2: duplicate key 'scale'$"):
+        read_helmert_file(path)
+
+
+def test_helmert_file_names_an_unknown_key(tmp_path):
+    path = tmp_path / "helmert.txt"
+    path.write_text("scale = 1\nscael = 2\nrotation = 1 0 0 0 1 0 0 0 1\ntranslation = 0 0 0\n")
+    with pytest.raises(FormatError, match="^line 2: unknown transform key 'scael'$"):
         read_helmert_file(path)
 
 

@@ -147,3 +147,10 @@ def test_stats_csv_row_matches_header():
     row = stats_csv_row("run", stats)
     assert len(row.split(",")) == len(STATS_CSV_HEADER.split(","))
     assert row == "run,-0.046000,-0.160000,0.006000,2.037000,1.809000,0.906000,2.867000,154"
+
+
+@pytest.mark.parametrize("label", ["north, run 2", "a\nb", "a\r", ","])
+def test_stats_csv_row_rejects_a_label_that_would_break_the_row(label):
+    stats = ErrorStats(np.zeros(3), np.zeros(3), 0.0, 1)
+    with pytest.raises(ValueError, match="label"):
+        stats_csv_row(label, stats)

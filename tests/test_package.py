@@ -38,7 +38,8 @@ def test_import_leaves_cli_unloaded():
 
 def test_every_open_call_names_its_encoding():
     """Files are read and written as UTF-8 whatever the locale, as the codec
-    module promises: no text file is opened with the locale's encoding."""
+    module promises: no text file is opened with the locale's encoding, and
+    no module but the codec opens a file."""
     calls = []
     for path in sorted((SRC / "tiltcomp").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -51,3 +52,4 @@ def test_every_open_call_names_its_encoding():
                 calls.append((f"{path.name}:{node.lineno}", has_encoding))
     assert calls
     assert [where for where, has_encoding in calls if not has_encoding] == []
+    assert [where for where, _ in calls if not where.startswith("codec.py:")] == []
