@@ -19,11 +19,17 @@ from typing import Callable
 import numpy as np
 
 from .attitude import FilterConfig
-from .codec import (
+# read_fused_csv and read_truth_csv are unused here (eval reads columns) but
+# stay importable: bench/run.py traces the CSV reads as cli.read_fused_csv and
+# cli.read_truth_csv.
+from .codec import (  # noqa: F401
+    FUSED_CSV_HEADER,
+    TRUTH_CSV_HEADER,
     FormatError,
     _check_base_id,
     _key_values,
     _read_records,
+    _read_table,
     _read_text,
     _write_lines,
     encode_can_frames,
@@ -93,12 +99,12 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
     except FormatError as exc:
         raise ConfigError(str(exc)) from exc
     given: dict[type, dict] = {ScenarioConfig: {}, NoiseSpec: {}, LeverArms: {}}
-    for key, (_, value) in settings.items():
+    for key, (line_number, value) in settings.items():
         owner, parse = _CONFIG_KEYS[key]
         try:
             given[owner][key] = parse(value)
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
+            raise ConfigError(f"line {line_number}: config key {key!r}: {exc}") from exc
     try:
         return ScenarioConfig(
             noise=NoiseSpec(**given[NoiseSpec]),
@@ -186,34 +192,29 @@ def cmd_helmert_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    records = read_fused_csv(args.fused)
-    if not records:
+    # Columns of the fused and truth tables: t_s first, the POI at 4:7 and 7:10.
+    fused = _read_table(args.fused, FUSED_CSV_HEADER, "fused CSV")
+    if not len(fused):
         return _data_error(f"{args.fused}: no fused records")
 
     if args.truth:
-        truth = read_truth_csv(args.truth)
-        poi_by_time = {s.timestamp: s.poi_nav for s in truth}
-        estimates = []
-        references = []
-        skipped = 0
-        for record in records:
-            ref = poi_by_time.get(record.timestamp)
-            if ref is None:
-                skipped += 1
-                continue
-            estimates.append(record.poi_nav)
-            references.append(ref)
-        if not estimates:
+        truth = _read_table(args.truth, TRUTH_CSV_HEADER, "truth CSV")
+        # A repeated truth timestamp keeps its last row.
+        row_at = {t: i for i, t in enumerate(truth[:, 0].tolist())}
+        joined = [(k, row_at[t]) for k, t in enumerate(fused[:, 0].tolist()) if t in row_at]
+        if not joined:
             return _data_error(
                 f"no fused timestamps found in {args.truth}; streams do not overlap"
             )
-        if skipped:
+        if skipped := len(fused) - len(joined):
             print(
                 f"warning: {skipped} fused records without matching truth timestamp",
                 file=sys.stderr,
             )
-        spread = np.ptp(np.array(references), axis=0)
-        if np.any(spread > 1e-9):
+        rows = np.array(joined)
+        estimates = fused[rows[:, 0], 4:7]
+        references = truth[rows[:, 1], 7:10]
+        if np.any(np.ptp(references, axis=0) > 1e-9):
             return _data_error(
                 "truth POI varies over the joined rows; evaluation needs a fixed "
                 "reference point"
@@ -221,7 +222,7 @@ def cmd_eval(args) -> int:
         reference = references[0]
     else:
         reference = _parse_triple(args.ref)
-        estimates = [record.poi_nav for record in records]
+        estimates = fused[:, 4:7]
 
     stats = compute_stats(estimates, reference)
     print(render_report([(args.label, stats)]))

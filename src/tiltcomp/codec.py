@@ -11,7 +11,10 @@ Text stream lines (formats specific to this toolkit):
 Each record line format is declared once: its tag (none for a CSV row), field
 names and decimals. One parser reads every record line, with a fast path (one
 split, one ``float`` per field, one finiteness test) that hands anything else
-to the field-by-field parser; one ``%`` template per format writes it.
+to the field-by-field parser; one ``%`` template per format writes it. One
+table reader turns a whole CSV table into an ``(n, k)`` float array, from
+which the fused, truth and pairs readers build their records and ``eval``
+takes its columns. The fused CSV and CAN writers format plain floats.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2), plus an optional
@@ -139,7 +142,6 @@ _IMU = _declare("IMU", ("t_s", "ax", "ay", "az", "gx", "gy", "gz"), 6)
 _RTS = _declare("RTS", ("t_s", "D_m", "Hz_deg", "V_deg"), 6)
 _FUSED = _declare(None, FUSED_CSV_HEADER.split(","), 9)
 _TRUTH = _declare(None, TRUTH_CSV_HEADER.split(","), 9)
-_PAIRS_NAMES = PAIRS_CSV_HEADER.split(",")
 
 
 def _numbers(
@@ -188,8 +190,8 @@ def write_rts_line(obs: RtsObservation) -> str:
 
 def write_csv_record(record: FusedRecord) -> str:
     """One fused CSV line (without newline), fields in header order."""
-    px, py, pz = record.prism_nav
-    qx, qy, qz = record.poi_nav
+    px, py, pz = record.prism_nav.tolist()
+    qx, qy, qz = record.poi_nav.tolist()
     att = record.attitude_used
     return _FUSED.template % (
         record.timestamp, px, py, pz, qx, qy, qz,
@@ -255,8 +257,19 @@ def _key_values(text: str, keys: Container[str], what: str) -> dict[str, tuple[i
     return settings
 
 
-def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
-    values = _numbers(line, None, _FUSED.names, "fused CSV record", line_number)
+def _read_table(path, header: str, what: str) -> np.ndarray:
+    """Every row of a CSV table as one ``(n, k)`` float array, k the number of
+    fields in ``header``; a row is read as :func:`_numbers` reads it."""
+    names = header.split(",")
+
+    def parse(line: str, line_number: int) -> list[float]:
+        return _numbers(line, None, names, f"{what} record", line_number)
+
+    rows = _read_records(path, parse, header, what)
+    return np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
+def _fused_record(values: Sequence[float]) -> FusedRecord:
     return FusedRecord(
         timestamp=values[0],
         prism_nav=values[1:4],
@@ -267,12 +280,16 @@ def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
     )
 
 
+def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
+    return _fused_record(_numbers(line, None, _FUSED.names, "fused CSV record", line_number))
+
+
 def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
     _write_lines(path, chain([FUSED_CSV_HEADER], map(write_csv_record, records)))
 
 
 def read_fused_csv(path) -> list[FusedRecord]:
-    return _read_records(path, read_csv_record, FUSED_CSV_HEADER, "fused CSV")
+    return list(map(_fused_record, _read_table(path, FUSED_CSV_HEADER, "fused CSV").tolist()))
 
 
 def _truth_row(sample: GroundTruthSample) -> str:
@@ -285,8 +302,7 @@ def _truth_row(sample: GroundTruthSample) -> str:
     )
 
 
-def _truth_sample(line: str, line_number: int) -> GroundTruthSample:
-    values = _numbers(line, None, _TRUTH.names, "truth CSV record", line_number)
+def _truth_sample(values: Sequence[float]) -> GroundTruthSample:
     return GroundTruthSample(
         timestamp=values[0],
         attitude=Attitude(*map(math.radians, values[1:4])),
@@ -300,7 +316,7 @@ def write_truth_csv(samples: Iterable[GroundTruthSample], path) -> None:
 
 
 def read_truth_csv(path) -> list[GroundTruthSample]:
-    return _read_records(path, _truth_sample, TRUTH_CSV_HEADER, "truth CSV")
+    return list(map(_truth_sample, _read_table(path, TRUTH_CSV_HEADER, "truth CSV").tolist()))
 
 
 @dataclass(frozen=True)
@@ -344,7 +360,7 @@ def encode_can_frames(record: FusedRecord, base_id: int) -> list[CanFrame]:
     two per frame in :data:`_CAN_FIELDS` order.
     """
     _check_base_id(base_id)
-    values = (*record.prism_nav, *record.poi_nav)
+    values = (*record.prism_nav.tolist(), *record.poi_nav.tolist())
     counts = [_to_counts(v, name) for v, name in zip(values, _CAN_FIELDS)]
     return [
         CanFrame(base_id + k, struct.pack("<ii", *counts[2 * k : 2 * k + 2]))
@@ -443,11 +459,7 @@ def read_helmert_file(path) -> HelmertParams:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _point_pair(line: str, line_number: int) -> tuple[np.ndarray, np.ndarray]:
-    values = _numbers(line, None, _PAIRS_NAMES, "point pairs CSV record", line_number)
-    return np.array(values[0:3]), np.array(values[3:6])
-
-
 def read_pairs_csv(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """Load (source, target) point pairs for transform fitting."""
-    return _read_records(path, _point_pair, PAIRS_CSV_HEADER, "point pairs CSV")
+    table = _read_table(path, PAIRS_CSV_HEADER, "point pairs CSV")
+    return [(row[0:3], row[3:6]) for row in table]

@@ -38,14 +38,11 @@ class RtsObservation:
     zenith_angle: float
 
     def __post_init__(self):
-        values = (
-            self.timestamp,
-            self.slant_distance,
-            self.horizontal_angle,
-            self.zenith_angle,
-        )
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"RTS observation has non-finite fields: {values}")
+        t, d, hz, v = self.timestamp, self.slant_distance, self.horizontal_angle, self.zenith_angle
+        # A finite sum implies four finite fields; only a non-finite sum (which
+        # finite fields can reach by overflow) needs the field-by-field test.
+        if not math.isfinite(t + d + hz + v) and not all(map(math.isfinite, (t, d, hz, v))):
+            raise ValueError(f"RTS observation has non-finite fields: {(t, d, hz, v)}")
         if self.slant_distance <= 0.0:
             raise ValueError(f"slant distance must be positive, got {self.slant_distance}")
         if not 0.0 < self.zenith_angle < math.pi:
@@ -87,25 +84,39 @@ class HelmertParams:
         return cls()
 
 
+def _polar(distance: float, hz: float, v: float) -> tuple[float, float, float]:
+    """Polar to Cartesian on floats: the placement kernel's first formula."""
+    r_h = distance * math.sin(v)
+    return r_h * math.cos(hz), r_h * math.sin(hz), distance * math.cos(v)
+
+
+def _helmert(params: HelmertParams, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """``s * R @ p + t`` on floats: the placement kernel's second formula.
+
+    ``R @ p`` stays a BLAS product: ``ndarray.dot`` makes the same call as
+    ``@`` and is bit-identical to it, while the three-term sums
+    ``r0 * x + r1 * y + r2 * z`` round differently.
+    """
+    qx, qy, qz = params.rotation.dot((x, y, z)).tolist()
+    tx, ty, tz = params.translation.tolist()
+    s = params.scale
+    return s * qx + tx, s * qy + ty, s * qz + tz
+
+
 def polar_to_cartesian(obs: RtsObservation) -> np.ndarray:
     """Cartesian prism position in the instrument frame, meters.
 
     The returned vector has norm equal to the slant distance.
     """
-    r_h = obs.slant_distance * math.sin(obs.zenith_angle)
-    return np.array(
-        [
-            r_h * math.cos(obs.horizontal_angle),
-            r_h * math.sin(obs.horizontal_angle),
-            obs.slant_distance * math.cos(obs.zenith_angle),
-        ]
-    )
+    return np.array(_polar(obs.slant_distance, obs.horizontal_angle, obs.zenith_angle))
 
 
 def apply_helmert(params: HelmertParams, point) -> np.ndarray:
     """Map a point through the similarity transform: s * R @ p + t."""
     p = np.asarray(point, dtype=float)
-    return params.scale * (params.rotation @ p) + params.translation
+    if p.shape != (3,):
+        raise ValueError(f"point must be a 3-vector, got shape {p.shape}")
+    return np.array(_helmert(params, *p.tolist()))
 
 
 def fit_helmert(pairs: Sequence[tuple]) -> HelmertParams:

@@ -73,24 +73,45 @@ def _zyx_rows(cr, sr, cp, sp, cy, sy):
     )
 
 
+def _rotation(roll: float, pitch: float, yaw: float) -> np.ndarray:
+    return np.array(
+        _zyx_rows(
+            math.cos(roll), math.sin(roll),
+            math.cos(pitch), math.sin(pitch),
+            math.cos(yaw), math.sin(yaw),
+        )
+    )
+
+
 def rotation_b_to_n(att: Attitude) -> np.ndarray:
     """Rotation matrix from the body frame to the navigation frame.
 
     Composition order is exactly ``Rz(yaw) @ Ry(pitch) @ Rx(roll)``; the
     returned 3x3 matrix is orthonormal with determinant +1.
     """
-    return np.array(
-        _zyx_rows(
-            math.cos(att.roll), math.sin(att.roll),
-            math.cos(att.pitch), math.sin(att.pitch),
-            math.cos(att.yaw), math.sin(att.yaw),
-        )
-    )
+    return _rotation(att.roll, att.pitch, att.yaw)
 
 
 def prism_to_poi_body(arms: LeverArms) -> np.ndarray:
     """Lever arm from the prism center to the POI, in the body frame."""
     return arms.imu_to_poi_b - arms.imu_to_prism_b
+
+
+def _poi(
+    px: float, py: float, pz: float, roll: float, pitch: float, yaw: float, lever: np.ndarray
+) -> tuple[float, float, float]:
+    """``prism + R_b2n @ lever`` on floats: the placement kernel's last formula.
+
+    ``lever`` is the (3,) prism->POI body lever. The rotation product stays
+    the BLAS ``ndarray.dot``, bit-identical to ``@``. Raises ValueError for a
+    non-finite prism.
+    """
+    # A finite sum implies three finite coordinates; only a non-finite sum
+    # (which finite coordinates can reach by overflow) needs the per-field test.
+    if not math.isfinite(px + py + pz) and not all(map(math.isfinite, (px, py, pz))):
+        raise ValueError(f"prism_nav must be finite, got {np.array((px, py, pz))}")
+    dx, dy, dz = _rotation(roll, pitch, yaw).dot(lever).tolist()
+    return px + dx, py + dy, pz + dz
 
 
 def poi_position(prism_nav, att: Attitude, arms: LeverArms) -> np.ndarray:
@@ -99,5 +120,5 @@ def poi_position(prism_nav, att: Attitude, arms: LeverArms) -> np.ndarray:
     Adds the attitude-rotated prism->POI lever arm to the prism position:
     ``poi = prism + R_b2n(att) @ (imu_to_poi_b - imu_to_prism_b)``.
     """
-    prism = _vec3(prism_nav, "prism_nav")
-    return prism + rotation_b_to_n(att) @ prism_to_poi_body(arms)
+    prism = _vec3(prism_nav, "prism_nav").tolist()
+    return np.array(_poi(*prism, att.roll, att.pitch, att.yaw, prism_to_poi_body(arms)))

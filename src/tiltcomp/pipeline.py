@@ -6,6 +6,13 @@ ring buffer. :meth:`Pipeline.drain` pairs each buffered observation with the
 most recent attitude estimate at or before the observation time (plus an
 optional tolerance for live clocks) and emits tilt-corrected records.
 
+Each paired observation is placed by one scalar kernel on plain floats: polar
+to Cartesian (``geodesy._polar``), the Helmert map (``geodesy._helmert``) and
+the rotated prism->POI lever (``kinematics._poi``). :func:`polar_to_cartesian`,
+:func:`apply_helmert` and :func:`poi_position` run the same three formulas,
+so :meth:`Pipeline.drain` gives their results bit for bit while building only
+the two coordinate arrays each record holds.
+
 Both streams must carry timestamps from one shared clock. The pipeline is a
 single state machine: all push/drain calls must be externally serialized.
 Offline replay is strictly single-threaded and, with ``pairing_tolerance_s``
@@ -36,8 +43,17 @@ from .attitude import (  # noqa: F401
     set_yaw,
     wrap_angle,
 )
-from .geodesy import HelmertParams, RtsObservation, apply_helmert, polar_to_cartesian
-from .kinematics import LeverArms, poi_position
+# apply_helmert, polar_to_cartesian and poi_position run the same placement
+# kernel as drain; they stay importable for bench/run.py's tracer.
+from .geodesy import (  # noqa: F401
+    HelmertParams,
+    RtsObservation,
+    _helmert,
+    _polar,
+    apply_helmert,
+    polar_to_cartesian,
+)
+from .kinematics import LeverArms, _poi, poi_position, prism_to_poi_body  # noqa: F401
 
 __all__ = ["FusedRecord", "PipelineConfig", "Pipeline"]
 
@@ -212,6 +228,7 @@ class Pipeline:
             return []
         records = []
         cfg = self.config
+        helmert, lever = cfg.helmert, prism_to_poi_body(cfg.lever_arms)
         while self._buffer:
             obs = self._buffer[0]
             cutoff = obs.timestamp - cfg.rts_latency_s + cfg.pairing_tolerance_s
@@ -220,16 +237,16 @@ class Pipeline:
                 break
             self._buffer.popleft()
             roll, pitch, yaw, alpha = self._att_values[4 * idx : 4 * idx + 4]
-            attitude = Attitude(roll, pitch, yaw)
-            prism_rts = polar_to_cartesian(obs)
-            prism_nav = apply_helmert(cfg.helmert, prism_rts)
-            poi_nav = poi_position(prism_nav, attitude, cfg.lever_arms)
+            prism = _helmert(
+                helmert, *_polar(obs.slant_distance, obs.horizontal_angle, obs.zenith_angle)
+            )
+            poi = _poi(*prism, roll, pitch, yaw, lever)
             records.append(
                 FusedRecord(
                     timestamp=obs.timestamp,
-                    prism_nav=prism_nav,
-                    poi_nav=poi_nav,
-                    attitude_used=attitude,
+                    prism_nav=np.array(prism),
+                    poi_nav=np.array(poi),
+                    attitude_used=Attitude(roll, pitch, yaw),
                     alpha_used=alpha,
                     imu_timestamp_used=self._att_times[idx],
                 )

@@ -42,7 +42,7 @@ from tiltcomp import (
 )
 from tiltcomp import cli
 from tiltcomp.cli import ConfigError, main, parse_scenario_config
-from tiltcomp.evaluate import STATS_CSV_HEADER
+from tiltcomp.evaluate import STATS_CSV_HEADER, compute_stats, stats_csv_row
 
 G = 9.80665
 
@@ -166,6 +166,29 @@ def test_parse_config_comments_and_blanks():
 def test_parse_config_rejects_malformed(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_scenario_config(text)
+
+
+VALUE_FAULTS = [
+    ("duration_s", "fast", "could not convert string to float: 'fast'"),
+    ("seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("poi_nav", "1,2", "expected three comma-separated numbers, got '1,2'"),
+]
+
+
+@pytest.mark.parametrize("key, value, reason", VALUE_FAULTS)
+def test_parse_config_names_the_line_of_a_value_fault(key, value, reason):
+    with pytest.raises(ConfigError) as info:
+        parse_scenario_config(f"# scenario\nrts_rate_hz = 10\n\n{key} = {value}\n")
+    assert str(info.value) == f"line 4: config key {key!r}: {reason}"
+
+
+@pytest.mark.parametrize("key, value, reason", VALUE_FAULTS)
+def test_simulate_names_the_config_line_of_a_value_fault(tmp_path, capsys, key, value, reason):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"rts_rate_hz = 10\n# the fault\n{key} = {value}\n")
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: line 3: config key {key!r}: {reason}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_writes_streams(tmp_path, capsys):
@@ -819,4 +842,147 @@ def test_eval_rejects_a_label_that_would_break_the_stats_csv(tmp_path, capsys, l
               "--out", str(stats), "--label", label])
     assert info.value.code == 1
     assert "--label" in capsys.readouterr().err
+    assert not stats.exists()
+
+
+# eval joins the fused and truth tables on their columns. The oracle is the
+# record-based join eval made before: one FusedRecord and one
+# GroundTruthSample per row, a dict from truth time to POI.
+
+
+def record_join(fused_path, truth_path):
+    """(estimates, reference, skipped) of the record-based join."""
+    records = read_fused_csv(fused_path)
+    poi_by_time = {s.timestamp: s.poi_nav for s in read_truth_csv(truth_path)}
+    estimates, references = [], []
+    for record in records:
+        ref = poi_by_time.get(record.timestamp)
+        if ref is not None:
+            estimates.append(record.poi_nav)
+            references.append(ref)
+    return estimates, references[0], len(records) - len(estimates)
+
+
+@pytest.fixture(scope="module")
+def default_noise_run(tmp_path_factory):
+    """Streams, truth and fused CSV of a 40 s scenario with default noise."""
+    run = tmp_path_factory.mktemp("default_noise")
+    config = run / "scenario.cfg"
+    config.write_text("duration_s = 40\nseed = 11\nrts_rate_hz = 20\n")
+    assert main(["simulate", "--config", str(config), "--out-dir", str(run)]) == 0
+    fused = run / "fused.csv"
+    assert main(["fuse", "--imu", str(run / "imu.txt"), "--rts", str(run / "rts.txt"),
+                 "--out", str(fused)]) == 0
+    return fused, run / "truth.csv"
+
+
+def run_eval(tmp_path, fused, reference_flags, label="run"):
+    stats = tmp_path / "stats.csv"
+    code = main(["eval", "--fused", str(fused), *reference_flags, "--out", str(stats),
+                 "--label", label])
+    return code, stats
+
+
+def write_truth_lines(path, lines):
+    path.write_text(TRUTH_CSV_HEADER + "\n" + "".join(line + "\n" for line in lines))
+
+
+def truth_lines(truth):
+    return truth.read_text().splitlines()[1:]
+
+
+def test_eval_stats_match_the_record_join(tmp_path, capsys, default_noise_run):
+    fused, truth = default_noise_run
+    code, stats = run_eval(tmp_path, fused, ["--truth", str(truth)], label="noisy")
+    assert code == 0
+    estimates, reference, skipped = record_join(fused, truth)
+    assert skipped == 0 and len(estimates) > 500
+    row = stats_csv_row("noisy", compute_stats(estimates, reference))
+    assert stats.read_bytes() == f"{STATS_CSV_HEADER}\n{row}\n".encode()
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_eval_partial_overlap_warns_and_uses_the_matched_rows(
+    tmp_path, capsys, default_noise_run
+):
+    fused, truth = default_noise_run
+    fused_times = {float(line.split(",")[0]) for line in fused.read_text().splitlines()[1:]}
+    lines = truth_lines(truth)
+    # Drop every third truth row that a fused record would match.
+    matched = [k for k, line in enumerate(lines) if float(line.split(",")[0]) in fused_times]
+    dropped = set(matched[::3])
+    partial = tmp_path / "partial.csv"
+    write_truth_lines(partial, [line for k, line in enumerate(lines) if k not in dropped])
+
+    code, stats = run_eval(tmp_path, fused, ["--truth", str(partial)])
+    assert code == 0
+    estimates, reference, skipped = record_join(fused, partial)
+    assert skipped == len(dropped) > 0
+    err = capsys.readouterr().err
+    assert err == f"warning: {skipped} fused records without matching truth timestamp\n"
+    row = stats_csv_row("run", compute_stats(estimates, reference))
+    assert stats.read_text().splitlines() == [STATS_CSV_HEADER, row]
+    assert int(row.split(",")[8]) == len(matched) - len(dropped)
+
+
+def shifted_poi(line, dx):
+    fields = line.split(",")
+    fields[7] = f"{float(fields[7]) + dx:.9f}"
+    return ",".join(fields)
+
+
+def test_eval_keeps_the_last_row_of_a_repeated_truth_timestamp(
+    tmp_path, capsys, default_noise_run
+):
+    fused, truth = default_noise_run
+    lines = truth_lines(truth)
+    # A moved POI before each seventh row: ignored, as the last row wins. The
+    # fused records match every fifth row, so a first-row rule would move the
+    # POI of one in seven of them.
+    first_wins_would_move = []
+    for k, line in enumerate(lines):
+        if k % 7 == 0:
+            first_wins_would_move.append(shifted_poi(line, 0.5))
+        first_wins_would_move.append(line)
+    repeated = tmp_path / "repeated.csv"
+    write_truth_lines(repeated, first_wins_would_move)
+    code, stats = run_eval(tmp_path, fused, ["--truth", str(repeated)])
+    assert code == 0
+    estimates, reference, skipped = record_join(fused, repeated)
+    row = stats_csv_row("run", compute_stats(estimates, reference))
+    assert stats.read_text().splitlines() == [STATS_CSV_HEADER, row]
+    assert run_eval(tmp_path, fused, ["--truth", str(truth)])[0] == 0
+    assert stats.read_text().splitlines() == [STATS_CSV_HEADER, row]
+
+    # The moved POI after each seventh row wins, so the reference varies.
+    last_wins_moves = []
+    for k, line in enumerate(lines):
+        last_wins_moves.append(line)
+        if k % 7 == 0:
+            last_wins_moves.append(shifted_poi(line, 0.5))
+    write_truth_lines(repeated, last_wins_moves)
+    capsys.readouterr()
+    assert run_eval(tmp_path, fused, ["--truth", str(repeated)])[0] == 2
+    assert "truth POI varies over the joined rows" in capsys.readouterr().err
+
+
+def test_eval_against_a_fixed_reference_matches_the_records(tmp_path, default_noise_run):
+    fused, _ = default_noise_run
+    code, stats = run_eval(tmp_path, fused, ["--ref", "0.1,-0.2,0.05"], label="ref")
+    assert code == 0
+    estimates = [record.poi_nav for record in read_fused_csv(fused)]
+    row = stats_csv_row("ref", compute_stats(estimates, np.array([0.1, -0.2, 0.05])))
+    assert stats.read_text().splitlines() == [STATS_CSV_HEADER, row]
+
+
+@pytest.mark.parametrize("reference_flag", ["--truth", "--ref"])
+def test_eval_of_an_empty_fused_csv_is_a_data_error(
+    tmp_path, capsys, default_noise_run, reference_flag
+):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(FUSED_CSV_HEADER + "\n")
+    reference = str(default_noise_run[1]) if reference_flag == "--truth" else "0,0,0"
+    code, stats = run_eval(tmp_path, empty, [reference_flag, reference])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {empty}: no fused records\n"
     assert not stats.exists()

@@ -68,6 +68,28 @@ def test_rts_observation_validation(kwargs):
         RtsObservation(**fields)
 
 
+RTS_FIELDS = ("timestamp", "slant_distance", "horizontal_angle", "zenith_angle")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", RTS_FIELDS)
+def test_rts_observation_rejects_each_non_finite_field(field, value):
+    fields = dict(zip(RTS_FIELDS, (0.0, 5.0, 0.2, 1.5)), **{field: value})
+    with pytest.raises(ValueError, match="^RTS observation has non-finite fields: "):
+        RtsObservation(**fields)
+
+
+def test_rts_observation_accepts_finite_fields_whose_sum_overflows():
+    obs = RtsObservation(1e308, 1e308, 0.2, 1.5)
+    assert math.isinf(obs.timestamp + obs.slant_distance)
+
+
+@pytest.mark.parametrize("point", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0], [2.0], [3.0]]])
+def test_apply_rejects_a_point_that_is_not_a_3_vector(point):
+    with pytest.raises(ValueError, match="point must be a 3-vector"):
+        apply_helmert(HelmertParams.identity(), point)
+
+
 def test_apply_identity_is_a_no_op():
     p = np.array([1.2, -3.4, 5.6])
     assert_allclose(apply_helmert(HelmertParams.identity(), p), p, atol=0.0)

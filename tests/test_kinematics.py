@@ -108,6 +108,20 @@ def test_poi_position_zero_offset_returns_prism():
         assert_allclose(poi_position(prism, att, arms), prism, atol=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", range(3))
+def test_poi_position_rejects_a_prism_that_is_not_finite(axis, value):
+    prism = [1.0, 2.0, 3.0]
+    prism[axis] = value
+    with pytest.raises(ValueError, match="^prism_nav must be finite"):
+        poi_position(prism, Attitude(), LeverArms())
+
+
+def test_poi_position_accepts_a_finite_prism_whose_sum_overflows():
+    poi = poi_position([1e308, 1e308, 0.0], Attitude(roll=0.1), LeverArms())
+    assert np.all(np.isfinite(poi))
+
+
 def test_lever_length_is_invariant_under_rotation():
     arms = LeverArms()
     length = np.linalg.norm(prism_to_poi_body(arms))

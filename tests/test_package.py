@@ -1,14 +1,18 @@
 """The package namespace: built from the library modules' ``__all__`` lists."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import tiltcomp
+import tiltcomp.cli
 from tiltcomp import attitude, codec, evaluate, geodesy, kinematics, pipeline, sim
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 MODULES = (attitude, codec, evaluate, geodesy, kinematics, pipeline, sim)
 
 
@@ -53,3 +57,31 @@ def test_every_open_call_names_its_encoding():
     assert calls
     assert [where for where, has_encoding in calls if not has_encoding] == []
     assert [where for where, _ in calls if not where.startswith("codec.py:")] == []
+
+
+def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
+    """bench/run.py traces layers by wrapping the names their callers look up
+    (``cli.read_fused_csv``, ``pipeline.poi_position``, ...); a refactor that
+    drops one would crash traced benchmark runs. Imported read-only."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    loaded = set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        for name in {"gauge", "spans"} - loaded:
+            sys.modules.pop(name, None)
+
+    wrapped = []
+
+    class LookupTracer:
+        def wrap(self, owner, attr, name, on_return=None):
+            getattr(owner, attr)
+            wrapped.append(name)
+
+    library = SimpleNamespace(cli=tiltcomp.cli, pipeline=pipeline)
+    run.install_tracer(library, LookupTracer(), run.new_counters())
+    spans = {span for names in run.SPAN_TOTALS.values() for span in names}
+    assert spans | set(run.SPAN_SELF.values()) <= set(wrapped)

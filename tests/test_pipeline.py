@@ -23,6 +23,8 @@ from tiltcomp import (
     generate_scenario,
     poi_position,
     polar_to_cartesian,
+    prism_to_poi_body,
+    rotation_b_to_n,
     set_yaw,
     wrap_angle,
 )
@@ -468,3 +470,81 @@ def test_any_causal_interleaving_gives_the_replay_records(data):
 
     assert len(records) == len(expected)
     assert all(same_records(a, b) for a, b in zip(records, expected))
+
+
+def finite(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+def float_bits(array):
+    return [v.hex() for v in np.asarray(array, dtype=float).tolist()]
+
+
+def drain_one(config, obs, roll, pitch, yaw):
+    """The record drain makes for ``obs`` once a single IMU sample has seeded the
+    filter near (roll, pitch) from its gravity reading, with ``yaw`` held."""
+    pipe = Pipeline(config)
+    pipe.set_yaw(yaw)
+    gravity = G * np.array(
+        [-math.sin(pitch), math.cos(pitch) * math.sin(roll), math.cos(pitch) * math.cos(roll)]
+    )
+    pipe.push_imu(ImuSample(0.0, gravity, np.zeros(3)))
+    pipe.push_rts(obs)
+    return pipe.drain()
+
+
+ONE_SAMPLE = FilterConfig(bias_calibration_count=1)
+TRIPLE = st.tuples(finite(-2.0, 2.0), finite(-2.0, 2.0), finite(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    distance=finite(0.01, 5000.0),
+    hz=finite(-2 * math.pi, 2 * math.pi),
+    zenith=finite(1e-6, math.pi - 1e-6),
+    roll=finite(-math.pi, math.pi),
+    pitch=finite(-math.pi / 2, math.pi / 2),
+    yaw=finite(-math.pi, math.pi),
+    frame=st.tuples(finite(-math.pi, math.pi), finite(-1.5, 1.5), finite(-math.pi, math.pi)),
+    scale=finite(0.5, 2.0),
+    translation=st.tuples(finite(-1e5, 1e5), finite(-1e5, 1e5), finite(-1e5, 1e5)),
+    imu_to_prism=TRIPLE,
+    imu_to_poi=TRIPLE,
+)
+def test_drain_places_an_observation_as_the_public_functions_do(
+    distance, hz, zenith, roll, pitch, yaw, frame, scale, translation, imu_to_prism, imu_to_poi
+):
+    """drain's float kernel gives the prism and POI of polar_to_cartesian,
+    apply_helmert and poi_position bit for bit, and those of the numpy
+    formulas ``s * R @ p + t`` and ``prism + R_b2n @ lever``."""
+    helmert = HelmertParams(scale, rotation_b_to_n(Attitude(*frame)), np.array(translation))
+    arms = LeverArms(np.array(imu_to_prism), np.array(imu_to_poi))
+    config = PipelineConfig(filter_config=ONE_SAMPLE, lever_arms=arms, helmert=helmert)
+    obs = RtsObservation(1.0, distance, hz, zenith)
+    [record] = drain_one(config, obs, roll, pitch, yaw)
+
+    prism = apply_helmert(helmert, polar_to_cartesian(obs))
+    assert float_bits(record.prism_nav) == float_bits(prism)
+    assert float_bits(record.poi_nav) == float_bits(
+        poi_position(prism, record.attitude_used, arms)
+    )
+    p = polar_to_cartesian(obs)
+    mapped = helmert.scale * (helmert.rotation @ p) + helmert.translation
+    assert float_bits(prism) == float_bits(mapped)
+    lever = rotation_b_to_n(record.attitude_used) @ prism_to_poi_body(arms)
+    assert float_bits(record.poi_nav) == float_bits(prism + lever)
+
+
+def test_drain_rejects_a_prism_that_is_not_finite():
+    config = PipelineConfig(filter_config=ONE_SAMPLE, helmert=HelmertParams(scale=1e10))
+    with pytest.raises(ValueError, match="prism_nav must be finite"):
+        drain_one(config, RtsObservation(1.0, 1e300, 0.3, 1.5), 0.1, 0.2, 0.0)
+
+
+def test_drain_accepts_a_finite_prism_whose_coordinate_sum_overflows():
+    # x and y near 1e308 each: their sum is inf, every coordinate is finite.
+    obs = RtsObservation(1.0, 1.4e308, math.pi / 4, math.pi / 2)
+    assert math.isinf(sum(polar_to_cartesian(obs).tolist()))
+    [record] = drain_one(PipelineConfig(filter_config=ONE_SAMPLE), obs, 0.1, 0.2, 0.0)
+    assert np.all(np.isfinite(record.prism_nav)) and np.all(np.isfinite(record.poi_nav))
+    assert float_bits(record.prism_nav) == float_bits(polar_to_cartesian(obs))
