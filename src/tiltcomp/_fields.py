@@ -1,0 +1,54 @@
+"""Config field rules, each declared with the field's default, and the one
+checker that enforces them all from ``__post_init__``. Imports nothing from
+the package, so every module can use it."""
+
+import math
+from dataclasses import field, fields
+
+import numpy as np
+
+
+def _vec3(value, name: str) -> np.ndarray:
+    """``value`` as a finite (3,) float array; ValueError naming ``name`` otherwise."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite, got {v}")
+    return v
+
+
+def _ranged(default, lo: float, hi: float, *, above: bool = False):
+    """A field whose value must be finite and in ``[lo, hi]``, or ``(lo, hi]``
+    with ``above``; an int default also requires an int."""
+    return field(default=default, metadata={"range": (lo, hi, above, type(default) is int)})
+
+
+def _vector(x: float, y: float, z: float):
+    """A field holding a finite 3-vector, stored as a (3,) float array."""
+    return field(default_factory=lambda: np.array([x, y, z], float), metadata={"vector": True})
+
+
+def _rule(lo: float, hi: float, above: bool) -> str:
+    """The words of a range fault's message, e.g. ``finite and >= 0``."""
+    if hi < math.inf:
+        return f"in {'(' if above else '['}{lo:g}, {hi:g}]"
+    if lo == -math.inf:
+        return "finite"
+    return "positive" if above and lo == 0 else f"finite and {'>' if above else '>='} {lo:g}"
+
+
+def _check_fields(obj) -> None:
+    """Enforce each declared rule of dataclass ``obj``; store its vectors as float arrays."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "vector" in f.metadata:
+            object.__setattr__(obj, f.name, _vec3(value, f.name))
+        elif "range" in f.metadata:
+            lo, hi, above, integral = f.metadata["range"]
+            if integral and not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            # Ints are finite, and math.isfinite overflows on a huge one.
+            in_range = (lo < value if above else lo <= value) and value <= hi
+            if not (in_range and (integral or math.isfinite(value))):
+                raise ValueError(f"{f.name} must be {_rule(lo, hi, above)}, got {value}")

@@ -32,6 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import _check_fields, _ranged
+
 __all__ = [
     "Attitude",
     "ImuSample",
@@ -92,7 +94,7 @@ class ImuSample:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Filter tuning constants.
+    """Filter tuning constants; each field's range is declared with its default.
 
     alpha_base: steady-state gyro weight, in [0, 1].
     delta_a_threshold: accel-norm deviation [m/s^2] at which alpha saturates at 1.
@@ -100,22 +102,13 @@ class FilterConfig:
     bias_calibration_count: idle samples averaged for the gyro bias estimate.
     """
 
-    alpha_base: float = 0.9
-    delta_a_threshold: float = 1.0
-    gravity: float = 9.80665
-    bias_calibration_count: int = 1000
+    alpha_base: float = _ranged(0.9, 0.0, 1.0)
+    delta_a_threshold: float = _ranged(1.0, 0.0, math.inf, above=True)
+    gravity: float = _ranged(9.80665, 0.0, math.inf, above=True)
+    bias_calibration_count: int = _ranged(1000, 1, math.inf)
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha_base <= 1.0:
-            raise ValueError(f"alpha_base must be in [0, 1], got {self.alpha_base}")
-        for name in ("delta_a_threshold", "gravity"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.bias_calibration_count < 1:
-            raise ValueError(
-                f"bias_calibration_count must be >= 1, got {self.bias_calibration_count}"
-            )
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -264,11 +257,16 @@ def calibrate_bias(samples: Sequence[ImuSample], min_count: int = 1000) -> np.nd
     return gyros.mean(axis=0)
 
 
-def set_yaw(state: FilterState, yaw: float) -> FilterState:
-    """Replace the yaw estimate (wrapped to (-pi, pi]); roll/pitch untouched."""
+def _wrapped_yaw(yaw: float) -> float:
+    """A heading set from outside, wrapped to (-pi, pi]; ValueError unless finite."""
     if not math.isfinite(yaw):
         raise ValueError(f"yaw must be finite, got {yaw}")
+    return wrap_angle(yaw)
+
+
+def set_yaw(state: FilterState, yaw: float) -> FilterState:
+    """Replace the yaw estimate (wrapped to (-pi, pi]); roll/pitch untouched."""
     att = state.attitude
     return replace(
-        state, attitude=Attitude(roll=att.roll, pitch=att.pitch, yaw=wrap_angle(yaw))
+        state, attitude=Attitude(roll=att.roll, pitch=att.pitch, yaw=_wrapped_yaw(yaw))
     )

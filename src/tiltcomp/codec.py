@@ -293,8 +293,8 @@ def read_fused_csv(path) -> list[FusedRecord]:
 
 
 def _truth_row(sample: GroundTruthSample) -> str:
-    px, py, pz = sample.prism_nav
-    qx, qy, qz = sample.poi_nav
+    px, py, pz = sample.prism_nav.tolist()
+    qx, qy, qz = sample.poi_nav.tolist()
     att = sample.attitude
     return _TRUTH.template % (
         sample.timestamp, math.degrees(att.roll), math.degrees(att.pitch),

@@ -11,10 +11,13 @@ which satisfies rmse3d^2 = sum over axes of (mean^2 + (n-1)/n * std^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from ._fields import _vec3
 
 __all__ = [
     "ErrorStats",
@@ -50,22 +53,24 @@ def compute_stats(estimates: Sequence, reference) -> ErrorStats:
 
     ``estimates`` is a sequence of navigation-frame 3-vectors in meters;
     ``reference`` the true position in meters. Raises ValueError on empty
-    input.
+    input, or unless the estimates and the reference are finite 3-vectors.
     """
     points = np.atleast_2d(np.asarray(estimates, dtype=float))
     if points.size == 0:
         raise ValueError("cannot compute statistics of an empty estimate series")
     if points.shape[1] != 3:
         raise ValueError(f"estimates must be 3-vectors, got shape {points.shape}")
-    ref = np.asarray(reference, dtype=float)
-    if ref.shape != (3,):
-        raise ValueError(f"reference must be a 3-vector, got shape {ref.shape}")
+    ref = _vec3(reference, "reference")
 
     residuals_mm = (points - ref) * 1000.0
+    rmse3d = float(np.sqrt(np.mean(np.sum(residuals_mm**2, axis=1))))
+    # A finite RMSE implies finite estimates; only a non-finite one (which
+    # finite estimates can reach by overflow) needs the elementwise test.
+    if not math.isfinite(rmse3d) and not np.all(np.isfinite(points)):
+        raise ValueError("estimates must be finite")
     n = residuals_mm.shape[0]
     mean = residuals_mm.mean(axis=0)
     std = residuals_mm.std(axis=0, ddof=1) if n > 1 else np.zeros(3)
-    rmse3d = float(np.sqrt(np.mean(np.sum(residuals_mm**2, axis=1))))
     return ErrorStats(mean_mm=mean, std_mm=std, rmse3d_mm=rmse3d, n=n)
 
 

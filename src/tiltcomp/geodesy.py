@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import _check_fields, _ranged, _vec3, _vector
+
 __all__ = [
     "RtsObservation",
     "HelmertParams",
@@ -51,33 +53,25 @@ class RtsObservation:
             )
 
 
-def _identity_rotation() -> np.ndarray:
-    return np.eye(3)
-
-
 @dataclass(frozen=True)
 class HelmertParams:
-    """Similarity transform nav = scale * rotation @ point + translation."""
+    """Similarity transform nav = scale * rotation @ point + translation; the
+    rotation must be a finite, orthonormal 3x3 matrix with det +1."""
 
-    scale: float = 1.0
-    rotation: np.ndarray = field(default_factory=_identity_rotation)
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    scale: float = _ranged(1.0, 0.0, math.inf, above=True)
+    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
+    translation: np.ndarray = _vector(0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        _check_fields(self)
         rot = np.asarray(self.rotation, dtype=float)
-        trans = np.asarray(self.translation, dtype=float)
         if rot.shape != (3, 3) or not np.all(np.isfinite(rot)):
             raise ValueError("rotation must be a finite 3x3 matrix")
-        if trans.shape != (3,) or not np.all(np.isfinite(trans)):
-            raise ValueError("translation must be a finite 3-vector")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
         if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-8):
             raise ValueError("rotation must be orthonormal")
         if np.linalg.det(rot) < 0.0:
             raise ValueError("rotation must be proper (det +1), got a reflection")
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", trans)
 
     @classmethod
     def identity(cls) -> "HelmertParams":
@@ -112,11 +106,11 @@ def polar_to_cartesian(obs: RtsObservation) -> np.ndarray:
 
 
 def apply_helmert(params: HelmertParams, point) -> np.ndarray:
-    """Map a point through the similarity transform: s * R @ p + t."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"point must be a 3-vector, got shape {p.shape}")
-    return np.array(_helmert(params, *p.tolist()))
+    """Map a point through the similarity transform: s * R @ p + t.
+
+    Raises ValueError unless ``point`` is a finite 3-vector.
+    """
+    return np.array(_helmert(params, *_vec3(point, "point").tolist()))
 
 
 def fit_helmert(pairs: Sequence[tuple]) -> HelmertParams:
@@ -127,17 +121,13 @@ def fit_helmert(pairs: Sequence[tuple]) -> HelmertParams:
     the ratio of RMS spreads, then solve the translation from the centroids.
     Needs at least three pairs in general position.
 
-    Raises ValueError for fewer than three pairs or a degenerate (collinear)
-    source configuration.
+    Raises ValueError for fewer than three pairs, a point that is not a finite
+    3-vector, or a degenerate (collinear) source configuration.
     """
     if len(pairs) < 3:
         raise ValueError(f"Helmert fit needs at least 3 point pairs, got {len(pairs)}")
-    src = np.array([np.asarray(s, dtype=float) for s, _ in pairs])
-    dst = np.array([np.asarray(t, dtype=float) for _, t in pairs])
-    if src.shape[1:] != (3,) or dst.shape[1:] != (3,):
-        raise ValueError("point pairs must be 3-vectors")
-    if not (np.all(np.isfinite(src)) and np.all(np.isfinite(dst))):
-        raise ValueError("point pairs must be finite")
+    src = np.array([_vec3(s, "source point") for s, _ in pairs])
+    dst = np.array([_vec3(t, "target point") for _, t in pairs])
 
     src_centroid = src.mean(axis=0)
     dst_centroid = dst.mean(axis=0)

@@ -16,10 +16,11 @@ which is consistent with the accelerometer convention in :mod:`tiltcomp.attitude
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import _check_fields, _vec3, _vector
 from .attitude import Attitude
 
 __all__ = [
@@ -30,15 +31,6 @@ __all__ = [
 ]
 
 
-def _vec3(value, name: str) -> np.ndarray:
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite, got {v}")
-    return v
-
-
 @dataclass(frozen=True)
 class LeverArms:
     """Body-frame offsets from the IMU center to the prism and to the POI.
@@ -47,20 +39,11 @@ class LeverArms:
     prism mounted 75.6 mm above the IMU, POI (rod tip) 992.0 mm below it.
     """
 
-    imu_to_prism_b: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 0.0, 0.0756])
-    )
-    imu_to_poi_b: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 0.0, -0.9920])
-    )
+    imu_to_prism_b: np.ndarray = _vector(0.0, 0.0, 0.0756)
+    imu_to_poi_b: np.ndarray = _vector(0.0, 0.0, -0.9920)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "imu_to_prism_b", _vec3(self.imu_to_prism_b, "imu_to_prism_b")
-        )
-        object.__setattr__(
-            self, "imu_to_poi_b", _vec3(self.imu_to_poi_b, "imu_to_poi_b")
-        )
+        _check_fields(self)
 
 
 def _zyx_rows(cr, sr, cp, sp, cy, sy):
@@ -118,7 +101,8 @@ def poi_position(prism_nav, att: Attitude, arms: LeverArms) -> np.ndarray:
     """Tilt-compensated POI position in the navigation frame.
 
     Adds the attitude-rotated prism->POI lever arm to the prism position:
-    ``poi = prism + R_b2n(att) @ (imu_to_poi_b - imu_to_prism_b)``.
+    ``poi = prism + R_b2n(att) @ (imu_to_poi_b - imu_to_prism_b)``. Raises
+    ValueError unless ``prism_nav`` is a finite 3-vector.
     """
     prism = _vec3(prism_nav, "prism_nav").tolist()
     return np.array(_poi(*prism, att.roll, att.pitch, att.yaw, prism_to_poi_body(arms)))

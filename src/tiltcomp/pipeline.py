@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import _check_fields, _ranged
 # filter_step and set_yaw are unused here but stay importable: bench/run.py
 # traces the attitude layer as pipeline.filter_step and pipeline.set_yaw.
 from .attitude import (  # noqa: F401
@@ -38,10 +39,10 @@ from .attitude import (  # noqa: F401
     ImuSample,
     _check_sample,
     _step,
+    _wrapped_yaw,
     calibrate_bias,
     filter_step,
     set_yaw,
-    wrap_angle,
 )
 # apply_helmert, polar_to_cartesian and poi_position run the same placement
 # kernel as drain; they stay importable for bench/run.py's tracer.
@@ -78,8 +79,9 @@ class FusedRecord:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Fusion settings.
+    """Fusion settings; each numeric field's range is declared with its default.
 
+    rts_buffer_capacity: observations buffered before the oldest is dropped.
     pairing_tolerance_s: how far past an observation's (latency-corrected)
         timestamp an attitude estimate may lie and still be paired with it.
         The default zero is the strict rule: the attitude at or before the
@@ -98,22 +100,13 @@ class PipelineConfig:
     filter_config: FilterConfig = field(default_factory=FilterConfig)
     lever_arms: LeverArms = field(default_factory=LeverArms)
     helmert: HelmertParams = field(default_factory=HelmertParams)
-    rts_buffer_capacity: int = 32
-    pairing_tolerance_s: float = 0.0
-    rts_latency_s: float = 0.0
+    rts_buffer_capacity: int = _ranged(32, 1, math.inf)
+    pairing_tolerance_s: float = _ranged(0.0, 0.0, math.inf)
+    rts_latency_s: float = _ranged(0.0, 0.0, math.inf)
     hold_yaw: bool = True
 
     def __post_init__(self):
-        if self.rts_buffer_capacity < 1:
-            raise ValueError(
-                f"rts_buffer_capacity must be >= 1, got {self.rts_buffer_capacity}"
-            )
-        if not (math.isfinite(self.pairing_tolerance_s) and self.pairing_tolerance_s >= 0.0):
-            raise ValueError(
-                f"pairing_tolerance_s must be >= 0, got {self.pairing_tolerance_s}"
-            )
-        if not (math.isfinite(self.rts_latency_s) and self.rts_latency_s >= 0.0):
-            raise ValueError(f"rts_latency_s must be >= 0, got {self.rts_latency_s}")
+        _check_fields(self)
 
 
 class Pipeline:
@@ -210,9 +203,7 @@ class Pipeline:
 
     def set_yaw(self, yaw: float) -> None:
         """Reset the heading used for lever-arm rotation (and the held value)."""
-        if not math.isfinite(yaw):
-            raise ValueError(f"yaw must be finite, got {yaw}")
-        self._yaw = wrap_angle(yaw)
+        self._yaw = _wrapped_yaw(yaw)
 
     def drain(self) -> list[FusedRecord]:
         """Pair and emit all buffered observations that have an eligible attitude.

@@ -31,9 +31,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._fields import _check_fields, _ranged, _vector
 from .attitude import Attitude, ImuSample
 from .geodesy import RtsObservation
-from .kinematics import LeverArms, _vec3, _zyx_rows, prism_to_poi_body
+from .kinematics import LeverArms, _zyx_rows, prism_to_poi_body
 
 __all__ = [
     "NoiseSpec",
@@ -48,7 +49,7 @@ _DIFF_STEP = 1e-4
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Sensor error magnitudes; all zero disables the RNG's influence entirely.
+    """Sensor error magnitudes, each >= 0; all zero disables the RNG's influence entirely.
 
     gyro_noise_density_deg: gyro white noise density, deg/(s*sqrt(Hz)); the
         per-sample sigma is density * sqrt(imu_rate).
@@ -59,17 +60,14 @@ class NoiseSpec:
         noise per observation.
     """
 
-    gyro_noise_density_deg: float = 0.0005
-    gyro_bias_deg_per_h: float = 0.3
-    accel_sigma: float = 0.01
-    rts_range_sigma_m: float = 0.001
-    rts_angle_sigma_rad: float = 5e-6
+    gyro_noise_density_deg: float = _ranged(0.0005, 0.0, math.inf)
+    gyro_bias_deg_per_h: float = _ranged(0.3, 0.0, math.inf)
+    accel_sigma: float = _ranged(0.01, 0.0, math.inf)
+    rts_range_sigma_m: float = _ranged(0.001, 0.0, math.inf)
+    rts_angle_sigma_rad: float = _ranged(5e-6, 0.0, math.inf)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
+        _check_fields(self)
 
     @classmethod
     def zero(cls) -> "NoiseSpec":
@@ -78,76 +76,49 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Scenario description.
+    """Scenario description; each numeric field's range is declared with its default.
 
     Tilt profiles: each of roll and pitch follows
     amplitude * (sin(2*pi*f*tau + phase) - sin(phase)) for tau = t - idle
     seconds after motion starts (the offset keeps the angle continuous at the
-    boundary), and is exactly zero during the idle segment. Yaw ramps at
-    yaw_rate_deg_s from yaw_deg once motion starts. idle_duration_s must
-    cover the consumer's bias calibration (1000 samples at 100 Hz needs 10 s).
+    boundary), and is exactly zero during the idle segment; pitch must peak
+    below 90 degrees. Yaw ramps at yaw_rate_deg_s from yaw_deg once motion
+    starts. idle_duration_s, shorter than duration_s, must cover the
+    consumer's bias calibration (1000 samples at 100 Hz needs 10 s).
     """
 
-    duration_s: float = 60.0
-    imu_rate_hz: float = 100.0
-    rts_rate_hz: float = 5.0
-    idle_duration_s: float = 10.0
-    poi_nav: np.ndarray = field(default_factory=lambda: np.array([5.0, 0.0, 0.0]))
-    rts_station: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    duration_s: float = _ranged(60.0, 0.0, math.inf, above=True)
+    imu_rate_hz: float = _ranged(100.0, 0.0, math.inf, above=True)
+    rts_rate_hz: float = _ranged(5.0, 0.0, math.inf, above=True)
+    idle_duration_s: float = _ranged(10.0, 0.0, math.inf)
+    poi_nav: np.ndarray = _vector(5.0, 0.0, 0.0)
+    rts_station: np.ndarray = _vector(0.0, 0.0, 0.0)
     lever_arms: LeverArms = field(default_factory=LeverArms)
-    roll_amplitude_deg: float = 60.0
-    roll_frequency_hz: float = 0.010
-    roll_phase_rad: float = 0.0
-    pitch_amplitude_deg: float = 60.0
-    pitch_frequency_hz: float = 0.008
-    pitch_phase_rad: float = 0.0
-    yaw_deg: float = 0.0
-    yaw_rate_deg_s: float = 0.0
-    gravity: float = 9.80665
+    roll_amplitude_deg: float = _ranged(60.0, 0.0, 60.0)
+    roll_frequency_hz: float = _ranged(0.010, 0.0, math.inf)
+    roll_phase_rad: float = _ranged(0.0, -math.inf, math.inf)
+    pitch_amplitude_deg: float = _ranged(60.0, 0.0, 60.0)
+    pitch_frequency_hz: float = _ranged(0.008, 0.0, math.inf)
+    pitch_phase_rad: float = _ranged(0.0, -math.inf, math.inf)
+    yaw_deg: float = _ranged(0.0, -math.inf, math.inf)
+    yaw_rate_deg_s: float = _ranged(0.0, -math.inf, math.inf)
+    gravity: float = _ranged(9.80665, 0.0, math.inf, above=True)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    seed: int = 0
+    seed: int = _ranged(0, 0, math.inf)
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        for name in ("imu_rate_hz", "rts_rate_hz", "gravity"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive, got {value}")
-        if not (math.isfinite(self.idle_duration_s) and self.idle_duration_s >= 0.0):
-            raise ValueError(f"idle_duration_s must be >= 0, got {self.idle_duration_s}")
+        _check_fields(self)
         if self.duration_s <= self.idle_duration_s:
             raise ValueError(
                 f"duration_s ({self.duration_s}) must exceed idle_duration_s "
                 f"({self.idle_duration_s})"
             )
-        for name in ("roll_amplitude_deg", "pitch_amplitude_deg"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and 0.0 <= value <= 60.0):
-                raise ValueError(f"{name} must lie in [0, 60] degrees, got {value}")
-        for name in (
-            "roll_frequency_hz",
-            "pitch_frequency_hz",
-            "roll_phase_rad",
-            "pitch_phase_rad",
-            "yaw_deg",
-            "yaw_rate_deg_s",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.roll_frequency_hz < 0.0 or self.pitch_frequency_hz < 0.0:
-            raise ValueError("tilt frequencies must be >= 0")
         # The phase offset shift can push the excursion past the amplitude.
         pitch_peak = self.pitch_amplitude_deg * (1.0 + abs(math.sin(self.pitch_phase_rad)))
         if pitch_peak >= 90.0:
             raise ValueError(
                 f"pitch profile peaks at {pitch_peak:.1f} degrees; must stay below 90"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "poi_nav", _vec3(self.poi_nav, "poi_nav"))
-        object.__setattr__(self, "rts_station", _vec3(self.rts_station, "rts_station"))
 
 
 @dataclass(frozen=True)

@@ -583,6 +583,24 @@ def test_eval_fixed_reference_zero_error(tmp_path, capsys):
     assert "0.000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ref", ["nan,0,0", "0,1e999,0", "0,0,-inf"])
+def test_eval_rejects_a_reference_that_is_not_finite(tmp_path, capsys, ref):
+    record = FusedRecord(
+        timestamp=0.0,
+        prism_nav=np.zeros(3),
+        poi_nav=np.zeros(3),
+        attitude_used=Attitude(),
+        alpha_used=0.9,
+        imu_timestamp_used=0.0,
+    )
+    fused = tmp_path / "fused.csv"
+    write_fused_csv([record], fused)
+    stats_path = tmp_path / "stats.csv"
+    assert main(["eval", "--fused", str(fused), "--ref", ref, "--out", str(stats_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: reference must be finite, got ")
+    assert not stats_path.exists()
+
+
 def test_eval_rejects_non_overlapping_truth(tmp_path, capsys):
     records = [
         FusedRecord(

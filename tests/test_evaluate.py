@@ -104,6 +104,21 @@ def test_compute_stats_input_validation():
         compute_stats([np.zeros(3)], np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_compute_stats_rejects_a_value_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match="^estimates must be finite$"):
+        compute_stats([np.zeros(3), [0.0, bad, 0.0]], np.zeros(3))
+    with pytest.raises(ValueError, match="^reference must be finite, got "):
+        compute_stats([np.zeros(3)], [0.0, 0.0, bad])
+
+
+def test_compute_stats_accepts_finite_estimates_whose_rmse_overflows():
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        stats = compute_stats([[1e200, 0.0, 0.0]], np.zeros(3))
+    assert math.isinf(stats.rmse3d_mm)
+    assert stats.mean_mm[0] == 1e203
+
+
 def test_error_stats_validation():
     with pytest.raises(ValueError):
         ErrorStats(np.zeros(3), np.zeros(3), rmse3d_mm=1.0, n=0)

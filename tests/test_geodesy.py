@@ -90,6 +90,12 @@ def test_apply_rejects_a_point_that_is_not_a_3_vector(point):
         apply_helmert(HelmertParams.identity(), point)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_apply_rejects_a_point_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match="^point must be finite, got "):
+        apply_helmert(HelmertParams.identity(), [1.0, bad, 3.0])
+
+
 def test_apply_identity_is_a_no_op():
     p = np.array([1.2, -3.4, 5.6])
     assert_allclose(apply_helmert(HelmertParams.identity(), p), p, atol=0.0)

@@ -1,11 +1,16 @@
 """The package namespace: built from the library modules' ``__all__`` lists."""
 
 import ast
+import dataclasses
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
+import pytest
 
 import tiltcomp
 import tiltcomp.cli
@@ -14,6 +19,14 @@ from tiltcomp import attitude, codec, evaluate, geodesy, kinematics, pipeline, s
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC.parent / "bench"
 MODULES = (attitude, codec, evaluate, geodesy, kinematics, pipeline, sim)
+CONFIG_CLASSES = (
+    tiltcomp.FilterConfig,
+    tiltcomp.PipelineConfig,
+    tiltcomp.NoiseSpec,
+    tiltcomp.ScenarioConfig,
+    tiltcomp.LeverArms,
+    tiltcomp.HelmertParams,
+)
 
 
 def test_package_exports_the_union_of_module_exports():
@@ -85,3 +98,22 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
     run.install_tracer(library, LookupTracer(), run.new_counters())
     spans = {span for names in run.SPAN_TOTALS.values() for span in names}
     assert spans | set(run.SPAN_SELF.values()) <= set(wrapped)
+
+
+def test_every_config_number_and_vector_declares_its_rule():
+    """A number or array field of a config class declares its rule with its
+    default, and the class enforces it, so a new knob cannot skip validation.
+    The Helmert rotation alone is checked by hand, as one 3x3 matrix."""
+    checked = []
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            hand_checked = (cls, f.name) == (tiltcomp.HelmertParams, "rotation")
+            if type(default) not in (float, int, np.ndarray) or hand_checked:
+                continue
+            assert {"range", "vector"} & set(f.metadata), f"{cls.__name__}.{f.name}"
+            bad = math.nan if "range" in f.metadata else [0.0, math.nan, 0.0]
+            with pytest.raises(ValueError, match=f"^{f.name} must be "):
+                cls(**{f.name: bad})
+            checked.append(cls)
+    assert set(checked) == set(CONFIG_CLASSES)

@@ -232,6 +232,16 @@ def test_hold_yaw_pins_heading_while_gyro_spins():
     assert free.latest_attitude[1].yaw == pytest.approx(0.1, rel=1e-9)
 
 
+@pytest.mark.parametrize("yaw", [math.nan, math.inf, -math.inf])
+def test_both_set_yaw_paths_reject_a_heading_that_is_not_finite(yaw):
+    with pytest.raises(ValueError, match=f"^yaw must be finite, got {yaw}$"):
+        set_yaw(FilterState(), yaw)
+    pipe = Pipeline()
+    with pytest.raises(ValueError, match=f"^yaw must be finite, got {yaw}$"):
+        pipe.set_yaw(yaw)
+    assert pipe.latest_attitude is None
+
+
 def test_set_yaw_feeds_through_to_records(replay):
     heading = math.radians(30.0)
     pipe = Pipeline(fast_config())

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from numpy.testing import assert_allclose
 
 from tiltcomp import (
     Attitude,
+    FilterConfig,
+    HelmertParams,
     LeverArms,
     NoiseSpec,
+    PipelineConfig,
     ScenarioConfig,
     generate_scenario,
     poi_position,
@@ -294,11 +299,110 @@ def test_noise_spec_validation(kwargs):
         NoiseSpec(**kwargs)
 
 
-@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NoiseSpec)])
-def test_noise_spec_rejects_each_field_out_of_range(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
-        NoiseSpec(**{name: value})
+TINY = math.ulp(0.0)
+BIG = sys.float_info.max
+CONFIG_CLASSES = (FilterConfig, PipelineConfig, NoiseSpec, ScenarioConfig, LeverArms, HelmertParams)
+
+# Every number field of the config classes: its class and name, the words of
+# its range fault, the values just outside its range, and the values at its
+# bounds (the least value above an open bound) that it accepts.
+RANGED_FIELDS = [
+    (FilterConfig, "alpha_base", "in [0, 1]", (-TINY, math.nextafter(1.0, 2.0)), (0.0, 1.0)),
+    (FilterConfig, "delta_a_threshold", "positive", (0.0,), (TINY,)),
+    (FilterConfig, "gravity", "positive", (0.0,), (TINY,)),
+    (FilterConfig, "bias_calibration_count", "finite and >= 1", (0,), (1,)),
+    (PipelineConfig, "rts_buffer_capacity", "finite and >= 1", (0,), (1,)),
+    (PipelineConfig, "pairing_tolerance_s", "finite and >= 0", (-TINY,), (0.0,)),
+    (PipelineConfig, "rts_latency_s", "finite and >= 0", (-TINY,), (0.0,)),
+    *[
+        (NoiseSpec, f.name, "finite and >= 0", (-1.0, -TINY), (0.0,))
+        for f in dataclasses.fields(NoiseSpec)
+    ],
+    (ScenarioConfig, "duration_s", "positive", (0.0,), (TINY,)),
+    (ScenarioConfig, "imu_rate_hz", "positive", (0.0,), (TINY,)),
+    (ScenarioConfig, "rts_rate_hz", "positive", (0.0,), (TINY,)),
+    (ScenarioConfig, "idle_duration_s", "finite and >= 0", (-TINY,), (0.0,)),
+    (ScenarioConfig, "roll_amplitude_deg", "in [0, 60]", (-TINY, math.nextafter(60.0, 90.0)), (0.0, 60.0)),
+    (ScenarioConfig, "roll_frequency_hz", "finite and >= 0", (-TINY,), (0.0,)),
+    (ScenarioConfig, "roll_phase_rad", "finite", (), (-BIG, BIG)),
+    (ScenarioConfig, "pitch_amplitude_deg", "in [0, 60]", (-TINY, math.nextafter(60.0, 90.0)), (0.0, 60.0)),
+    (ScenarioConfig, "pitch_frequency_hz", "finite and >= 0", (-TINY,), (0.0,)),
+    # Any larger phase would lift the default 60 degree pitch profile to 90.
+    (ScenarioConfig, "pitch_phase_rad", "finite", (), (-math.pi, math.pi)),
+    (ScenarioConfig, "yaw_deg", "finite", (), (-BIG, BIG)),
+    (ScenarioConfig, "yaw_rate_deg_s", "finite", (), (-BIG, BIG)),
+    (ScenarioConfig, "gravity", "positive", (0.0,), (TINY,)),
+    (ScenarioConfig, "seed", "finite and >= 0", (-1,), (0,)),
+    (HelmertParams, "scale", "positive", (0.0,), (TINY,)),
+]
+# A duration at its bound needs an idle segment shorter still.
+CONTEXT = {(ScenarioConfig, "duration_s"): {"idle_duration_s": 0.0}}
+
+
+def _out_of_range_cases():
+    for cls, name, words, outside, bounds in RANGED_FIELDS:
+        integral = isinstance(bounds[0], int)
+        for value in (*outside, math.nan, math.inf, -math.inf, *((2.5,) if integral else ())):
+            rule = "an integer" if integral and not isinstance(value, int) else words
+            # The NoiseSpec ids are the ones this test had when it covered only NoiseSpec.
+            case_id = f"{name}-{value}" if cls is NoiseSpec else f"{cls.__name__}.{name}-{value}"
+            yield pytest.param(cls, name, value, f"{name} must be {rule}, got {value}", id=case_id)
+
+
+def test_the_range_table_lists_every_number_field():
+    numbers = {
+        (cls, f.name)
+        for cls in CONFIG_CLASSES
+        for f in dataclasses.fields(cls)
+        if type(f.default) in (float, int)
+    }
+    assert sorted((cls.__name__, name) for cls, name, *_ in RANGED_FIELDS) == sorted(
+        (cls.__name__, name) for cls, name in numbers
+    )
+
+
+@pytest.mark.parametrize("cls, name, value, message", _out_of_range_cases())
+def test_noise_spec_rejects_each_field_out_of_range(cls, name, value, message):
+    """Every number field of every config class, NoiseSpec's among them:
+    NaN, +-inf and the values just outside the range are rejected, and an int
+    field also rejects a float."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        pytest.param(cls, name, value, id=f"{cls.__name__}.{name}-{value}")
+        for cls, name, _, _, bounds in RANGED_FIELDS
+        for value in bounds
+    ],
+)
+def test_each_config_field_accepts_its_bounds(cls, name, value):
+    config = cls(**CONTEXT.get((cls, name), {}), **{name: value})
+    assert getattr(config, name) == value
+    assert type(getattr(config, name)) is type(value)
+
+
+VECTOR_FIELDS = [
+    (ScenarioConfig, "poi_nav"),
+    (ScenarioConfig, "rts_station"),
+    (LeverArms, "imu_to_prism_b"),
+    (LeverArms, "imu_to_poi_b"),
+    (HelmertParams, "translation"),
+]
+
+
+@pytest.mark.parametrize("cls, name", VECTOR_FIELDS)
+def test_each_config_vector_rejects_a_non_finite_coordinate(cls, name):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            cls(**{name: [0.0, bad, 0.0]})
+    with pytest.raises(ValueError, match=rf"^{name} must be a 3-vector, got shape \(2,\)$"):
+        cls(**{name: [0.0, 0.0]})
+    config = cls(**{name: [BIG, -BIG, 1]})
+    np.testing.assert_array_equal(getattr(config, name), [BIG, -BIG, 1.0])
+    assert getattr(config, name).dtype == float
 
 
 def test_noise_zero_factory():
