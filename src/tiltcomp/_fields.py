@@ -13,7 +13,10 @@ def _vec3(value, name: str) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # A finite sum implies three finite terms; only a non-finite sum (which
+    # finite terms can reach by overflow) needs the term-by-term test.
+    x, y, z = v.tolist()
+    if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):
         raise ValueError(f"{name} must be finite, got {v}")
     return v
 

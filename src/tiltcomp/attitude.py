@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _ranged
+from ._fields import _check_fields, _ranged, _vec3
 
 __all__ = [
     "Attitude",
@@ -92,6 +92,16 @@ class ImuSample:
         object.__setattr__(self, "gyro", gyro)
 
 
+def _imu_sample(timestamp: float, accel: np.ndarray, gyro: np.ndarray) -> ImuSample:
+    """An :class:`ImuSample` of a float and two (3,) float arrays the caller has
+    already checked, built without ``__post_init__``'s conversions."""
+    sample = object.__new__(ImuSample)
+    object.__setattr__(sample, "timestamp", timestamp)
+    object.__setattr__(sample, "accel", accel)
+    object.__setattr__(sample, "gyro", gyro)
+    return sample
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Filter tuning constants; each field's range is declared with its default.
@@ -118,6 +128,7 @@ class FilterState:
     ``last_timestamp`` is None until the first sample seeds the state.
     ``last_alpha`` is diagnostic: the blend weight used on the most recent step
     (0.0 right after seeding, where the accelerometer fully determines the pose).
+    ``gyro_bias`` must be a finite 3-vector; it is stored as a (3,) float array.
     """
 
     attitude: Attitude = Attitude()
@@ -126,7 +137,7 @@ class FilterState:
     last_alpha: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "gyro_bias", np.asarray(self.gyro_bias, dtype=float))
+        object.__setattr__(self, "gyro_bias", _vec3(self.gyro_bias, "gyro_bias"))
 
 
 def _gravity_angles(ax: float, ay: float, az: float) -> tuple[float, float]:
@@ -247,8 +258,11 @@ def filter_step(state: FilterState, sample: ImuSample, cfg: FilterConfig) -> Fil
 def calibrate_bias(samples: Sequence[ImuSample], min_count: int = 1000) -> np.ndarray:
     """Component-wise mean of the gyro readings over an idle segment.
 
-    Raises ValueError when fewer than ``min_count`` samples are supplied.
+    Raises ValueError unless ``min_count`` is an integer >= 1, and when fewer
+    than ``min_count`` samples are supplied.
     """
+    if not isinstance(min_count, int) or min_count < 1:
+        raise ValueError(f"min_count must be an integer >= 1, got {min_count!r}")
     if len(samples) < min_count:
         raise ValueError(
             f"gyro bias calibration needs at least {min_count} samples, got {len(samples)}"

@@ -19,16 +19,17 @@ from typing import Callable
 import numpy as np
 
 from .attitude import FilterConfig
-# read_fused_csv and read_truth_csv are unused here (eval reads columns) but
-# stay importable: bench/run.py traces the CSV reads as cli.read_fused_csv and
-# cli.read_truth_csv.
+# parse_imu_line, parse_rts_line, read_fused_csv and read_truth_csv are unused
+# here (fuse reads the streams and eval the tables in one pass each) but stay
+# importable: bench/run.py traces the reads under these names.
 from .codec import (  # noqa: F401
     FUSED_CSV_HEADER,
     TRUTH_CSV_HEADER,
     FormatError,
     _check_base_id,
     _key_values,
-    _read_records,
+    _read_imu,
+    _read_rts,
     _read_table,
     _read_text,
     _write_lines,
@@ -137,8 +138,8 @@ def cmd_simulate(args) -> int:
 def cmd_fuse(args) -> int:
     if args.can_out:
         _check_base_id(args.can_base_id)
-    imu = _read_records(args.imu, parse_imu_line)
-    rts = _read_records(args.rts, parse_rts_line)
+    imu = _read_imu(args.imu)
+    rts = _read_rts(args.rts)
     if not imu:
         return _data_error(f"{args.imu}: no IMU samples")
 

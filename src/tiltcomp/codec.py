@@ -9,12 +9,16 @@ Text stream lines (formats specific to this toolkit):
 * pairs:  CSV with header :data:`PAIRS_CSV_HEADER` (read only)
 
 Each record line format is declared once: its tag (none for a CSV row), field
-names and decimals. One parser reads every record line, with a fast path (one
-split, one ``float`` per field, one finiteness test) that hands anything else
-to the field-by-field parser; one ``%`` template per format writes it. One
-table reader turns a whole CSV table into an ``(n, k)`` float array, from
-which the fused, truth and pairs readers build their records and ``eval``
-takes its columns. The fused CSV and CAN writers format plain floats.
+names and decimals; one ``%`` template per format writes it. One record reader
+reads every numeric record file (the IMU and RTS streams, the fused, truth and
+pairs tables) whole: one C pass parses all its lines into an ``(n, k)`` float
+array, from which ``fuse`` builds its samples and observations and ``eval``
+takes its columns. A file the pass doubts goes through the line parser
+instead, line by line, which reads it alike or raises the FormatError naming
+the faulty line. The line parser, which also serves the public ``parse_*``
+functions, has a fast path (one split, one ``float`` per field, one
+finiteness test) that hands anything else to the field-by-field parser. The
+fused CSV and CAN writers format plain floats.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2), plus an optional
@@ -38,14 +42,13 @@ from __future__ import annotations
 import io
 import math
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .attitude import Attitude, ImuSample
+from .attitude import Attitude, ImuSample, _imu_sample
 from .geodesy import HelmertParams, RtsObservation
 from .pipeline import FusedRecord
 from .sim import GroundTruthSample
@@ -167,7 +170,17 @@ def _numbers(
 def parse_imu_line(line: str, line_number: int | None = None) -> ImuSample:
     """Parse one IMU stream line; whitespace around commas is tolerated."""
     t, ax, ay, az, gx, gy, gz = _numbers(line, _IMU.tag, _IMU.names, "IMU line", line_number)
-    return ImuSample(t, np.array((ax, ay, az)), np.array((gx, gy, gz)))
+    return _imu_sample(t, np.array((ax, ay, az)), np.array((gx, gy, gz)))
+
+
+def _read_imu(path) -> list[ImuSample]:
+    """Every sample of an IMU stream file, as :func:`parse_imu_line` reads each
+    line; a sample's accel and gyro are rows of the file's one table."""
+
+    def build(table: np.ndarray) -> list[ImuSample]:
+        return list(map(_imu_sample, table[:, 0].tolist(), table[:, 1:4], table[:, 4:7]))
+
+    return _read_records(path, _IMU.tag, len(_IMU.names), build, parse_imu_line)
 
 
 def write_imu_line(sample: ImuSample) -> str:
@@ -176,11 +189,25 @@ def write_imu_line(sample: ImuSample) -> str:
 
 def parse_rts_line(line: str, line_number: int | None = None) -> RtsObservation:
     """Parse one observation line; wire angles are degrees, output radians."""
-    t, distance, hz_deg, v_deg = _numbers(line, _RTS.tag, _RTS.names, "RTS line", line_number)
+    values = _numbers(line, _RTS.tag, _RTS.names, "RTS line", line_number)
     try:
-        return RtsObservation(t, distance, math.radians(hz_deg), math.radians(v_deg))
+        return _observation(*values)
     except ValueError as exc:
         _fail(str(exc), line_number)
+
+
+def _observation(t: float, distance: float, hz_deg: float, v_deg: float) -> RtsObservation:
+    return RtsObservation(t, distance, math.radians(hz_deg), math.radians(v_deg))
+
+
+def _read_rts(path) -> list[RtsObservation]:
+    """Every observation of an RTS stream file, as :func:`parse_rts_line` reads
+    each line."""
+
+    def build(table: np.ndarray) -> list[RtsObservation]:
+        return [_observation(*row) for row in table.tolist()]
+
+    return _read_records(path, _RTS.tag, len(_RTS.names), build, parse_rts_line)
 
 
 def write_rts_line(obs: RtsObservation) -> str:
@@ -200,34 +227,62 @@ def write_csv_record(record: FusedRecord) -> str:
     )
 
 
-@contextmanager
-def _open_utf8(path):
-    """Open a text file for reading as UTF-8 with universal newlines; a byte
-    that is not UTF-8 raises FormatError naming the file."""
+def _read_text(path) -> str:
+    """A text file read whole as UTF-8, its line breaks (``\r\n``, ``\r``)
+    made ``\n``; a byte that is not UTF-8 raises FormatError naming the file."""
     with open(path, encoding="utf-8") as f:
         try:
-            yield f
+            return f.read()
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _read_text(path) -> str:
-    with _open_utf8(path) as f:
-        return f.read()
+def _bulk(records: list[str], tag: str | None, k: int) -> np.ndarray | None:
+    """The fields after ``tag`` (None for a CSV row) of every line in
+    ``records`` as one finite ``(n, k)`` float array, parsed in one C pass;
+    None for no data, or when a line lacks the exact tag and comma, or the
+    pass fails or finds another shape or a non-finite value. The pass reads a number as
+    ``float`` does, blanks around it stripped as ``str.strip`` strips them,
+    so what it accepts the line parser reads alike."""
+    prefix = f"{tag}," if tag else ""
+    cut = len(prefix)
+    fields = [line[cut:] for line in records if line.startswith(prefix)]
+    # np.loadtxt skips an empty line, and warns when it finds no data at all.
+    if len(fields) < len(records) or not any(fields):
+        return None
+    try:
+        table = np.loadtxt(fields, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(records), k) or not np.isfinite(table).all():
+        return None
+    return table
 
 
-def _read_records(path, parse, header: str | None = None, what: str = "") -> list:
-    """``parse(line, line_number)`` for each non-blank line of a text file. A
-    CSV table passes its ``header``, which must be line 1, and its name."""
-    with _open_utf8(path) as f:
-        if header is not None:
-            first = f.readline()
-            if not first:
-                raise FormatError(f"{path}: empty file, expected {what} header")
-            if first.strip() != header:
-                got = first.removesuffix("\n")
-                raise FormatError(f"{path}: header mismatch: expected {header!r}, got {got!r}")
-        return [parse(line, i) for i, line in enumerate(f, 2 if header else 1) if line.strip()]
+def _read_records(path, tag: str | None, k: int, build, parse, header=None, what=""):
+    """The records of a numeric record file: ``build`` of the ``(n, k)`` float
+    table of its non-blank lines, each after ``tag`` (None for a CSV row), read
+    in one C pass. A CSV table passes its ``header``, which must be line 1,
+    and its name. When the pass doubts a line, or ``build`` raises ValueError,
+    each line goes through ``parse(line, line_number)`` instead, which reads
+    what the pass could not (``1_0``, non-ASCII digits, blanks around the tag)
+    or raises the FormatError naming the first faulty line."""
+    lines = _read_text(path).split("\n")
+    start = 1
+    if header is not None:
+        if lines == [""]:
+            raise FormatError(f"{path}: empty file, expected {what} header")
+        if lines[0].strip() != header:
+            raise FormatError(f"{path}: header mismatch: expected {header!r}, got {lines[0]!r}")
+        del lines[0]
+        start = 2
+    table = _bulk([line for line in lines if line.strip()], tag, k)
+    if table is not None:
+        try:
+            return build(table)
+        except ValueError:
+            pass
+    return [parse(line, i) for i, line in enumerate(lines, start) if line.strip()]
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -265,8 +320,8 @@ def _read_table(path, header: str, what: str) -> np.ndarray:
     def parse(line: str, line_number: int) -> list[float]:
         return _numbers(line, None, names, f"{what} record", line_number)
 
-    rows = _read_records(path, parse, header, what)
-    return np.array(rows, dtype=float).reshape(len(rows), len(names))
+    rows = _read_records(path, None, len(names), lambda table: table, parse, header, what)
+    return np.asarray(rows, dtype=float).reshape(len(rows), len(names))
 
 
 def _fused_record(values: Sequence[float]) -> FusedRecord:

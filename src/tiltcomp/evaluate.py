@@ -32,7 +32,11 @@ STATS_CSV_HEADER = "id,mean_x_mm,mean_y_mm,mean_z_mm,std_x_mm,std_y_mm,std_z_mm,
 
 @dataclass(frozen=True)
 class ErrorStats:
-    """Residual statistics of a measurement series, all lengths in mm."""
+    """Residual statistics of a measurement series, all lengths in mm.
+
+    ``n`` must be an integer >= 1 and ``rmse3d_mm`` >= 0; an infinite RMSE,
+    which finite estimates can reach by overflow, is kept.
+    """
 
     mean_mm: np.ndarray
     std_mm: np.ndarray
@@ -42,9 +46,9 @@ class ErrorStats:
     def __post_init__(self):
         object.__setattr__(self, "mean_mm", np.asarray(self.mean_mm, dtype=float))
         object.__setattr__(self, "std_mm", np.asarray(self.std_mm, dtype=float))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.rmse3d_mm < 0.0:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if not self.rmse3d_mm >= 0.0:
             raise ValueError(f"rmse3d_mm must be >= 0, got {self.rmse3d_mm}")
 
 

@@ -302,6 +302,33 @@ def test_calibrate_bias_requires_enough_samples():
     assert_allclose(bias, np.zeros(3))
 
 
+@pytest.mark.parametrize("min_count", [math.nan, math.inf, 0, -1, 2.5, 10.0, "10"])
+def test_calibrate_bias_rejects_a_count_that_is_not_an_integer_of_at_least_one(min_count):
+    samples = [ImuSample(i * 0.01, np.array([0.0, 0.0, G]), np.ones(3)) for i in range(10)]
+    with pytest.raises(ValueError, match="min_count must be an integer >= 1"):
+        calibrate_bias(samples, min_count)
+    assert_allclose(calibrate_bias(samples[:1], 1), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "bias, message",
+    [
+        ([math.nan, 0.0, 0.0], "must be finite"),
+        ([0.0, math.inf, 0.0], "must be finite"),
+        ([0.0, 0.0, -math.inf], "must be finite"),
+        ([0.0, 0.0], r"must be a 3-vector, got shape \(2,\)"),
+        ([0.0, 0.0, 0.0, 0.0], r"must be a 3-vector, got shape \(4,\)"),
+        (np.zeros((3, 1)), r"must be a 3-vector, got shape \(3, 1\)"),
+    ],
+)
+def test_filter_state_rejects_a_gyro_bias_that_is_not_a_finite_3_vector(bias, message):
+    with pytest.raises(ValueError, match="gyro_bias " + message):
+        FilterState(gyro_bias=bias)
+    state = FilterState(gyro_bias=[1, 2, 3])
+    assert state.gyro_bias.dtype == float
+    assert state.gyro_bias.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_set_yaw_preserves_roll_and_pitch():
     state = FilterState(
         attitude=Attitude(roll=0.1, pitch=-0.2, yaw=0.5), last_timestamp=3.0

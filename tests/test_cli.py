@@ -298,6 +298,27 @@ def test_fuse_defaults_match_library_replay(tmp_path):
     assert lib_out.read_bytes() == cli_out.read_bytes()
 
 
+def test_fuse_pushes_each_record_line_to_the_pipeline_once(tmp_path, monkeypatch):
+    """One Pipeline.push_imu call per IMU line and one push_rts call per
+    observation line, blank lines skipped: the calls the benchmark's traced
+    runs count against the streams' line counts."""
+    imu, rts = write_level_streams(tmp_path, n_imu=40, rts_times=(0.15, 0.2, 0.25, 0.3, 0.35))
+    for path in (imu, rts):
+        path.write_text(path.read_text().replace("\n", "\n\n  \n", 3))
+    calls = {"push_imu": 0, "push_rts": 0}
+    for name in calls:
+        def counted(self, item, _push=getattr(Pipeline, name), _name=name):
+            calls[_name] += 1
+            return _push(self, item)
+
+        monkeypatch.setattr(Pipeline, name, counted)
+    out = tmp_path / "fused.csv"
+    assert main(["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
+                 "--bias-count", "10"]) == 0
+    assert calls == {"push_imu": 40, "push_rts": 5}
+    assert len(read_fused_csv(out)) == 5
+
+
 def assert_same_config(actual, expected):
     for f in dataclasses.fields(expected):
         a, b = getattr(actual, f.name), getattr(expected, f.name)

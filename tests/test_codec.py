@@ -130,22 +130,22 @@ _ODD_TOKEN = st.one_of(
 
 
 @st.composite
-def record_lines(draw, tag, count):
+def record_lines(draw, tag, count, numbers=_NUMBER, odd=_ODD_TOKEN):
     """Well-formed record lines of ``count`` numbers after ``tag`` (None for a
     CSV row), and the same lines with one or two faults: an odd field, tag or
     field count, padding, or a random character edit."""
     fields = [tag] if tag else []
-    fields += draw(st.lists(_NUMBER, min_size=count, max_size=count))
+    fields += draw(st.lists(numbers, min_size=count, max_size=count))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         fault = draw(st.sampled_from(["field", "tag", "count", "pad", "edit"]))
         at = draw(st.integers(0, len(fields) - 1))
         if fault == "field" or (fault == "tag" and not tag):
-            fields[at] = draw(_ODD_TOKEN)
+            fields[at] = draw(odd)
         elif fault == "tag":
             other = "RTS" if tag == "IMU" else "IMU"
             fields[0] = draw(st.sampled_from([tag.lower(), other, " " + tag, tag + " ", ""]))
         elif fault == "count":
-            fields = fields[:-1] if draw(st.booleans()) else [*fields, draw(_NUMBER)]
+            fields = fields[:-1] if draw(st.booleans()) else [*fields, draw(numbers)]
         elif fault == "pad":
             fields[at] = draw(st.sampled_from([" ", "\t", "\u00a0"])) + fields[at] + " "
         else:
@@ -866,3 +866,196 @@ def test_file_readers_raise_only_format_errors(tmp_path_factory, reader, valid, 
         reader(path)
     except FormatError:
         pass
+
+
+# Whole record files: the bulk reader against the line-by-line reader it falls
+# back to, which parses each non-blank line as the file readers did before the
+# bulk pass.
+
+
+def read_line_by_line(path, parse, header=None, what=""):
+    """``parse(line, number)`` for each non-blank line; a CSV table's header
+    must be line 1."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            if header is not None:
+                first = f.readline()
+                if not first:
+                    raise FormatError(f"{path}: empty file, expected {what} header")
+                if first.strip() != header:
+                    got = first.removesuffix("\n")
+                    raise FormatError(f"{path}: header mismatch: expected {header!r}, got {got!r}")
+            return [parse(line, i) for i, line in enumerate(f, 2 if header else 1) if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _table_kind(header, what):
+    names = header.split(",")
+
+    def bulk(path):
+        return codec._read_table(path, header, what).tolist()
+
+    def line_by_line(path):
+        def parse(line, i):
+            return codec._numbers(line, None, names, f"{what} record", i)
+
+        return read_line_by_line(path, parse, header, what)
+
+    return None, header, len(names), bulk, line_by_line
+
+
+RECORD_FILES = {
+    # kind: (tag, header, field count, bulk reader, line-by-line reader)
+    "imu": ("IMU", None, 7, codec._read_imu, lambda p: read_line_by_line(p, parse_imu_line)),
+    "rts": ("RTS", None, 4, codec._read_rts, lambda p: read_line_by_line(p, parse_rts_line)),
+    "fused": _table_kind(FUSED_CSV_HEADER, "fused CSV"),
+    "truth": _table_kind(TRUTH_CSV_HEADER, "truth CSV"),
+    "pairs": _table_kind(PAIRS_CSV_HEADER, "point pairs CSV"),
+}
+
+
+def record_bits(item):
+    """The exact values a reader made of one record line."""
+    if isinstance(item, ImuSample):
+        arrays = [(a.dtype.str, a.shape) for a in (item.accel, item.gyro)]
+        values = [item.timestamp, *item.accel.tolist(), *item.gyro.tolist()]
+        return arrays, [float(v).hex() for v in values]
+    if isinstance(item, RtsObservation):
+        values = [item.timestamp, item.slant_distance, item.horizontal_angle, item.zenith_angle]
+        return [float(v).hex() for v in values]
+    return [float(v).hex() for v in item]
+
+
+def read_outcome(read, path):
+    """The bits of every record ``read(path)`` returns, or its error."""
+    try:
+        records = read(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "records", [record_bits(item) for item in records]
+
+
+# Finite values whose sum overflows, and tokens float() reads but the C pass
+# does not, or neither does: '#' (no comment character), non-ASCII digits and
+# blanks, the ASCII separators str.strip takes for blanks, non-finite spellings.
+_FILE_NUMBER = st.one_of(_NUMBER, st.sampled_from(["1e308", "-1.7976931348623157e308"]))
+_FILE_ODD = st.one_of(
+    _ODD_TOKEN,
+    st.sampled_from(["#1", "1#", "١٢", "٣.5", "\x1c3\x1f", " 5 ",
+                     "inf", "Infinity", "+nan", "1 2", "1\x00", "'1'"]),
+)
+_BLANK_LINE = st.sampled_from(["", " ", "\t", "\x1c", "  "])
+
+
+def clean_record_line(kind, tag, count):
+    """A well-formed record line, an RTS one with values in range."""
+    if kind == "rts":
+        fields = st.tuples(
+            _FILE_NUMBER,
+            st.floats(1e-3, 1e6).map(repr),
+            _FILE_NUMBER,
+            st.floats(1e-3, 179.999).map("{:.6f}".format),
+        ).map(list)
+    else:
+        fields = st.lists(_FILE_NUMBER, min_size=count, max_size=count)
+    return fields.map(lambda values: ",".join([tag, *values] if tag else values))
+
+
+@st.composite
+def record_file(draw, kind):
+    """The text of a record file of ``kind`` and whether it is clean: each
+    line well-formed or blank, any line break, the header exact. An unclean
+    file may also hold faulty lines, a faulty header or none (so an empty
+    file), blanks around commas or the tag."""
+    tag, header, count, _, _ = RECORD_FILES[kind]
+    clean = draw(st.booleans())
+    line = clean_record_line(kind, tag, count)
+    if not clean:
+        line = st.one_of(line, record_lines(tag, count, _FILE_NUMBER, _FILE_ODD))
+    lines = draw(st.lists(st.one_of(line, _BLANK_LINE), max_size=8))
+    if header is not None:
+        variants = [header] if clean else [
+            header, None, " " + header + " ", header.upper(), header.rsplit(",", 1)[0], ""
+        ]
+        first = draw(st.sampled_from(variants))
+        lines = lines if first is None else [first, *lines]
+    separator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return separator.join(lines) + draw(st.sampled_from(["", separator])), clean
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_FILES))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_bulk_reader_agrees_with_the_line_by_line_reader(tmp_path_factory, kind, data):
+    """Bit for bit the same records, or the same FormatError message; a clean
+    file is read by the bulk pass alone, with no line parsed on its own."""
+    text, clean = data.draw(record_file(kind))
+    path = tmp_path_factory.mktemp("records") / f"{kind}.txt"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    _, _, _, bulk, line_by_line = RECORD_FILES[kind]
+    expected = read_outcome(line_by_line, path)
+    with mock.patch.object(codec, "_numbers", wraps=codec._numbers) as per_line:
+        assert read_outcome(bulk, path) == expected
+    if clean:
+        assert expected[0] == "records"
+        assert not per_line.called
+
+
+def _tokens_around(char):
+    return ["1" + char, char + "1", char, "1" + char + "5", "1e" + char + "5", char + char + "2"]
+
+
+# Every ASCII character, every character str.strip takes for a blank, and a
+# few non-ASCII digits.
+_TOKEN_CHARS = sorted(
+    ({chr(c) for c in range(128)}
+     | {chr(c) for c in range(0x110000) if chr(c).isspace()}
+     | set("٠٣۵०１"))
+    - set(",\n\r")
+)
+
+
+def test_bulk_pass_reads_each_token_as_the_line_parser_reads_it():
+    """What the C pass accepts, the line parser reads to the same bits; a
+    token the pass refuses goes to the line parser anyway."""
+    accepted = 0
+    for char in _TOKEN_CHARS:
+        for token in _tokens_around(char):
+            table = codec._bulk([token], None, 1)
+            if table is None:
+                continue
+            accepted += 1
+            (value,) = codec._numbers(token, None, ["x"], "row", 1)
+            assert table.shape == (1, 1)
+            assert table[0, 0].hex() == value.hex(), repr(token)
+    assert accepted > 50
+
+
+def test_bulk_pass_refuses_no_data_a_missing_tag_field_count_or_non_finite_value():
+    good = "IMU," + ",".join(["0.5"] * 7)
+    assert codec._bulk([good, good], "IMU", 7).tolist() == [[0.5] * 7] * 2
+    assert codec._bulk([], "IMU", 7) is None
+    assert codec._bulk(["IMU,"], "IMU", 7) is None
+    for bad in (" " + good, "RTS" + good[3:], good + ",1", good.rsplit(",", 1)[0],
+                good[:-3] + "nan", good[:-3] + "1e999", "IMU,", good + "\x00"):
+        assert codec._bulk([good, bad], "IMU", 7) is None, repr(bad)
+
+
+def test_samples_read_in_bulk_give_the_kernel_the_accel_norms_of_fresh_arrays(tmp_path):
+    """The bulk reader's accel arrays are rows of one table; the filter's
+    BLAS norm of each is bit for bit that of a fresh (3,) array."""
+    from tiltcomp.attitude import _accel_norm
+
+    rng = np.random.default_rng(31)
+    path = tmp_path / "imu.txt"
+    samples = [
+        ImuSample(i * 0.01, rng.normal(0.0, 3.0, 3) + [0.0, 0.0, 9.8], rng.normal(0.0, 0.1, 3))
+        for i in range(3000)
+    ]
+    path.write_text("".join(write_imu_line(s) + "\n" for s in samples))
+    read = codec._read_imu(path)
+    for sample, line in zip(read, path.read_text().splitlines()):
+        fresh = parse_imu_line(line)
+        assert sample.accel.tobytes() == fresh.accel.tobytes()
+        assert _accel_norm(sample.accel).hex() == _accel_norm(fresh.accel).hex()

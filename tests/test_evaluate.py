@@ -126,6 +126,18 @@ def test_error_stats_validation():
         ErrorStats(np.zeros(3), np.zeros(3), rmse3d_mm=-1.0, n=5)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, math.nan, "2", None])
+def test_error_stats_rejects_a_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        ErrorStats(np.zeros(3), np.zeros(3), rmse3d_mm=1.0, n=n)
+
+
+def test_error_stats_rejects_a_nan_rmse_and_keeps_an_infinite_one():
+    with pytest.raises(ValueError, match="rmse3d_mm must be >= 0, got nan"):
+        ErrorStats(np.zeros(3), np.zeros(3), rmse3d_mm=math.nan, n=2)
+    assert ErrorStats(np.zeros(3), np.zeros(3), rmse3d_mm=math.inf, n=2).rmse3d_mm == math.inf
+
+
 def test_report_lists_all_rows_with_values():
     rows = [
         (label, ErrorStats(np.asarray(means), np.asarray(stds), rmse, n))
