@@ -19,13 +19,15 @@ from typing import Callable
 import numpy as np
 
 from .attitude import FilterConfig
-# parse_imu_line, parse_rts_line, read_fused_csv and read_truth_csv are unused
-# here (fuse reads the streams and eval the tables in one pass each) but stay
-# importable: bench/run.py traces the reads under these names.
+# encode_can_frames, format_can_dump_line, parse_imu_line, parse_rts_line,
+# read_fused_csv and read_truth_csv are unused here (fuse reads the streams and
+# writes the CAN dump, and eval reads the tables, in blocks) but stay
+# importable: bench/run.py traces the codec under these names.
 from .codec import (  # noqa: F401
     FUSED_CSV_HEADER,
     TRUTH_CSV_HEADER,
     FormatError,
+    _can_dump_lines,
     _check_base_id,
     _key_values,
     _read_imu,
@@ -166,11 +168,8 @@ def cmd_fuse(args) -> int:
 
     write_fused_csv(records, args.out)
     if args.can_out:
-        frames = (
-            frame for record in records for frame in encode_can_frames(record, args.can_base_id)
-        )
         try:
-            _write_lines(args.can_out, map(format_can_dump_line, frames))
+            _write_lines(args.can_out, _can_dump_lines(records, args.can_base_id))
         except FormatError as exc:
             return _data_error(f"{args.can_out}: {exc}")
     leftover = pipeline.rts_buffered

@@ -18,12 +18,15 @@ instead, line by line, which reads it alike or raises the FormatError naming
 the faulty line. The line parser, which also serves the public ``parse_*``
 functions, has a fast path (one split, one ``float`` per field, one
 finiteness test) that hands anything else to the field-by-field parser. The
-fused CSV and CAN writers format plain floats.
+fused CSV writer formats plain floats.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2), plus an optional
 attitude frame (+3) with 0.01-degree signed 16-bit angles and a sequence
-counter. Hex dumps use ``<id hex>#<payload hex>`` lines.
+counter. Hex dumps use ``<id hex>#<payload hex>`` lines. One counts rule
+serves :func:`encode_can_frames` and the dump writer ``fuse`` uses, which
+packs ~1k records at a time into one hex string and cuts it into lines,
+building no :class:`CanFrame`.
 
 The transform file, like the scenario config, is ``key = value`` text where
 ``#`` starts a comment; a line without ``=``, an unknown or a repeated key is
@@ -44,7 +47,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,6 +99,7 @@ _COUNT_LIMIT = 2**31 - 1
 # The coordinate frames' counts in order, two per frame: prism then POI.
 _CAN_FIELDS = ("prism_x", "prism_y", "prism_z", "poi_x", "poi_y", "poi_z")
 _CAN_FRAMES = len(_CAN_FIELDS) // 2
+_CAN_BLOCK = 1024  # records the dump encoder packs at a time
 
 
 class FormatError(ValueError):
@@ -389,16 +393,27 @@ class CanFrame:
         object.__setattr__(self, "payload", bytes(self.payload))
 
 
-def _to_counts(value_m: float, name: str) -> int:
-    if not math.isfinite(value_m):
-        raise FormatError(f"{name} = {value_m} m is not a finite coordinate")
-    counts = round(value_m / _COUNT_SCALE)
-    if abs(counts) > _COUNT_LIMIT:
+def _counts(records: Sequence[FusedRecord]) -> np.ndarray:
+    """The ``(n, 6)`` little-endian int32 counts of 0.1 mm of ``records``'
+    coordinates in :data:`_CAN_FIELDS` order, rounded half to even as
+    ``round`` does. A NaN or infinite coordinate, or one whose count exceeds
+    int32, raises FormatError naming the first, record by record, then field
+    by field."""
+    coords = np.array([(*r.prism_nav.tolist(), *r.poi_nav.tolist()) for r in records])
+    with np.errstate(over="ignore"):
+        counts = np.rint(coords / _COUNT_SCALE)
+    # NaN and inf fail the test, and so does a huge coordinate's inf count.
+    ok = np.abs(counts) <= float(_COUNT_LIMIT)
+    if not ok.all():
+        row, col = np.argwhere(~ok)[0]
+        value, name = float(coords[row, col]), _CAN_FIELDS[col]
+        if not math.isfinite(value):
+            raise FormatError(f"{name} = {value} m is not a finite coordinate")
         raise FormatError(
-            f"{name} = {value_m} m exceeds the encodable range of "
+            f"{name} = {value} m exceeds the encodable range of "
             f"+/-{_COUNT_LIMIT * _COUNT_SCALE} m"
         )
-    return counts
+    return counts.astype("<i4")
 
 
 def _check_base_id(base_id: int, count: int = _CAN_FRAMES) -> None:
@@ -415,12 +430,22 @@ def encode_can_frames(record: FusedRecord, base_id: int) -> list[CanFrame]:
     two per frame in :data:`_CAN_FIELDS` order.
     """
     _check_base_id(base_id)
-    values = (*record.prism_nav.tolist(), *record.poi_nav.tolist())
-    counts = [_to_counts(v, name) for v, name in zip(values, _CAN_FIELDS)]
-    return [
-        CanFrame(base_id + k, struct.pack("<ii", *counts[2 * k : 2 * k + 2]))
-        for k in range(_CAN_FRAMES)
-    ]
+    (counts,) = _counts([record])
+    return [CanFrame(base_id + k, counts[2 * k : 2 * k + 2].tobytes()) for k in range(_CAN_FRAMES)]
+
+
+def _can_dump_lines(records: Sequence[FusedRecord], base_id: int) -> Iterator[str]:
+    """The dump lines of every record's coordinate frames, as
+    :func:`format_can_dump_line` writes those of :func:`encode_can_frames`,
+    encoded :data:`_CAN_BLOCK` records at a time so the arrays stay small."""
+    _check_base_id(base_id)
+    ids = [f"{base_id + k:08X}#" for k in range(_CAN_FRAMES)]
+    for start in range(0, len(records), _CAN_BLOCK):
+        block = records[start : start + _CAN_BLOCK]
+        payloads = _counts(block).tobytes().hex().upper()
+        # A frame's payload is two counts: 8 bytes, 16 hex digits.
+        for i in range(0, len(payloads), 16):
+            yield ids[i // 16 % _CAN_FRAMES] + payloads[i : i + 16]
 
 
 def decode_can_frames(frames: Sequence[CanFrame]) -> tuple[np.ndarray, np.ndarray]:

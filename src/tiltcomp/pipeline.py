@@ -11,7 +11,10 @@ to Cartesian (``geodesy._polar``), the Helmert map (``geodesy._helmert``) and
 the rotated prism->POI lever (``kinematics._poi``). :func:`polar_to_cartesian`,
 :func:`apply_helmert` and :func:`poi_position` run the same three formulas,
 so :meth:`Pipeline.drain` gives their results bit for bit while building only
-the two coordinate arrays each record holds.
+the two coordinate arrays each record holds. It fills each
+:class:`FusedRecord` and its :class:`Attitude` directly, without their
+dataclass ``__init__`` and ``__post_init__``: the kernel's plain floats and
+two new float64 ``(3,)`` arrays are already what those would store.
 
 Both streams must carry timestamps from one shared clock. The pipeline is a
 single state machine: all push/drain calls must be externally serialized.
@@ -220,6 +223,7 @@ class Pipeline:
         records = []
         cfg = self.config
         helmert, lever = cfg.helmert, prism_to_poi_body(cfg.lever_arms)
+        new, put = object.__new__, object.__setattr__
         while self._buffer:
             obs = self._buffer[0]
             cutoff = obs.timestamp - cfg.rts_latency_s + cfg.pairing_tolerance_s
@@ -232,16 +236,21 @@ class Pipeline:
                 helmert, *_polar(obs.slant_distance, obs.horizontal_angle, obs.zenith_angle)
             )
             poi = _poi(*prism, roll, pitch, yaw, lever)
-            records.append(
-                FusedRecord(
-                    timestamp=obs.timestamp,
-                    prism_nav=np.array(prism),
-                    poi_nav=np.array(poi),
-                    attitude_used=Attitude(roll, pitch, yaw),
-                    alpha_used=alpha,
-                    imu_timestamp_used=self._att_times[idx],
-                )
-            )
+            # Filled directly: these are what the dataclass __init__ would store.
+            # (Setting each attribute keeps the compact per-instance layout;
+            # going through __dict__ would add a dict to every object.)
+            attitude = new(Attitude)
+            put(attitude, "roll", roll)
+            put(attitude, "pitch", pitch)
+            put(attitude, "yaw", yaw)
+            record = new(FusedRecord)
+            put(record, "timestamp", obs.timestamp)
+            put(record, "prism_nav", np.array(prism))
+            put(record, "poi_nav", np.array(poi))
+            put(record, "attitude_used", attitude)
+            put(record, "alpha_used", alpha)
+            put(record, "imu_timestamp_used", self._att_times[idx])
+            records.append(record)
         return records
 
     def replay(

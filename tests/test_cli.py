@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import math
 import os
 
@@ -469,6 +470,45 @@ def test_fuse_can_out_rejects_coordinates_past_the_can_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{dump}: prism_x = " in err
     assert "exceeds the encodable range" in err
+
+
+def test_fuse_can_out_rejects_a_coordinate_whose_count_overflows(tmp_path, capsys):
+    imu, rts = write_level_streams(tmp_path)
+    rts.write_text("RTS,0.015,1e306,0,90\n")
+    dump = tmp_path / "frames.dump"
+    rc = main(
+        ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv"),
+         "--bias-count", "1", "--can-out", str(dump)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {dump}: prism_x = 1e+306 m exceeds the encodable range of +/-214748.3647 m\n"
+    )
+
+
+# sha256 of the fused CSV and CAN dump that fuse --can-out writes for 25 s of
+# dense_100hz-style streams: 1501 records, so the dump spans two blocks.
+DENSE_CONFIG = (
+    "duration_s = 25\nseed = 5\nrts_rate_hz = 100\nroll_amplitude_deg = 20\n"
+    "roll_frequency_hz = 0.3\npitch_amplitude_deg = 20\npitch_frequency_hz = 0.24\n"
+)
+PINNED_FUSE_OUTPUT = (
+    "39dc93eba6609f4917d09b90fb255963aa74cfe14e5c8de9fdf6a3fea4aa5cd2",
+    "9179b71aac420c8d345fbf0a55073762e9f66647393230ed648bd69c08f5bf68",
+)
+
+
+def test_fuse_output_matches_pinned_fingerprints(tmp_path, capsys):
+    (tmp_path / "scenario.cfg").write_text(DENSE_CONFIG)
+    assert main(["simulate", "--config", str(tmp_path / "scenario.cfg"), "--out-dir", str(tmp_path)]) == 0
+    fused, dump = tmp_path / "fused.csv", tmp_path / "can.txt"
+    assert main(
+        ["fuse", "--imu", str(tmp_path / "imu.txt"), "--rts", str(tmp_path / "rts.txt"),
+         "--out", str(fused), "--can-out", str(dump)]
+    ) == 0
+    assert "wrote 1501 fused records" in capsys.readouterr().out
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (fused, dump))
+    assert digests == PINNED_FUSE_OUTPUT
 
 
 @pytest.mark.parametrize("base_id", ["0x1FFFFFFE", "0x1FFFFFFF", "-1"])

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
@@ -522,6 +522,12 @@ def test_can_range_limits():
         encode_can_frames(record_with_x(214748.3648), 0x300)
     with pytest.raises(FormatError, match="encodable range"):
         encode_can_frames(record_with_x(-250000.0), 0x300)
+    # a finite coordinate whose count overflows a float
+    with pytest.raises(
+        FormatError,
+        match=r"^prism_x = 1e\+306 m exceeds the encodable range of \+/-214748.3647 m$",
+    ):
+        encode_can_frames(record_with_x(1e306), 0x300)
 
 
 def test_can_decode_rejects_wrong_frame_sets():
@@ -1059,3 +1065,90 @@ def test_samples_read_in_bulk_give_the_kernel_the_accel_norms_of_fresh_arrays(tm
         fresh = parse_imu_line(line)
         assert sample.accel.tobytes() == fresh.accel.tobytes()
         assert _accel_norm(sample.accel).hex() == _accel_norm(fresh.accel).hex()
+
+
+def coordinate_record(coords):
+    """A record holding the six coordinates ``coords`` in CAN field order."""
+    return FusedRecord(0.0, coords[:3], coords[3:], Attitude(), 0.9, 0.0)
+
+
+def per_record_dump(records, base_id):
+    return [
+        format_can_dump_line(frame)
+        for record in records
+        for frame in encode_can_frames(record, base_id)
+    ]
+
+
+def reference_dump(records, base_id):
+    """The dump lines of ``records`` by Python's ``round`` and ``struct``."""
+    lines = []
+    for record in records:
+        counts = [round(v / 1e-4) for v in (*record.prism_nav.tolist(), *record.poi_nav.tolist())]
+        for k in range(3):
+            payload = struct.pack("<ii", *counts[2 * k : 2 * k + 2])
+            lines.append(f"{base_id + k:08X}#{payload.hex().upper()}")
+    return lines
+
+
+_BLOCK = codec._CAN_BLOCK
+# Half-count ties: each of these over 1e-4 is exactly k + 0.5, as are most of
+# the drawn (k + 0.5) * 1e-4. Then the largest encodable magnitudes, and -0.0.
+_CAN_EDGES = [0.5e-4, 2.5e-4, -3.5e-4, 214748.3647, -214748.3647, -0.0]
+_CAN_COORDINATE = st.one_of(
+    st.floats(-214748.3647, 214748.3647),
+    st.integers(-(2**31) + 10, 2**31 - 10).map(lambda k: (k + 0.5) * 1e-4),
+    st.sampled_from(_CAN_EDGES),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(n=1, seed=0, placed=list(zip([0] * 6, range(6), _CAN_EDGES)), base_id=0x300)
+@given(
+    n=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    placed=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 5), _CAN_COORDINATE)),
+    base_id=st.sampled_from([0, 0x300, (1 << 29) - 3]),
+)
+def test_block_can_dump_matches_the_per_record_encoder(n, seed, placed, base_id):
+    coords = np.random.default_rng(seed).uniform(-3000.0, 3000.0, (n, 6))
+    for row, col, value in placed:
+        if n:
+            coords[row % n, col] = value
+    records = list(map(coordinate_record, coords))
+    expected = reference_dump(records, base_id)
+    assert list(codec._can_dump_lines(records, base_id)) == expected
+    assert per_record_dump(records, base_id) == expected
+
+
+@pytest.mark.parametrize("field", range(6))
+@pytest.mark.parametrize(
+    "value, words",
+    [
+        (math.nan, "is not a finite coordinate"),
+        (math.inf, "is not a finite coordinate"),
+        (-math.inf, "is not a finite coordinate"),
+        (214748.36475, "exceeds the encodable range"),
+        (-250000.0, "exceeds the encodable range"),
+        (1e306, "exceeds the encodable range"),
+    ],
+)
+@pytest.mark.parametrize("row", [0, _BLOCK + 2])
+def test_block_can_dump_names_the_first_faulty_field_as_the_per_record_encoder(
+    field, value, words, row
+):
+    coords = np.random.default_rng(field).uniform(-3000.0, 3000.0, (_BLOCK + 5, 6))
+    # Later faults, in this record and the next, are not the first.
+    coords[row, 5:] = coords[row + 1, :] = 1e300
+    coords[row, field] = value
+    records = list(map(coordinate_record, coords))
+    name = codec._CAN_FIELDS[field]
+    with pytest.raises(FormatError) as per_record:
+        per_record_dump(records, 0x300)
+    assert str(per_record.value).startswith(f"{name} = {value} m {words}")
+    lines = []
+    with pytest.raises(FormatError) as block:
+        lines.extend(codec._can_dump_lines(records, 0x300))
+    assert str(block.value) == str(per_record.value)
+    # Every block before the faulty one is written.
+    assert len(lines) == 3 * (row // _BLOCK * _BLOCK)

@@ -10,6 +10,7 @@ from tiltcomp import (
     Attitude,
     FilterConfig,
     FilterState,
+    FusedRecord,
     HelmertParams,
     ImuSample,
     LeverArms,
@@ -558,3 +559,36 @@ def test_drain_accepts_a_finite_prism_whose_coordinate_sum_overflows():
     [record] = drain_one(PipelineConfig(filter_config=ONE_SAMPLE), obs, 0.1, 0.2, 0.0)
     assert np.all(np.isfinite(record.prism_nav)) and np.all(np.isfinite(record.poi_nav))
     assert float_bits(record.prism_nav) == float_bits(polar_to_cartesian(obs))
+
+
+def test_drain_records_equal_those_the_dataclass_constructor_builds():
+    """drain builds its records without FusedRecord's and Attitude's __init__:
+    each holds what the constructor would store, field by field, with arrays
+    no other record shares."""
+    records = Pipeline(fast_config()).replay(INTERLEAVE_IMU, INTERLEAVE_RTS)
+    assert records
+    for record in records:
+        att = record.attitude_used
+        built = FusedRecord(
+            timestamp=record.timestamp,
+            prism_nav=record.prism_nav.tolist(),
+            poi_nav=record.poi_nav.tolist(),
+            attitude_used=Attitude(att.roll, att.pitch, att.yaw),
+            alpha_used=record.alpha_used,
+            imu_timestamp_used=record.imu_timestamp_used,
+        )
+        assert list(vars(record)) == list(vars(built))
+        assert same_records(record, built) and repr(record) == repr(built)
+        assert type(att) is Attitude and vars(att) == vars(built.attitude_used)
+        for name in ("prism_nav", "poi_nav"):
+            array = getattr(record, name)
+            assert type(array) is np.ndarray and array.dtype == np.float64
+            assert array.shape == (3,) and array.flags.owndata
+        for name in ("timestamp", "alpha_used", "imu_timestamp_used"):
+            assert type(getattr(record, name)) is float
+        assert all(type(v) is float for v in vars(att).values())
+    arrays = [a for r in records for a in (r.prism_nav, r.poi_nav)]
+    assert len({id(a) for a in arrays}) == len(arrays)
+    assert not any(
+        np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+    )
