@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -20,16 +21,21 @@ import numpy as np
 
 from .attitude import FilterConfig
 # encode_can_frames, format_can_dump_line, parse_imu_line, parse_rts_line,
-# read_fused_csv and read_truth_csv are unused here (fuse reads the streams and
-# writes the CAN dump, and eval reads the tables, in blocks) but stay
-# importable: bench/run.py traces the codec under these names.
+# read_fused_csv, read_truth_csv, write_imu_line, write_rts_line and
+# write_truth_csv are unused here (simulate writes its streams from arrays, fuse
+# reads the streams and writes the CAN dump, and eval reads the tables, in
+# blocks) but stay importable: bench/run.py traces the codec under these names.
 from .codec import (  # noqa: F401
+    _IMU,
+    _RTS,
+    _TRUTH,
     FUSED_CSV_HEADER,
     TRUTH_CSV_HEADER,
     FormatError,
     _can_dump_lines,
     _check_base_id,
     _key_values,
+    _lines,
     _read_imu,
     _read_rts,
     _read_table,
@@ -53,7 +59,8 @@ from .evaluate import STATS_CSV_HEADER, _check_label, compute_stats, render_repo
 from .geodesy import HelmertParams, apply_helmert, fit_helmert
 from .kinematics import LeverArms
 from .pipeline import Pipeline, PipelineConfig
-from .sim import NoiseSpec, ScenarioConfig, generate_scenario
+# generate_scenario is unused here too; bench/run.py traces the simulator by it.
+from .sim import NoiseSpec, ScenarioConfig, _scenario, generate_scenario  # noqa: F401
 
 __all__ = ["main", "parse_scenario_config", "ConfigError"]
 
@@ -124,15 +131,15 @@ def _data_error(message: str) -> int:
 
 
 def cmd_simulate(args) -> int:
-    imu, rts, truth = generate_scenario(parse_scenario_config(_read_text(args.config)))
+    imu, rts, truth = _scenario(parse_scenario_config(_read_text(args.config)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_lines(out_dir / "imu.txt", map(write_imu_line, imu))
-    _write_lines(out_dir / "rts.txt", map(write_rts_line, rts))
-    write_truth_csv(truth, out_dir / "truth.csv")
+    _write_lines(out_dir / "imu.txt", _lines(_IMU, *imu))
+    _write_lines(out_dir / "rts.txt", _lines(_RTS, *rts))
+    _write_lines(out_dir / "truth.csv", chain([TRUTH_CSV_HEADER], _lines(_TRUTH, *truth)))
     print(
-        f"wrote {len(imu)} IMU samples, {len(rts)} observations, "
-        f"{len(truth)} truth rows to {out_dir}"
+        f"wrote {len(imu[0])} IMU samples, {len(rts[0])} observations, "
+        f"{len(truth[0])} truth rows to {out_dir}"
     )
     return 0
 

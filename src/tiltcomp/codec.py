@@ -9,16 +9,23 @@ Text stream lines (formats specific to this toolkit):
 * pairs:  CSV with header :data:`PAIRS_CSV_HEADER` (read only)
 
 Each record line format is declared once: its tag (none for a CSV row), field
-names and decimals; one ``%`` template per format writes it. One record reader
-reads every numeric record file (the IMU and RTS streams, the fused, truth and
-pairs tables) whole: one C pass parses all its lines into an ``(n, k)`` float
-array, from which ``fuse`` builds its samples and observations and ``eval``
+names and decimals; one ``%`` template per format writes it. A field whose
+name ends in ``_deg`` is an angle: radians inside, degrees on the wire. One
+row writer formats every IMU, RTS and truth line from float columns, a block
+of rows at a time, converting each angle column with ``math.degrees``:
+``simulate`` hands it the scenario's arrays, and :func:`write_imu_line`,
+:func:`write_rts_line` and :func:`write_truth_csv` the numbers of their
+objects. The fused CSV writer formats plain floats.
+
+One record reader reads every numeric record file (the IMU and RTS streams,
+the fused, truth and pairs tables) whole: one C pass parses all its lines
+into an ``(n, k)`` float array, from which ``fuse`` builds its samples and
+observations (the observations' rules tested over whole columns) and ``eval``
 takes its columns. A file the pass doubts goes through the line parser
 instead, line by line, which reads it alike or raises the FormatError naming
 the faulty line. The line parser, which also serves the public ``parse_*``
 functions, has a fast path (one split, one ``float`` per field, one
-finiteness test) that hands anything else to the field-by-field parser. The
-fused CSV writer formats plain floats.
+finiteness test) that hands anything else to the field-by-field parser.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2), plus an optional
@@ -52,7 +59,7 @@ from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .attitude import Attitude, ImuSample, _imu_sample
-from .geodesy import HelmertParams, RtsObservation
+from .geodesy import HelmertParams, RtsObservation, _observations
 from .pipeline import FusedRecord
 from .sim import GroundTruthSample
 
@@ -100,6 +107,7 @@ _COUNT_LIMIT = 2**31 - 1
 _CAN_FIELDS = ("prism_x", "prism_y", "prism_z", "poi_x", "poi_y", "poi_z")
 _CAN_FRAMES = len(_CAN_FIELDS) // 2
 _CAN_BLOCK = 1024  # records the dump encoder packs at a time
+_ROW_BLOCK = 1024  # rows the row writer formats at a time
 
 
 class FormatError(ValueError):
@@ -133,22 +141,41 @@ def _split_fields(
 
 class _Format(NamedTuple):
     """One record line format: its tag (the first field of a stream line, None
-    for a CSV row), its field names, and the ``%`` template that writes it."""
+    for a CSV row), its field names, the ``%`` template that writes it, and
+    the indices of its angle fields, those whose name ends in ``_deg``:
+    radians inside the toolkit, degrees on the wire."""
 
     tag: str | None
     names: tuple[str, ...]
     template: str
+    angles: tuple[int, ...]
 
 
 def _declare(tag: str | None, names: Sequence[str], decimals: int) -> _Format:
     fields = [f"%.{decimals}f"] * len(names)
-    return _Format(tag, tuple(names), ",".join(fields if tag is None else [tag, *fields]))
+    template = ",".join(fields if tag is None else [tag, *fields])
+    angles = tuple(i for i, name in enumerate(names) if name.endswith("_deg"))
+    return _Format(tag, tuple(names), template, angles)
 
 
 _IMU = _declare("IMU", ("t_s", "ax", "ay", "az", "gx", "gy", "gz"), 6)
 _RTS = _declare("RTS", ("t_s", "D_m", "Hz_deg", "V_deg"), 6)
 _FUSED = _declare(None, FUSED_CSV_HEADER.split(","), 9)
 _TRUTH = _declare(None, TRUTH_CSV_HEADER.split(","), 9)
+
+
+def _lines(fmt: _Format, *columns) -> Iterator[str]:
+    """The lines of ``fmt`` whose fields, in ``fmt.names`` order, are the
+    columns of ``columns``: float arrays (or nested sequences) of n rows, each
+    ``(n,)`` or ``(n, m)``. Each angle field is converted by ``math.degrees``
+    on a Python float. Rows are formatted :data:`_ROW_BLOCK` at a time, so
+    few Python floats exist at once."""
+    table = np.column_stack(columns)
+    for start in range(0, len(table), _ROW_BLOCK):
+        fields = table[start : start + _ROW_BLOCK].T.tolist()
+        for k in fmt.angles:
+            fields[k] = list(map(math.degrees, fields[k]))
+        yield from map(fmt.template.__mod__, zip(*fields))
 
 
 def _numbers(
@@ -188,20 +215,16 @@ def _read_imu(path) -> list[ImuSample]:
 
 
 def write_imu_line(sample: ImuSample) -> str:
-    return _IMU.template % (sample.timestamp, *sample.accel.tolist(), *sample.gyro.tolist())
+    return next(_lines(_IMU, [(sample.timestamp, *sample.accel.tolist(), *sample.gyro.tolist())]))
 
 
 def parse_rts_line(line: str, line_number: int | None = None) -> RtsObservation:
     """Parse one observation line; wire angles are degrees, output radians."""
-    values = _numbers(line, _RTS.tag, _RTS.names, "RTS line", line_number)
+    t, distance, hz_deg, v_deg = _numbers(line, _RTS.tag, _RTS.names, "RTS line", line_number)
     try:
-        return _observation(*values)
+        return RtsObservation(t, distance, math.radians(hz_deg), math.radians(v_deg))
     except ValueError as exc:
         _fail(str(exc), line_number)
-
-
-def _observation(t: float, distance: float, hz_deg: float, v_deg: float) -> RtsObservation:
-    return RtsObservation(t, distance, math.radians(hz_deg), math.radians(v_deg))
 
 
 def _read_rts(path) -> list[RtsObservation]:
@@ -209,14 +232,16 @@ def _read_rts(path) -> list[RtsObservation]:
     each line."""
 
     def build(table: np.ndarray) -> list[RtsObservation]:
-        return [_observation(*row) for row in table.tolist()]
+        hz = list(map(math.radians, table[:, 2].tolist()))
+        v = list(map(math.radians, table[:, 3].tolist()))
+        return _observations(table[:, 0], table[:, 1], hz, v)
 
     return _read_records(path, _RTS.tag, len(_RTS.names), build, parse_rts_line)
 
 
 def write_rts_line(obs: RtsObservation) -> str:
-    hz_deg, v_deg = math.degrees(obs.horizontal_angle), math.degrees(obs.zenith_angle)
-    return _RTS.template % (obs.timestamp, obs.slant_distance, hz_deg, v_deg)
+    row = (obs.timestamp, obs.slant_distance, obs.horizontal_angle, obs.zenith_angle)
+    return next(_lines(_RTS, [row]))
 
 
 def write_csv_record(record: FusedRecord) -> str:
@@ -351,16 +376,6 @@ def read_fused_csv(path) -> list[FusedRecord]:
     return list(map(_fused_record, _read_table(path, FUSED_CSV_HEADER, "fused CSV").tolist()))
 
 
-def _truth_row(sample: GroundTruthSample) -> str:
-    px, py, pz = sample.prism_nav.tolist()
-    qx, qy, qz = sample.poi_nav.tolist()
-    att = sample.attitude
-    return _TRUTH.template % (
-        sample.timestamp, math.degrees(att.roll), math.degrees(att.pitch),
-        math.degrees(att.yaw), px, py, pz, qx, qy, qz,
-    )
-
-
 def _truth_sample(values: Sequence[float]) -> GroundTruthSample:
     return GroundTruthSample(
         timestamp=values[0],
@@ -371,7 +386,15 @@ def _truth_sample(values: Sequence[float]) -> GroundTruthSample:
 
 
 def write_truth_csv(samples: Iterable[GroundTruthSample], path) -> None:
-    _write_lines(path, chain([TRUTH_CSV_HEADER], map(_truth_row, samples)))
+    rows = [
+        (s.timestamp, s.attitude.roll, s.attitude.pitch, s.attitude.yaw,
+         *s.prism_nav.tolist(), *s.poi_nav.tolist())
+        for s in samples
+    ]
+    # No samples still make a (0, k) table; a coordinate triple of another
+    # length raises ValueError here.
+    table = np.array(rows, dtype=float).reshape(len(rows), len(_TRUTH.names))
+    _write_lines(path, chain([TRUTH_CSV_HEADER], _lines(_TRUTH, table)))
 
 
 def read_truth_csv(path) -> list[GroundTruthSample]:

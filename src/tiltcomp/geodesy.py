@@ -6,6 +6,11 @@ Conventions: the zenith angle V is measured down from the zenith, so a
 horizontal sight has V = pi/2 and z = D*cos(V). The horizontal angle Hz is
 counterclockwise mathematical, x = R_h*cos(Hz), y = R_h*sin(Hz). Radians
 everywhere; wire formats that carry degrees convert at the boundary.
+
+Streams of observations are checked as columns: ``_check_observations``
+applies :class:`RtsObservation`'s rules to every row at once and lets the
+constructor raise for the first row that breaks one, and ``_observations``
+then fills the objects directly. The simulator and the stream reader use them.
 """
 
 from __future__ import annotations
@@ -51,6 +56,35 @@ class RtsObservation:
             raise ValueError(
                 f"zenith angle must lie strictly between 0 and pi, got {self.zenith_angle}"
             )
+
+
+def _check_observations(t, distance, hz, v) -> np.ndarray:
+    """The ``(4, n)`` float array of four observation columns (timestamp,
+    slant distance, horizontal and zenith angle), each row tested by
+    :class:`RtsObservation`'s rules, all rows at once. The first row that
+    breaks one goes through the constructor, which raises its ValueError."""
+    columns = np.array((t, distance, hz, v), dtype=float)
+    bad = ~np.isfinite(columns).all(axis=0)
+    bad |= ~(columns[1] > 0.0) | ~((columns[3] > 0.0) & (columns[3] < math.pi))
+    if bad.any():
+        RtsObservation(*columns[:, np.argmax(bad)].tolist())
+    return columns
+
+
+def _observations(t, distance, hz, v) -> list[RtsObservation]:
+    """The :class:`RtsObservation` of each row of four float columns, checked
+    by :func:`_check_observations` and then filled directly: the floats are
+    what the dataclass constructor would store."""
+    new, put = object.__new__, object.__setattr__
+    observations = []
+    for ti, di, hzi, vi in zip(*_check_observations(t, distance, hz, v).tolist()):
+        obs = new(RtsObservation)
+        put(obs, "timestamp", ti)
+        put(obs, "slant_distance", di)
+        put(obs, "horizontal_angle", hzi)
+        put(obs, "zenith_angle", vi)
+        observations.append(obs)
+    return observations
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,25 @@ position with step 1e-4 s through one second-difference stencil, central or
 forward by sample: forward just after the idle/motion boundary, central
 elsewhere, and exact zeros during idle (the rate profile has a kink at motion
 start that a crossing stencil would smear into a spurious spike).
+
+Every stream number has one source, ``_scenario``, which returns each stream
+as arrays and checks the observations' rules over whole columns. It has two
+consumers: ``simulate`` formats the arrays straight into its files, and
+:func:`generate_scenario` fills the sample objects from them directly, each
+holding the same floats and array rows its dataclass constructor would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
 from ._fields import _check_fields, _ranged, _vector
-from .attitude import Attitude, ImuSample
-from .geodesy import RtsObservation
+from .attitude import Attitude, ImuSample, _imu_sample
+from .geodesy import RtsObservation, _check_observations, _observations
 from .kinematics import LeverArms, _zyx_rows, prism_to_poi_body
 
 __all__ = [
@@ -204,19 +211,13 @@ def _kinematic_accels(cfg: ScenarioConfig, t: np.ndarray) -> np.ndarray:
     return accel
 
 
-def generate_scenario(
-    cfg: ScenarioConfig,
-) -> tuple[list[ImuSample], list[RtsObservation], list[GroundTruthSample]]:
-    """Synthesize the IMU stream, the observation stream, and ground truth.
-
-    Stream grids are i / rate starting at zero; counts are
-    floor(duration * rate). Truth samples share the IMU grid (which contains
-    every observation timestamp when the IMU rate is an integer multiple of
-    the observation rate). RNG draw order is fixed: bias direction, gyro
-    noise, accel noise, then range / horizontal-angle / zenith-angle noise.
-
-    Raises ValueError when the prism crosses the station's vertical axis,
-    where the polar angles degenerate.
+def _scenario(cfg: ScenarioConfig):
+    """The scenario as arrays, one tuple per stream with its columns in wire
+    order: IMU ``(t, accel, gyro)``; observations ``(t, distance, azimuth,
+    zenith)``; truth ``(t, roll, pitch, yaw, prism, poi)``. ``t`` is ``(n,)``
+    and accel, gyro and prism ``(n, 3)``; truth shares the IMU's ``t``, and its
+    ``poi`` is ``cfg.poi_nav`` broadcast to ``(n, 3)``. Grids, draw order and
+    errors are :func:`generate_scenario`'s.
     """
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
@@ -254,20 +255,6 @@ def generate_scenario(
     lever = prism_to_poi_body(cfg.lever_arms)
     prism = _points(cfg, t_imu, lever)
 
-    imu_stream = [
-        ImuSample(timestamp=float(t_imu[i]), accel=specific_force[i], gyro=gyro[i])
-        for i in range(n_imu)
-    ]
-    truth_stream = [
-        GroundTruthSample(
-            timestamp=float(t_imu[i]),
-            attitude=Attitude(roll=float(roll[i]), pitch=float(pitch[i]), yaw=float(yaw[i])),
-            prism_nav=prism[i],
-            poi_nav=cfg.poi_nav,
-        )
-        for i in range(n_imu)
-    ]
-
     diff = _points(cfg, t_rts, lever) - cfg.rts_station
     horiz = np.hypot(diff[:, 0], diff[:, 1])
     slant = np.linalg.norm(diff, axis=1)
@@ -280,14 +267,59 @@ def generate_scenario(
     zenith = np.arctan2(horiz, diff[:, 2]) + v_noise
     azimuth = np.arctan2(diff[:, 1], diff[:, 0]) + hz_noise
     distance = slant + range_noise
+    _check_observations(t_rts, distance, azimuth, zenith)
 
-    rts_stream = [
-        RtsObservation(
-            timestamp=float(t_rts[j]),
-            slant_distance=float(distance[j]),
-            horizontal_angle=float(azimuth[j]),
-            zenith_angle=float(zenith[j]),
-        )
-        for j in range(n_rts)
-    ]
-    return imu_stream, rts_stream, truth_stream
+    poi = np.broadcast_to(cfg.poi_nav, prism.shape)
+    return (
+        (t_imu, specific_force, gyro),
+        (t_rts, distance, azimuth, zenith),
+        (t_imu, roll, pitch, yaw, prism, poi),
+    )
+
+
+def _ground_truth(
+    timestamp: float, roll: float, pitch: float, yaw: float, prism_nav: np.ndarray,
+    poi_nav: np.ndarray,
+) -> GroundTruthSample:
+    """A :class:`GroundTruthSample` and its :class:`Attitude` of floats and two
+    float64 (3,) arrays, filled directly: these are what the dataclass
+    constructors would store."""
+    new, put = object.__new__, object.__setattr__
+    attitude = new(Attitude)
+    put(attitude, "roll", roll)
+    put(attitude, "pitch", pitch)
+    put(attitude, "yaw", yaw)
+    sample = new(GroundTruthSample)
+    put(sample, "timestamp", timestamp)
+    put(sample, "attitude", attitude)
+    put(sample, "prism_nav", prism_nav)
+    put(sample, "poi_nav", poi_nav)
+    return sample
+
+
+def generate_scenario(
+    cfg: ScenarioConfig,
+) -> tuple[list[ImuSample], list[RtsObservation], list[GroundTruthSample]]:
+    """Synthesize the IMU stream, the observation stream, and ground truth.
+
+    Stream grids are i / rate starting at zero; counts are
+    floor(duration * rate). Truth samples share the IMU grid (which contains
+    every observation timestamp when the IMU rate is an integer multiple of
+    the observation rate). RNG draw order is fixed: bias direction, gyro
+    noise, accel noise, then range / horizontal-angle / zenith-angle noise.
+    Each sample's accel, gyro and prism position are rows of its stream's one
+    ``(n, 3)`` array, and every truth sample holds ``cfg.poi_nav`` itself.
+
+    Raises ValueError when the prism crosses the station's vertical axis,
+    where the polar angles degenerate, or as :class:`RtsObservation` does for
+    the first observation that breaks one of its rules (noise can push a
+    distance below zero or a zenith angle past 0 or pi).
+    """
+    (t_imu, accel, gyro), rts, (_, roll, pitch, yaw, prism, _) = _scenario(cfg)
+    times = t_imu.tolist()
+    imu_stream = list(map(_imu_sample, times, accel, gyro))
+    truth_stream = list(map(
+        _ground_truth, times, roll.tolist(), pitch.tolist(), yaw.tolist(), prism,
+        repeat(cfg.poi_nav),
+    ))
+    return imu_stream, _observations(*rts), truth_stream

@@ -954,15 +954,22 @@ _FILE_ODD = st.one_of(
 _BLANK_LINE = st.sampled_from(["", " ", "\t", "\x1c", "  "])
 
 
-def clean_record_line(kind, tag, count):
-    """A well-formed record line, an RTS one with values in range."""
+# Numbers the bulk pass reads but an observation refuses: a distance not above
+# zero, a zenith angle at or beyond 0 or 180 degrees.
+_RTS_NO_DISTANCE = ["0", "-0.0", "-1e-300", "-2.5", "-1e6"]
+_RTS_NO_ZENITH = ["0", "-0.0", "-0.000001", "180", "180.0", "180.000001", "359.9", "-90", "1e300"]
+
+
+def clean_record_line(kind, tag, count, in_range=True):
+    """A well-formed record line, an RTS one with values in range unless
+    ``in_range`` is false."""
     if kind == "rts":
-        fields = st.tuples(
-            _FILE_NUMBER,
-            st.floats(1e-3, 1e6).map(repr),
-            _FILE_NUMBER,
-            st.floats(1e-3, 179.999).map("{:.6f}".format),
-        ).map(list)
+        distance = st.floats(1e-3, 1e6).map(repr)
+        zenith = st.floats(1e-3, 179.999).map("{:.6f}".format)
+        if not in_range:
+            distance = st.one_of(distance, st.sampled_from(_RTS_NO_DISTANCE))
+            zenith = st.one_of(zenith, st.sampled_from(_RTS_NO_ZENITH))
+        fields = st.tuples(_FILE_NUMBER, distance, _FILE_NUMBER, zenith).map(list)
     else:
         fields = st.lists(_FILE_NUMBER, min_size=count, max_size=count)
     return fields.map(lambda values: ",".join([tag, *values] if tag else values))
@@ -971,23 +978,24 @@ def clean_record_line(kind, tag, count):
 @st.composite
 def record_file(draw, kind):
     """The text of a record file of ``kind`` and whether it is clean: each
-    line well-formed or blank, any line break, the header exact. An unclean
-    file may also hold faulty lines, a faulty header or none (so an empty
-    file), blanks around commas or the tag."""
+    line well-formed or blank, any line break, the header exact. A file that
+    is only well-formed may also hold observations out of range; a faulty one
+    may also hold faulty lines, a faulty header or none (so an empty file),
+    blanks around commas or the tag."""
     tag, header, count, _, _ = RECORD_FILES[kind]
-    clean = draw(st.booleans())
-    line = clean_record_line(kind, tag, count)
-    if not clean:
+    kind_of_file = draw(st.sampled_from(["clean", "well-formed", "faulty"]))
+    line = clean_record_line(kind, tag, count, in_range=kind_of_file == "clean")
+    if kind_of_file == "faulty":
         line = st.one_of(line, record_lines(tag, count, _FILE_NUMBER, _FILE_ODD))
     lines = draw(st.lists(st.one_of(line, _BLANK_LINE), max_size=8))
     if header is not None:
-        variants = [header] if clean else [
+        variants = [header] if kind_of_file != "faulty" else [
             header, None, " " + header + " ", header.upper(), header.rsplit(",", 1)[0], ""
         ]
         first = draw(st.sampled_from(variants))
         lines = lines if first is None else [first, *lines]
     separator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return separator.join(lines) + draw(st.sampled_from(["", separator])), clean
+    return separator.join(lines) + draw(st.sampled_from(["", separator])), kind_of_file == "clean"
 
 
 @pytest.mark.parametrize("kind", sorted(RECORD_FILES))
@@ -1006,6 +1014,23 @@ def test_bulk_reader_agrees_with_the_line_by_line_reader(tmp_path_factory, kind,
     if clean:
         assert expected[0] == "records"
         assert not per_line.called
+
+
+@pytest.mark.parametrize(
+    "distance, zenith",
+    [(d, "90") for d in _RTS_NO_DISTANCE] + [("5", v) for v in _RTS_NO_ZENITH],
+)
+def test_bulk_reader_refuses_an_observation_out_of_range_as_the_line_reader(
+    tmp_path, distance, zenith
+):
+    """A file the bulk pass reads whole whose third observation breaks a rule:
+    the same FormatError, naming line 3."""
+    good = "RTS,0.2,5.0,10.0,90.0"
+    path = tmp_path / "rts.txt"
+    path.write_text("\n".join([good, good, f"RTS,0.4,{distance},10.0,{zenith}", good]) + "\n")
+    expected = read_outcome(RECORD_FILES["rts"][4], path)
+    assert expected[0] == "error" and expected[1].startswith("line 3: "), expected
+    assert read_outcome(codec._read_rts, path) == expected
 
 
 def _tokens_around(char):

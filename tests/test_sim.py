@@ -9,20 +9,28 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tiltcomp import (
+    TRUTH_CSV_HEADER,
     Attitude,
     FilterConfig,
+    GroundTruthSample,
     HelmertParams,
+    ImuSample,
     LeverArms,
     NoiseSpec,
     PipelineConfig,
+    RtsObservation,
     ScenarioConfig,
     generate_scenario,
     poi_position,
     polar_to_cartesian,
     rotation_b_to_n,
     truth_attitude,
+    write_imu_line,
+    write_rts_line,
+    write_truth_csv,
 )
-from tiltcomp.cli import main
+from tiltcomp.cli import main, parse_scenario_config
+from tiltcomp.sim import _scenario
 
 G = 9.80665
 DIFF_STEP = 1e-4
@@ -448,6 +456,116 @@ def test_streams_match_pinned_fingerprints(tmp_path, capsys, config):
         for name in ("imu.txt", "rts.txt", "truth.csv")
     )
     assert digests == PINNED_STREAMS[config]
+
+
+NO_SAMPLES = "duration_s = 0.005\nidle_duration_s = 0.001\n"
+CONSUMER_CONFIGS = [*PINNED_STREAMS, NO_SAMPLES]
+CONSUMER_IDS = ["defaults", "tracker_100hz", "yaw_7hz", "no_samples"]
+
+
+def simulate(tmp_path, config):
+    """Run ``simulate`` on ``config`` text; its exit code and output directory."""
+    (tmp_path / "scenario.cfg").write_text(config)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(tmp_path / "scenario.cfg"), "--out-dir", str(out)]
+    return main(argv), out
+
+
+@pytest.mark.parametrize("config", CONSUMER_CONFIGS, ids=CONSUMER_IDS)
+def test_the_public_writers_reproduce_simulates_files(tmp_path, capsys, config):
+    """simulate formats the scenario's arrays; the public writers, run over
+    generate_scenario's objects, write the same bytes."""
+    code, out = simulate(tmp_path, config)
+    assert code == 0
+    imu, rts, truth = generate_scenario(parse_scenario_config(config))
+    write_truth_csv(truth, tmp_path / "truth.csv")
+    assert (out / "imu.txt").read_bytes() == "".join(write_imu_line(s) + "\n" for s in imu).encode()
+    assert (out / "rts.txt").read_bytes() == "".join(write_rts_line(o) + "\n" for o in rts).encode()
+    assert (out / "truth.csv").read_bytes() == (tmp_path / "truth.csv").read_bytes()
+
+
+def constructed(cfg):
+    """The scenario's objects as the dataclass constructors build them from
+    its arrays, one row at a time."""
+    (t, accel, gyro), rts, (_, roll, pitch, yaw, prism, _) = _scenario(cfg)
+    imu = [ImuSample(float(t[i]), accel[i], gyro[i]) for i in range(len(t))]
+    obs = [RtsObservation(*map(float, row)) for row in zip(*rts)]
+    truth = [
+        GroundTruthSample(
+            float(t[i]), Attitude(float(roll[i]), float(pitch[i]), float(yaw[i])),
+            prism[i], cfg.poi_nav,
+        )
+        for i in range(len(t))
+    ]
+    return imu, obs, truth
+
+
+def assert_same_fields(made, built):
+    """Field by field: float64 (3,) arrays and Python floats of the same bits."""
+    assert type(made) is type(built) and list(vars(made)) == list(vars(built))
+    for name, value in vars(built).items():
+        got = getattr(made, name)
+        if isinstance(value, np.ndarray):
+            assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (3,)
+            assert got.tobytes() == value.tobytes(), name
+        elif isinstance(value, Attitude):
+            assert_same_fields(got, value)
+        else:
+            assert type(got) is float and got.hex() == value.hex(), name
+
+
+@pytest.mark.parametrize("config", CONSUMER_CONFIGS, ids=CONSUMER_IDS)
+def test_generated_objects_equal_those_the_dataclass_constructors_build(config):
+    """generate_scenario fills its objects without their constructors; each
+    holds what the constructor would store. The arrays are rows of one array
+    per stream, and every truth sample holds the config's POI itself."""
+    cfg = parse_scenario_config(config)
+    made = generate_scenario(cfg)
+    for stream, reference in zip(made, constructed(cfg), strict=True):
+        assert len(stream) == len(reference)
+        for item, built in zip(stream, reference):
+            assert_same_fields(item, built)
+    imu, _, truth = made
+    for arrays in ([s.accel for s in imu], [s.gyro for s in imu], [s.prism_nav for s in truth]):
+        assert all(a.base is not None and a.base is arrays[0].base for a in arrays)
+        assert all(a.base.shape == (len(arrays), 3) for a in arrays)
+    assert all(s.poi_nav is cfg.poi_nav for s in truth)
+
+
+# Messages the parent printed for each fault, pinned.
+SCENARIO_FAULTS = {
+    "rts_range_sigma_m = 50\n": "slant distance must be positive, got -22.07482646651928",
+    "rts_angle_sigma_rad = 3\n":
+        "zenith angle must lie strictly between 0 and pi, got 3.917439573473869",
+    "poi_nav = 0,0,0\n":
+        "infeasible geometry at t=0.0: prism on the station's vertical axis, "
+        "zenith angle undefined",
+}
+
+
+@pytest.mark.parametrize(
+    "config", SCENARIO_FAULTS, ids=["negative_distance", "zenith_past_pi", "vertical_axis"]
+)
+def test_a_faulty_scenario_raises_and_simulate_writes_nothing(tmp_path, capsys, config):
+    message = SCENARIO_FAULTS[config]
+    with pytest.raises(ValueError) as raised:
+        generate_scenario(parse_scenario_config(config))
+    assert str(raised.value) == message
+    code, out = simulate(tmp_path, config)
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_a_scenario_with_no_samples_writes_empty_streams(tmp_path, capsys):
+    code, out = simulate(tmp_path, NO_SAMPLES)
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert printed == f"wrote 0 IMU samples, 0 observations, 0 truth rows to {out}\n"
+    assert (out / "imu.txt").read_bytes() == b""
+    assert (out / "rts.txt").read_bytes() == b""
+    assert (out / "truth.csv").read_bytes() == f"{TRUTH_CSV_HEADER}\n".encode()
+    assert generate_scenario(parse_scenario_config(NO_SAMPLES)) == ([], [], [])
 
 
 def test_halving_gyro_density_halves_attitude_wander():
