@@ -40,8 +40,9 @@ print(f"fused {len(records)} records "
       f"({pipe.rts_dropped} observations dropped during calibration)")
 
 # Score the fused tip positions against the planted tip.  The pole sways
-# but its tip stays put, which the truth rows confirm.
-tip_travel = np.ptp([row.poi_nav for row in truth], axis=0)
+# but its tip stays put, which the truth rows confirm: truth is one table
+# whose columns follow the truth CSV header, the tip in columns 7 to 9.
+tip_travel = np.ptp(truth[:, 7:10], axis=0)
 print(f"truth tip travel over the run [m]: {tip_travel}")
 stats = compute_stats([r.poi_nav for r in records], cfg.poi_nav)
 print()

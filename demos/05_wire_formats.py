@@ -20,9 +20,7 @@ from tiltcomp import (
     HelmertParams,
     ImuSample,
     RtsObservation,
-    decode_attitude_frame,
     decode_can_frames,
-    encode_attitude_frame,
     encode_can_frames,
     format_can_dump_line,
     parse_can_dump_line,
@@ -30,10 +28,12 @@ from tiltcomp import (
     parse_rts_line,
     polar_to_cartesian,
     read_helmert_file,
+    read_truth_csv,
     write_csv_record,
     write_helmert_file,
     write_imu_line,
     write_rts_line,
+    write_truth_csv,
 )
 from tiltcomp.codec import FUSED_CSV_HEADER
 
@@ -83,6 +83,20 @@ print("fused CSV:")
 print(f"  {FUSED_CSV_HEADER}")
 print(f"  {write_csv_record(record)}")
 
+# ----------------------------------------------------------- truth CSV
+# Simulator ground truth is one float table, a row per IMU sample, its
+# columns those of the header: angles in radians in memory, degrees on disk.
+truth = np.array([[12.4, math.radians(1.2), math.radians(-0.4), 0.0,
+                   18.5412, 17.9873, 1.6551, 18.5391, 18.0127, 0.5881]])
+with tempfile.TemporaryDirectory() as td:
+    path = Path(td) / "truth.csv"
+    write_truth_csv(truth, path)
+    print()
+    print("truth CSV:")
+    for tline in path.read_text().splitlines():
+        print(f"  {tline}")
+    print(f"  roll read back: {read_truth_csv(path)[0, 1]:.9f} rad")
+
 # ----------------------------------------------------------- CAN frames
 # Each fused record becomes three 8-byte frames on consecutive
 # identifiers: prism x|y, prism z|POI x, POI y|z.  Coordinates are
@@ -107,14 +121,6 @@ print(f"  decoded prism {prism} m, POI {poi} m "
 reparsed = parse_can_dump_line(format_can_dump_line(frames[1]))
 print(f"  dump line round-trips: id 0x{reparsed.can_id:X}, "
       f"payload matches: {reparsed.payload == frames[1].payload}")
-
-# A fourth frame carries attitude at 0.01 degree resolution plus a
-# wrapping sequence counter for loss detection.
-att_frame = encode_attitude_frame(record.attitude_used, base_id=0x300, sequence=41)
-att, seq = decode_attitude_frame(att_frame)
-print(f"  attitude frame: {format_can_dump_line(att_frame)}")
-print(f"    decodes to roll {math.degrees(att.roll):.2f} deg, "
-      f"pitch {math.degrees(att.pitch):.2f} deg, sequence {seq}")
 
 # -------------------------------------------------------- transform file
 # Thirteen numbers printed with repr-exact precision, so reading the

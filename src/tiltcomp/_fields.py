@@ -21,9 +21,14 @@ def _vec3(value, name: str) -> np.ndarray:
     return v
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an int; a bool, an int to ``isinstance``, is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _ranged(default, lo: float, hi: float, *, above: bool = False):
     """A field whose value must be finite and in ``[lo, hi]``, or ``(lo, hi]``
-    with ``above``; an int default also requires an int."""
+    with ``above``; an int default also requires an :func:`_integer`."""
     return field(default=default, metadata={"range": (lo, hi, above, type(default) is int)})
 
 
@@ -49,7 +54,7 @@ def _check_fields(obj) -> None:
             object.__setattr__(obj, f.name, _vec3(value, f.name))
         elif "range" in f.metadata:
             lo, hi, above, integral = f.metadata["range"]
-            if integral and not isinstance(value, int):
+            if integral and not _integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             # Ints are finite, and math.isfinite overflows on a huge one.
             in_range = (lo < value if above else lo <= value) and value <= hi

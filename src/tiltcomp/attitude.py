@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _ranged, _vec3
+from ._fields import _check_fields, _integer, _ranged, _vec3
 
 __all__ = [
     "Attitude",
@@ -261,7 +261,7 @@ def calibrate_bias(samples: Sequence[ImuSample], min_count: int = 1000) -> np.nd
     Raises ValueError unless ``min_count`` is an integer >= 1, and when fewer
     than ``min_count`` samples are supplied.
     """
-    if not isinstance(min_count, int) or min_count < 1:
+    if not _integer(min_count) or min_count < 1:
         raise ValueError(f"min_count must be an integer >= 1, got {min_count!r}")
     if len(samples) < min_count:
         raise ValueError(

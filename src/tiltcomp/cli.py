@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -21,16 +20,14 @@ import numpy as np
 
 from .attitude import FilterConfig
 # encode_can_frames, format_can_dump_line, parse_imu_line, parse_rts_line,
-# read_fused_csv, read_truth_csv, write_imu_line, write_rts_line and
-# write_truth_csv are unused here (simulate writes its streams from arrays, fuse
-# reads the streams and writes the CAN dump, and eval reads the tables, in
-# blocks) but stay importable: bench/run.py traces the codec under these names.
+# read_fused_csv, write_imu_line and write_rts_line are unused here (simulate
+# writes its streams from arrays, fuse reads the streams and writes the CAN
+# dump, and eval reads the fused table, in blocks) but stay importable:
+# bench/run.py traces the codec under these names.
 from .codec import (  # noqa: F401
     _IMU,
     _RTS,
-    _TRUTH,
     FUSED_CSV_HEADER,
-    TRUTH_CSV_HEADER,
     FormatError,
     _can_dump_lines,
     _check_base_id,
@@ -136,10 +133,10 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "imu.txt", _lines(_IMU, *imu))
     _write_lines(out_dir / "rts.txt", _lines(_RTS, *rts))
-    _write_lines(out_dir / "truth.csv", chain([TRUTH_CSV_HEADER], _lines(_TRUTH, *truth)))
+    write_truth_csv(truth, out_dir / "truth.csv")
     print(
         f"wrote {len(imu[0])} IMU samples, {len(rts[0])} observations, "
-        f"{len(truth[0])} truth rows to {out_dir}"
+        f"{len(truth)} truth rows to {out_dir}"
     )
     return 0
 
@@ -205,7 +202,7 @@ def cmd_eval(args) -> int:
         return _data_error(f"{args.fused}: no fused records")
 
     if args.truth:
-        truth = _read_table(args.truth, TRUTH_CSV_HEADER, "truth CSV")
+        truth = read_truth_csv(args.truth)
         # A repeated truth timestamp keeps its last row.
         row_at = {t: i for i, t in enumerate(truth[:, 0].tolist())}
         joined = [(k, row_at[t]) for k, t in enumerate(fused[:, 0].tolist()) if t in row_at]

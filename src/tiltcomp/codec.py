@@ -13,9 +13,13 @@ names and decimals; one ``%`` template per format writes it. A field whose
 name ends in ``_deg`` is an angle: radians inside, degrees on the wire. One
 row writer formats every IMU, RTS and truth line from float columns, a block
 of rows at a time, converting each angle column with ``math.degrees``:
-``simulate`` hands it the scenario's arrays, and :func:`write_imu_line`,
-:func:`write_rts_line` and :func:`write_truth_csv` the numbers of their
-objects. The fused CSV writer formats plain floats.
+``simulate`` hands it the scenario's arrays, :func:`write_imu_line` and
+:func:`write_rts_line` the numbers of their objects, and
+:func:`write_truth_csv` the ground-truth table as it is. The fused CSV writer
+formats plain floats. Every reader converts the angle fields of its format
+back to radians through one helper, a whole table or one line at a time.
+Ground truth is never an object: it is an ``(n, 10)`` float64 table whose
+columns follow :data:`TRUTH_CSV_HEADER`, angles in radians.
 
 One record reader reads every numeric record file (the IMU and RTS streams,
 the fused, truth and pairs tables) whole: one C pass parses all its lines
@@ -28,12 +32,11 @@ functions, has a fast path (one split, one ``float`` per field, one
 finiteness test) that hands anything else to the field-by-field parser.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
-counts of 0.1 mm across three frames (base id, +1, +2), plus an optional
-attitude frame (+3) with 0.01-degree signed 16-bit angles and a sequence
-counter. Hex dumps use ``<id hex>#<payload hex>`` lines. One counts rule
-serves :func:`encode_can_frames` and the dump writer ``fuse`` uses, which
-packs ~1k records at a time into one hex string and cuts it into lines,
-building no :class:`CanFrame`.
+counts of 0.1 mm across three frames (base id, +1, +2). Hex dumps use
+``<id hex>#<payload hex>`` lines. One counts rule serves
+:func:`encode_can_frames` and the dump writer ``fuse`` uses, which packs ~1k
+records at a time into one hex string and cuts it into lines, building no
+:class:`CanFrame`.
 
 The transform file, like the scenario config, is ``key = value`` text where
 ``#`` starts a comment; a line without ``=``, an unknown or a repeated key is
@@ -61,7 +64,6 @@ import numpy as np
 from .attitude import Attitude, ImuSample, _imu_sample
 from .geodesy import HelmertParams, RtsObservation, _observations
 from .pipeline import FusedRecord
-from .sim import GroundTruthSample
 
 __all__ = [
     "FormatError",
@@ -80,8 +82,6 @@ __all__ = [
     "CanFrame",
     "encode_can_frames",
     "decode_can_frames",
-    "encode_attitude_frame",
-    "decode_attitude_frame",
     "format_can_dump_line",
     "parse_can_dump_line",
     "write_helmert_file",
@@ -143,19 +143,23 @@ class _Format(NamedTuple):
     """One record line format: its tag (the first field of a stream line, None
     for a CSV row), its field names, the ``%`` template that writes it, and
     the indices of its angle fields, those whose name ends in ``_deg``:
-    radians inside the toolkit, degrees on the wire."""
+    radians inside the toolkit, degrees on the wire. ``radians`` holds each
+    field's factor from the wire to the toolkit: ``math.radians(1.0)``, the
+    constant ``math.radians`` multiplies by, for an angle and 1.0 otherwise."""
 
     tag: str | None
     names: tuple[str, ...]
     template: str
     angles: tuple[int, ...]
+    radians: np.ndarray
 
 
 def _declare(tag: str | None, names: Sequence[str], decimals: int) -> _Format:
     fields = [f"%.{decimals}f"] * len(names)
     template = ",".join(fields if tag is None else [tag, *fields])
     angles = tuple(i for i, name in enumerate(names) if name.endswith("_deg"))
-    return _Format(tag, tuple(names), template, angles)
+    radians = np.array([math.radians(1.0) if i in angles else 1.0 for i in range(len(names))])
+    return _Format(tag, tuple(names), template, angles, radians)
 
 
 _IMU = _declare("IMU", ("t_s", "ax", "ay", "az", "gx", "gy", "gz"), 6)
@@ -168,14 +172,22 @@ def _lines(fmt: _Format, *columns) -> Iterator[str]:
     """The lines of ``fmt`` whose fields, in ``fmt.names`` order, are the
     columns of ``columns``: float arrays (or nested sequences) of n rows, each
     ``(n,)`` or ``(n, m)``. Each angle field is converted by ``math.degrees``
-    on a Python float. Rows are formatted :data:`_ROW_BLOCK` at a time, so
-    few Python floats exist at once."""
-    table = np.column_stack(columns)
-    for start in range(0, len(table), _ROW_BLOCK):
-        fields = table[start : start + _ROW_BLOCK].T.tolist()
+    on a Python float. Rows are stacked and formatted :data:`_ROW_BLOCK` at a
+    time, so no copy of the whole table and few Python floats exist at once."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        block = np.column_stack([column[start : start + _ROW_BLOCK] for column in columns])
+        fields = block.T.tolist()
         for k in fmt.angles:
             fields[k] = list(map(math.degrees, fields[k]))
         yield from map(fmt.template.__mod__, zip(*fields))
+
+
+def _radians(fmt: _Format, rows: np.ndarray) -> np.ndarray:
+    """``rows``, the float array of one record of ``fmt`` ``(k,)`` or of n
+    ``(n, k)``, with its angle fields in radians: one product by
+    ``fmt.radians`` per field gives the bits ``math.radians`` gives, and
+    leaves every other field as it is."""
+    return rows * fmt.radians
 
 
 def _numbers(
@@ -220,9 +232,9 @@ def write_imu_line(sample: ImuSample) -> str:
 
 def parse_rts_line(line: str, line_number: int | None = None) -> RtsObservation:
     """Parse one observation line; wire angles are degrees, output radians."""
-    t, distance, hz_deg, v_deg = _numbers(line, _RTS.tag, _RTS.names, "RTS line", line_number)
+    values = np.array(_numbers(line, _RTS.tag, _RTS.names, "RTS line", line_number))
     try:
-        return RtsObservation(t, distance, math.radians(hz_deg), math.radians(v_deg))
+        return RtsObservation(*_radians(_RTS, values).tolist())
     except ValueError as exc:
         _fail(str(exc), line_number)
 
@@ -232,9 +244,7 @@ def _read_rts(path) -> list[RtsObservation]:
     each line."""
 
     def build(table: np.ndarray) -> list[RtsObservation]:
-        hz = list(map(math.radians, table[:, 2].tolist()))
-        v = list(map(math.radians, table[:, 3].tolist()))
-        return _observations(table[:, 0], table[:, 1], hz, v)
+        return _observations(*_radians(_RTS, table).T)
 
     return _read_records(path, _RTS.tag, len(_RTS.names), build, parse_rts_line)
 
@@ -354,18 +364,20 @@ def _read_table(path, header: str, what: str) -> np.ndarray:
 
 
 def _fused_record(values: Sequence[float]) -> FusedRecord:
+    """The record of one fused CSV row, its angles already in radians."""
     return FusedRecord(
         timestamp=values[0],
         prism_nav=values[1:4],
         poi_nav=values[4:7],
-        attitude_used=Attitude(*map(math.radians, values[7:10])),
+        attitude_used=Attitude(*values[7:10]),
         alpha_used=values[10],
         imu_timestamp_used=values[11],
     )
 
 
 def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
-    return _fused_record(_numbers(line, None, _FUSED.names, "fused CSV record", line_number))
+    values = np.array(_numbers(line, None, _FUSED.names, "fused CSV record", line_number))
+    return _fused_record(_radians(_FUSED, values).tolist())
 
 
 def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
@@ -373,32 +385,23 @@ def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
 
 
 def read_fused_csv(path) -> list[FusedRecord]:
-    return list(map(_fused_record, _read_table(path, FUSED_CSV_HEADER, "fused CSV").tolist()))
+    table = _read_table(path, FUSED_CSV_HEADER, "fused CSV")
+    return list(map(_fused_record, _radians(_FUSED, table).tolist()))
 
 
-def _truth_sample(values: Sequence[float]) -> GroundTruthSample:
-    return GroundTruthSample(
-        timestamp=values[0],
-        attitude=Attitude(*map(math.radians, values[1:4])),
-        prism_nav=values[4:7],
-        poi_nav=values[7:10],
-    )
-
-
-def write_truth_csv(samples: Iterable[GroundTruthSample], path) -> None:
-    rows = [
-        (s.timestamp, s.attitude.roll, s.attitude.pitch, s.attitude.yaw,
-         *s.prism_nav.tolist(), *s.poi_nav.tolist())
-        for s in samples
-    ]
-    # No samples still make a (0, k) table; a coordinate triple of another
-    # length raises ValueError here.
-    table = np.array(rows, dtype=float).reshape(len(rows), len(_TRUTH.names))
+def write_truth_csv(table, path) -> None:
+    """Write a ground-truth table, ``(n, 10)`` floats in
+    :data:`TRUTH_CSV_HEADER` order with angles in radians, as a truth CSV.
+    Any other shape raises ValueError before the file is opened."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(_TRUTH.names):
+        raise ValueError(f"truth table must have shape (n, {len(_TRUTH.names)}), got {table.shape}")
     _write_lines(path, chain([TRUTH_CSV_HEADER], _lines(_TRUTH, table)))
 
 
-def read_truth_csv(path) -> list[GroundTruthSample]:
-    return list(map(_truth_sample, _read_table(path, TRUTH_CSV_HEADER, "truth CSV").tolist()))
+def read_truth_csv(path) -> np.ndarray:
+    """The ground-truth table of a truth CSV, as :func:`write_truth_csv` takes it."""
+    return _radians(_TRUTH, _read_table(path, TRUTH_CSV_HEADER, "truth CSV"))
 
 
 @dataclass(frozen=True)
@@ -439,11 +442,11 @@ def _counts(records: Sequence[FusedRecord]) -> np.ndarray:
     return counts.astype("<i4")
 
 
-def _check_base_id(base_id: int, count: int = _CAN_FRAMES) -> None:
-    """Raise ValueError unless base_id .. base_id + count - 1 are all 29-bit ids."""
-    if not 0 <= base_id <= _CAN_ID_LIMIT - count:
-        words = {3: "three", 4: "four"}
-        raise ValueError(f"base_id must leave room for {words[count]} 29-bit ids, got {base_id:#x}")
+def _check_base_id(base_id: int) -> None:
+    """Raise ValueError unless the coordinate frames' ids, base_id, +1 and +2,
+    are all 29-bit ids."""
+    if not 0 <= base_id <= _CAN_ID_LIMIT - _CAN_FRAMES:
+        raise ValueError(f"base_id must leave room for three 29-bit ids, got {base_id:#x}")
 
 
 def encode_can_frames(record: FusedRecord, base_id: int) -> list[CanFrame]:
@@ -487,26 +490,6 @@ def decode_can_frames(frames: Sequence[CanFrame]) -> tuple[np.ndarray, np.ndarra
     counts = [struct.unpack("<ii", frame.payload) for frame in frames]
     prism, poi = np.array(counts).reshape(2, 3) * _COUNT_SCALE
     return prism, poi
-
-
-def encode_attitude_frame(attitude: Attitude, base_id: int, sequence: int = 0) -> CanFrame:
-    """Optional fourth frame (base_id + 3): angles in 0.01-degree signed
-    16-bit counts, roll/pitch/yaw, then an unsigned 16-bit sequence counter."""
-    _check_base_id(base_id, 4)
-    if not 0 <= sequence <= 0xFFFF:
-        raise ValueError(f"sequence must fit 16 bits, got {sequence}")
-    counts = [round(math.degrees(a) * 100.0) for a in (attitude.roll, attitude.pitch, attitude.yaw)]
-    return CanFrame(base_id + 3, struct.pack("<hhhH", *counts, sequence))
-
-
-def decode_attitude_frame(frame: CanFrame) -> tuple[Attitude, int]:
-    roll, pitch, yaw, sequence = struct.unpack("<hhhH", frame.payload)
-    attitude = Attitude(
-        roll=math.radians(roll / 100.0),
-        pitch=math.radians(pitch / 100.0),
-        yaw=math.radians(yaw / 100.0),
-    )
-    return attitude, sequence
 
 
 def format_can_dump_line(frame: CanFrame) -> str:

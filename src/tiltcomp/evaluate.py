@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _vec3
+from ._fields import _integer, _vec3
 
 __all__ = [
     "ErrorStats",
@@ -46,7 +46,7 @@ class ErrorStats:
     def __post_init__(self):
         object.__setattr__(self, "mean_mm", np.asarray(self.mean_mm, dtype=float))
         object.__setattr__(self, "std_mm", np.asarray(self.std_mm, dtype=float))
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _integer(self.n) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not self.rmse3d_mm >= 0.0:
             raise ValueError(f"rmse3d_mm must be >= 0, got {self.rmse3d_mm}")

@@ -107,10 +107,6 @@ class HelmertParams:
             raise ValueError("rotation must be proper (det +1), got a reflection")
         object.__setattr__(self, "rotation", rot)
 
-    @classmethod
-    def identity(cls) -> "HelmertParams":
-        return cls()
-
 
 def _polar(distance: float, hz: float, v: float) -> tuple[float, float, float]:
     """Polar to Cartesian on floats: the placement kernel's first formula."""

@@ -26,15 +26,17 @@ start that a crossing stencil would smear into a spurious spike).
 Every stream number has one source, ``_scenario``, which returns each stream
 as arrays and checks the observations' rules over whole columns. It has two
 consumers: ``simulate`` formats the arrays straight into its files, and
-:func:`generate_scenario` fills the sample objects from them directly, each
-holding the same floats and array rows its dataclass constructor would.
+:func:`generate_scenario` fills the IMU and observation objects from them
+directly, each holding the same floats and array rows its dataclass
+constructor would. Ground truth is one table in both: an ``(n, 10)`` float64
+array whose columns follow :data:`~tiltcomp.codec.TRUTH_CSV_HEADER`, angles
+in radians.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .kinematics import LeverArms, _zyx_rows, prism_to_poi_body
 __all__ = [
     "NoiseSpec",
     "ScenarioConfig",
-    "GroundTruthSample",
     "truth_attitude",
     "generate_scenario",
 ]
@@ -128,20 +129,6 @@ class ScenarioConfig:
             )
 
 
-@dataclass(frozen=True)
-class GroundTruthSample:
-    """True attitude and positions at one instant; poi_nav is constant per run."""
-
-    timestamp: float
-    attitude: Attitude
-    prism_nav: np.ndarray
-    poi_nav: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "prism_nav", np.asarray(self.prism_nav, dtype=float))
-        object.__setattr__(self, "poi_nav", np.asarray(self.poi_nav, dtype=float))
-
-
 def _wrap_array(angles: np.ndarray) -> np.ndarray:
     wrapped = np.mod(angles + np.pi, 2.0 * np.pi) - np.pi
     return np.where(wrapped <= -np.pi, np.pi, wrapped)
@@ -212,12 +199,11 @@ def _kinematic_accels(cfg: ScenarioConfig, t: np.ndarray) -> np.ndarray:
 
 
 def _scenario(cfg: ScenarioConfig):
-    """The scenario as arrays, one tuple per stream with its columns in wire
-    order: IMU ``(t, accel, gyro)``; observations ``(t, distance, azimuth,
-    zenith)``; truth ``(t, roll, pitch, yaw, prism, poi)``. ``t`` is ``(n,)``
-    and accel, gyro and prism ``(n, 3)``; truth shares the IMU's ``t``, and its
-    ``poi`` is ``cfg.poi_nav`` broadcast to ``(n, 3)``. Grids, draw order and
-    errors are :func:`generate_scenario`'s.
+    """The scenario as arrays, one per stream with its columns in wire order:
+    IMU ``(t, accel, gyro)``; observations ``(t, distance, azimuth,
+    zenith)``; ``t`` is ``(n,)`` and accel and gyro ``(n, 3)``. Truth is
+    :func:`generate_scenario`'s table. Grids, draw order and errors are
+    :func:`generate_scenario`'s.
     """
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
@@ -273,53 +259,33 @@ def _scenario(cfg: ScenarioConfig):
     return (
         (t_imu, specific_force, gyro),
         (t_rts, distance, azimuth, zenith),
-        (t_imu, roll, pitch, yaw, prism, poi),
+        np.column_stack((t_imu, roll, pitch, yaw, prism, poi)),
     )
-
-
-def _ground_truth(
-    timestamp: float, roll: float, pitch: float, yaw: float, prism_nav: np.ndarray,
-    poi_nav: np.ndarray,
-) -> GroundTruthSample:
-    """A :class:`GroundTruthSample` and its :class:`Attitude` of floats and two
-    float64 (3,) arrays, filled directly: these are what the dataclass
-    constructors would store."""
-    new, put = object.__new__, object.__setattr__
-    attitude = new(Attitude)
-    put(attitude, "roll", roll)
-    put(attitude, "pitch", pitch)
-    put(attitude, "yaw", yaw)
-    sample = new(GroundTruthSample)
-    put(sample, "timestamp", timestamp)
-    put(sample, "attitude", attitude)
-    put(sample, "prism_nav", prism_nav)
-    put(sample, "poi_nav", poi_nav)
-    return sample
 
 
 def generate_scenario(
     cfg: ScenarioConfig,
-) -> tuple[list[ImuSample], list[RtsObservation], list[GroundTruthSample]]:
+) -> tuple[list[ImuSample], list[RtsObservation], np.ndarray]:
     """Synthesize the IMU stream, the observation stream, and ground truth.
 
     Stream grids are i / rate starting at zero; counts are
-    floor(duration * rate). Truth samples share the IMU grid (which contains
-    every observation timestamp when the IMU rate is an integer multiple of
-    the observation rate). RNG draw order is fixed: bias direction, gyro
+    floor(duration * rate). RNG draw order is fixed: bias direction, gyro
     noise, accel noise, then range / horizontal-angle / zenith-angle noise.
-    Each sample's accel, gyro and prism position are rows of its stream's one
-    ``(n, 3)`` array, and every truth sample holds ``cfg.poi_nav`` itself.
+    Each sample's accel and gyro are rows of its stream's one ``(n, 3)``
+    array.
+
+    Ground truth is one ``(n, 10)`` float64 table on the IMU grid (which
+    contains every observation timestamp when the IMU rate is an integer
+    multiple of the observation rate), its columns those of
+    :data:`~tiltcomp.codec.TRUTH_CSV_HEADER`: ``t`` (the IMU timestamps),
+    roll, pitch and yaw in radians, the prism position, and the POI, every
+    row of which equals ``cfg.poi_nav``.
 
     Raises ValueError when the prism crosses the station's vertical axis,
     where the polar angles degenerate, or as :class:`RtsObservation` does for
     the first observation that breaks one of its rules (noise can push a
     distance below zero or a zenith angle past 0 or pi).
     """
-    (t_imu, accel, gyro), rts, (_, roll, pitch, yaw, prism, _) = _scenario(cfg)
-    times = t_imu.tolist()
-    imu_stream = list(map(_imu_sample, times, accel, gyro))
-    truth_stream = list(map(
-        _ground_truth, times, roll.tolist(), pitch.tolist(), yaw.tolist(), prism,
-        repeat(cfg.poi_nav),
-    ))
-    return imu_stream, _observations(*rts), truth_stream
+    (t_imu, accel, gyro), rts, truth = _scenario(cfg)
+    imu_stream = list(map(_imu_sample, t_imu.tolist(), accel, gyro))
+    return imu_stream, _observations(*rts), truth

@@ -302,7 +302,7 @@ def test_calibrate_bias_requires_enough_samples():
     assert_allclose(bias, np.zeros(3))
 
 
-@pytest.mark.parametrize("min_count", [math.nan, math.inf, 0, -1, 2.5, 10.0, "10"])
+@pytest.mark.parametrize("min_count", [math.nan, math.inf, 0, -1, 2.5, 10.0, "10", True, False])
 def test_calibrate_bias_rejects_a_count_that_is_not_an_integer_of_at_least_one(min_count):
     samples = [ImuSample(i * 0.01, np.array([0.0, 0.0, G]), np.ones(3)) for i in range(10)]
     with pytest.raises(ValueError, match="min_count must be an integer >= 1"):

@@ -16,7 +16,6 @@ from tiltcomp import (
     Attitude,
     FormatError,
     FusedRecord,
-    GroundTruthSample,
     HelmertParams,
     ImuSample,
     LeverArms,
@@ -58,6 +57,16 @@ accel_sigma = 0
 rts_range_sigma_m = 0
 rts_angle_sigma_rad = 0
 """
+
+
+def level_truth(times, pois=None):
+    """A ground-truth table of level rows at ``times``: the prism at the
+    origin, the POI there too or at ``pois``, one per row."""
+    table = np.zeros((len(times), len(TRUTH_CSV_HEADER.split(","))))
+    table[:, 0] = times
+    if pois is not None:
+        table[:, 7:10] = pois
+    return table
 
 
 def write_level_streams(tmp_path, n_imu=100, rts_times=(0.25, 0.5, 0.75), gyro_z=0.0, idle=0):
@@ -576,7 +585,7 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command, spoil
     assert main(["fuse", "--imu", str(files["imu"]), "--rts", str(files["rts"]),
                  "--out", str(files["fused"]), "--bias-count", "10"]) == 0
     files["truth"] = tmp_path / "truth.csv"
-    write_truth_csv([GroundTruthSample(0.25, Attitude(), np.zeros(3), np.zeros(3))], files["truth"])
+    write_truth_csv(level_truth([0.25]), files["truth"])
     capsys.readouterr()
     _spoil(files[spoiled])
 
@@ -676,9 +685,7 @@ def test_eval_rejects_non_overlapping_truth(tmp_path, capsys):
     fused = tmp_path / "fused.csv"
     write_fused_csv(records, fused)
     truth = tmp_path / "truth.csv"
-    write_truth_csv(
-        [GroundTruthSample(0.0, Attitude(), np.zeros(3), np.zeros(3))], truth
-    )
+    write_truth_csv(level_truth([0.0]), truth)
     rc = main(
         ["eval", "--fused", str(fused), "--truth", str(truth), "--out", str(tmp_path / "s.csv")]
     )
@@ -701,13 +708,7 @@ def test_eval_rejects_moving_truth_poi(tmp_path, capsys):
     fused = tmp_path / "fused.csv"
     write_fused_csv(records, fused)
     truth = tmp_path / "truth.csv"
-    write_truth_csv(
-        [
-            GroundTruthSample(0.0, Attitude(), np.zeros(3), np.zeros(3)),
-            GroundTruthSample(0.2, Attitude(), np.zeros(3), np.array([0.5, 0.0, 0.0])),
-        ],
-        truth,
-    )
+    write_truth_csv(level_truth([0.0, 0.2], [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), truth)
     rc = main(
         ["eval", "--fused", str(fused), "--truth", str(truth), "--out", str(tmp_path / "s.csv")]
     )
@@ -870,7 +871,7 @@ def _command_argv(tmp_path):
     fused = tmp_path / "fused.csv"
     write_fused_csv([FusedRecord(0.25, np.zeros(3), np.zeros(3), Attitude(), 0.9, 0.25)], fused)
     truth = tmp_path / "truth.csv"
-    write_truth_csv([GroundTruthSample(0.25, Attitude(), np.zeros(3), np.zeros(3))], truth)
+    write_truth_csv(level_truth([0.25]), truth)
     return {
         "simulate": {"--config": cfg, "--out-dir": tmp_path / "sim"},
         "fuse": {"--imu": imu, "--rts": rts, "--helmert": helmert,
@@ -925,14 +926,14 @@ def test_eval_rejects_a_label_that_would_break_the_stats_csv(tmp_path, capsys, l
 
 
 # eval joins the fused and truth tables on their columns. The oracle is the
-# record-based join eval made before: one FusedRecord and one
-# GroundTruthSample per row, a dict from truth time to POI.
+# record-based join eval made before: one FusedRecord per fused row, and a
+# dict from truth time to POI.
 
 
 def record_join(fused_path, truth_path):
     """(estimates, reference, skipped) of the record-based join."""
     records = read_fused_csv(fused_path)
-    poi_by_time = {s.timestamp: s.poi_nav for s in read_truth_csv(truth_path)}
+    poi_by_time = {row[0]: np.array(row[7:10]) for row in read_truth_csv(truth_path).tolist()}
     estimates, references = [], []
     for record in records:
         ref = poi_by_time.get(record.timestamp)

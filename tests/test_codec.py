@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from unittest import mock
 
@@ -14,13 +15,10 @@ from tiltcomp import (
     CanFrame,
     FormatError,
     FusedRecord,
-    GroundTruthSample,
     HelmertParams,
     ImuSample,
     RtsObservation,
-    decode_attitude_frame,
     decode_can_frames,
-    encode_attitude_frame,
     encode_can_frames,
     format_can_dump_line,
     parse_can_dump_line,
@@ -262,10 +260,8 @@ def f_string_fused_row(r):
     )
 
 
-def f_string_truth_row(s):
-    att = s.attitude
-    angles = (math.degrees(att.roll), math.degrees(att.pitch), math.degrees(att.yaw))
-    return f_string_csv_line((s.timestamp, *angles, *s.prism_nav, *s.poi_nav))
+def f_string_truth_row(row):
+    return f_string_csv_line((row[0], *map(math.degrees, row[1:4]), *row[4:10]))
 
 
 @pytest.mark.parametrize(
@@ -293,7 +289,7 @@ def test_writers_match_the_f_string_formatting(tmp_path, v):
     expected = [FUSED_CSV_HEADER, f_string_fused_row(record), f_string_fused_row(record)]
     assert (tmp_path / "fused.csv").read_text() == "\n".join(expected) + "\n"
 
-    truth = GroundTruthSample(v, Attitude(-v, v, v), np.array([v, 0.0, -v]), [1.0, v, -v])
+    truth = (v, -v, v, v, v, 0.0, -v, 1.0, v, -v)
     write_truth_csv([truth], tmp_path / "truth.csv")
     expected = [TRUTH_CSV_HEADER, f_string_truth_row(truth)]
     assert (tmp_path / "truth.csv").read_text() == "\n".join(expected) + "\n"
@@ -303,9 +299,19 @@ def test_writers_reject_a_coordinate_triple_of_another_length(tmp_path):
     record = FusedRecord(0.0, np.zeros(4), np.zeros(3), Attitude(), 0.9, 0.0)
     with pytest.raises(ValueError):
         write_csv_record(record)
-    truth = GroundTruthSample(0.0, Attitude(), np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        write_truth_csv([truth], tmp_path / "truth.csv")
+
+
+@pytest.mark.parametrize(
+    "table",
+    [np.zeros((2, 9)), np.zeros((2, 11)), np.zeros(10), np.zeros((1, 2, 10)), np.float64(0.0)],
+    ids=["n_by_9", "n_by_11", "one_row_1d", "3d", "scalar"],
+)
+def test_truth_writer_rejects_a_table_of_another_shape_and_writes_nothing(tmp_path, table):
+    path = tmp_path / "truth.csv"
+    message = rf"^truth table must have shape \(n, 10\), got {re.escape(str(table.shape))}$"
+    with pytest.raises(ValueError, match=message):
+        write_truth_csv(table, path)
+    assert not path.exists()
 
 
 def test_rts_line_example_converts_degrees():
@@ -433,31 +439,27 @@ def test_fused_csv_skips_blank_lines(tmp_path):
 
 
 def test_truth_csv_round_trip(tmp_path):
+    """Nine decimals on the wire: 5e-10 for times and positions, and for the
+    angles, written in degrees, 5e-10 degrees (~1e-11 rad)."""
     rng = np.random.default_rng(15)
-    samples = [
-        GroundTruthSample(
-            timestamp=float(i) * 0.01,
-            attitude=Attitude(
-                roll=float(rng.uniform(-1.0, 1.0)),
-                pitch=float(rng.uniform(-1.0, 1.0)),
-                yaw=float(rng.uniform(-1.0, 1.0)),
-            ),
-            prism_nav=rng.uniform(-10.0, 10.0, size=3),
-            poi_nav=rng.uniform(-10.0, 10.0, size=3),
-        )
-        for i in range(20)
-    ]
+    table = np.column_stack([
+        np.arange(20) * 0.01,
+        rng.uniform(-1.0, 1.0, size=(20, 3)),
+        rng.uniform(-10.0, 10.0, size=(20, 6)),
+    ])
     path = tmp_path / "truth.csv"
-    write_truth_csv(samples, path)
+    write_truth_csv(table, path)
     assert path.read_text().splitlines()[0] == TRUTH_CSV_HEADER
 
     back = read_truth_csv(path)
-    assert len(back) == 20
-    for a, b in zip(samples, back):
-        assert b.timestamp == pytest.approx(a.timestamp, abs=5e-10)
-        assert b.attitude.roll == pytest.approx(a.attitude.roll, abs=1e-11)
-        assert_allclose(b.prism_nav, a.prism_nav, atol=5e-10)
-        assert_allclose(b.poi_nav, a.poi_nav, atol=5e-10)
+    assert type(back) is np.ndarray and back.dtype == np.float64 and back.shape == (20, 10)
+    assert_allclose(back[:, 0], table[:, 0], rtol=0.0, atol=5e-10)
+    assert_allclose(back[:, 1:4], table[:, 1:4], rtol=0.0, atol=1e-11)
+    assert_allclose(back[:, 4:10], table[:, 4:10], rtol=0.0, atol=5e-10)
+
+    write_truth_csv(np.empty((0, 10)), path)
+    assert path.read_text() == TRUTH_CSV_HEADER + "\n"
+    assert read_truth_csv(path).shape == (0, 10)
 
 
 def test_truth_csv_rejects_bad_header(tmp_path):
@@ -547,28 +549,6 @@ def test_can_decode_rejects_wrong_frame_sets():
         decode_can_frames(shuffled)
 
 
-def test_attitude_frame_round_trip():
-    att = Attitude(
-        roll=math.radians(12.34), pitch=math.radians(-5.0), yaw=math.radians(90.0)
-    )
-    frame = encode_attitude_frame(att, 0x300, sequence=7)
-    assert frame.can_id == 0x303
-    assert frame.payload == struct.pack("<hhhH", 1234, -500, 9000, 7)
-
-    back, seq = decode_attitude_frame(frame)
-    assert seq == 7
-    assert back.roll == pytest.approx(att.roll, abs=math.radians(0.005) + 1e-12)
-    assert back.pitch == pytest.approx(att.pitch, abs=math.radians(0.005) + 1e-12)
-    assert back.yaw == pytest.approx(att.yaw, abs=math.radians(0.005) + 1e-12)
-
-
-def test_attitude_frame_sequence_range():
-    with pytest.raises(ValueError):
-        encode_attitude_frame(Attitude(), 0x300, sequence=-1)
-    with pytest.raises(ValueError):
-        encode_attitude_frame(Attitude(), 0x300, sequence=0x10000)
-
-
 def test_can_base_id_leaves_room_for_every_frame():
     record = FusedRecord(
         timestamp=0.0,
@@ -580,13 +560,9 @@ def test_can_base_id_leaves_room_for_every_frame():
     )
     top = (1 << 29) - 1
     assert encode_can_frames(record, top - 2)[-1].can_id == top
-    assert encode_attitude_frame(Attitude(), top - 3).can_id == top
     for bad in (top - 1, top, -1):
         with pytest.raises(ValueError, match=f"^base_id must leave room for three 29-bit ids, got {bad:#x}$"):
             encode_can_frames(record, bad)
-    for bad in (top - 2, -1):
-        with pytest.raises(ValueError, match=f"^base_id must leave room for four 29-bit ids, got {bad:#x}$"):
-            encode_attitude_frame(Attitude(), bad)
 
 
 def test_dump_line_round_trip():
@@ -896,27 +872,37 @@ def read_line_by_line(path, parse, header=None, what=""):
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _table_kind(header, what):
+def _table_kind(header, what, bulk=None, parse=None):
+    """A CSV table's kind: by default the table reader's rows against each
+    line's numbers; a table with angles passes its reader and line parser."""
     names = header.split(",")
+    if bulk is None:
+        def bulk(path):
+            return codec._read_table(path, header, what).tolist()
 
-    def bulk(path):
-        return codec._read_table(path, header, what).tolist()
-
-    def line_by_line(path):
+    if parse is None:
         def parse(line, i):
             return codec._numbers(line, None, names, f"{what} record", i)
 
-        return read_line_by_line(path, parse, header, what)
+    return None, header, len(names), bulk, lambda path: read_line_by_line(path, parse, header, what)
 
-    return None, header, len(names), bulk, line_by_line
+
+def _truth_row(line, i):
+    """One truth CSV row read as the per-value rule reads it: each ``_deg``
+    field through ``math.radians``."""
+    names = TRUTH_CSV_HEADER.split(",")
+    values = codec._numbers(line, None, names, "truth CSV record", i)
+    return [math.radians(v) if name.endswith("_deg") else v for v, name in zip(values, names)]
 
 
 RECORD_FILES = {
     # kind: (tag, header, field count, bulk reader, line-by-line reader)
     "imu": ("IMU", None, 7, codec._read_imu, lambda p: read_line_by_line(p, parse_imu_line)),
     "rts": ("RTS", None, 4, codec._read_rts, lambda p: read_line_by_line(p, parse_rts_line)),
-    "fused": _table_kind(FUSED_CSV_HEADER, "fused CSV"),
-    "truth": _table_kind(TRUTH_CSV_HEADER, "truth CSV"),
+    "fused": _table_kind(FUSED_CSV_HEADER, "fused CSV", read_fused_csv, read_csv_record),
+    "truth": _table_kind(
+        TRUTH_CSV_HEADER, "truth CSV", lambda p: read_truth_csv(p).tolist(), _truth_row
+    ),
     "pairs": _table_kind(PAIRS_CSV_HEADER, "point pairs CSV"),
 }
 
@@ -930,6 +916,12 @@ def record_bits(item):
     if isinstance(item, RtsObservation):
         values = [item.timestamp, item.slant_distance, item.horizontal_angle, item.zenith_angle]
         return [float(v).hex() for v in values]
+    if isinstance(item, FusedRecord):
+        arrays = [(a.dtype.str, a.shape) for a in (item.prism_nav, item.poi_nav)]
+        att = item.attitude_used
+        values = [item.timestamp, *item.prism_nav.tolist(), *item.poi_nav.tolist(),
+                  att.roll, att.pitch, att.yaw, item.alpha_used, item.imu_timestamp_used]
+        return arrays, [float(v).hex() for v in values]
     return [float(v).hex() for v in item]
 
 
@@ -1031,6 +1023,32 @@ def test_bulk_reader_refuses_an_observation_out_of_range_as_the_line_reader(
     expected = read_outcome(RECORD_FILES["rts"][4], path)
     assert expected[0] == "error" and expected[1].startswith("line 3: "), expected
     assert read_outcome(codec._read_rts, path) == expected
+
+
+def test_every_reader_converts_its_angle_fields_as_math_radians_does():
+    """One angle rule for every reader: the ``_deg`` fields of each format,
+    converted on a whole table or on one record, to the bits math.radians
+    gives value by value; the other fields untouched."""
+    rng = np.random.default_rng(31)
+    degrees = np.concatenate([
+        rng.uniform(-360.0, 360.0, 3000),
+        10.0 ** rng.uniform(-320.0, 308.0, 3000) * rng.choice([-1.0, 1.0], 3000),
+        [0.0, -0.0, 5e-324, 1e-300, 180.0, -90.0, 1.7976931348623157e308],
+    ])
+    expected_angles = {"RTS": (2, 3), "fused": (7, 8, 9), "truth": (1, 2, 3)}
+    for name, fmt in [("RTS", codec._RTS), ("fused", codec._FUSED), ("truth", codec._TRUTH)]:
+        assert fmt.angles == expected_angles[name]
+        k = len(fmt.names)
+        rows = degrees[: len(degrees) // k * k].reshape(-1, k)
+        expected = [
+            [math.radians(v).hex() if i in fmt.angles else v.hex() for i, v in enumerate(row)]
+            for row in rows.tolist()
+        ]
+        table = codec._radians(fmt, rows)
+        assert [[v.hex() for v in row] for row in table.tolist()] == expected, name
+        for row, want in zip(rows[:300], expected):
+            got = codec._radians(fmt, row).tolist()
+            assert [v.hex() for v in got] == want, name
 
 
 def _tokens_around(char):

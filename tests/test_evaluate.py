@@ -126,7 +126,7 @@ def test_error_stats_validation():
         ErrorStats(np.zeros(3), np.zeros(3), rmse3d_mm=-1.0, n=5)
 
 
-@pytest.mark.parametrize("n", [2.5, 2.0, math.nan, "2", None])
+@pytest.mark.parametrize("n", [2.5, 2.0, math.nan, "2", None, True])
 def test_error_stats_rejects_a_count_that_is_not_an_integer(n):
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         ErrorStats(np.zeros(3), np.zeros(3), rmse3d_mm=1.0, n=n)

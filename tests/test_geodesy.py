@@ -87,18 +87,18 @@ def test_rts_observation_accepts_finite_fields_whose_sum_overflows():
 @pytest.mark.parametrize("point", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0], [2.0], [3.0]]])
 def test_apply_rejects_a_point_that_is_not_a_3_vector(point):
     with pytest.raises(ValueError, match="point must be a 3-vector"):
-        apply_helmert(HelmertParams.identity(), point)
+        apply_helmert(HelmertParams(), point)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_apply_rejects_a_point_that_is_not_finite(bad):
     with pytest.raises(ValueError, match="^point must be finite, got "):
-        apply_helmert(HelmertParams.identity(), [1.0, bad, 3.0])
+        apply_helmert(HelmertParams(), [1.0, bad, 3.0])
 
 
 def test_apply_identity_is_a_no_op():
     p = np.array([1.2, -3.4, 5.6])
-    assert_allclose(apply_helmert(HelmertParams.identity(), p), p, atol=0.0)
+    assert_allclose(apply_helmert(HelmertParams(), p), p, atol=0.0)
 
 
 def test_apply_scale_rotation_translation():

@@ -117,3 +117,40 @@ def test_every_config_number_and_vector_declares_its_rule():
                 cls(**{f.name: bad})
             checked.append(cls)
     assert set(checked) == set(CONFIG_CLASSES)
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that the module at ``path`` imports, by name:
+    ``from .sim import x``, ``from . import sim``, ``from tiltcomp.sim
+    import x`` and ``import tiltcomp.sim`` each give ``sim``, and a bare
+    ``import tiltcomp`` gives ``tiltcomp``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "tiltcomp":
+                continue
+            inner = parts if node.level else parts[1:]
+            if inner and inner[0]:
+                names.add(inner[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "tiltcomp":
+                    names.add(parts[1] if len(parts) > 1 else "tiltcomp")
+    return names
+
+
+def test_the_module_layering_holds():
+    """The codec reads and writes ground truth as a table, so it needs nothing
+    from the simulator; the config field rules serve every module, so they
+    import nothing from the package."""
+    imports = {path.stem: _package_imports(path) for path in (SRC / "tiltcomp").glob("*.py")}
+    assert imports["_fields"] == set()
+    assert "sim" not in imports["codec"]
+    # The walk does see the package's imports.
+    assert {"codec", "sim"} <= imports["cli"]
+    assert {"attitude", "geodesy", "pipeline"} <= imports["codec"]
+    assert {"attitude", "sim"} <= imports["__init__"]

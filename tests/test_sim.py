@@ -12,7 +12,6 @@ from tiltcomp import (
     TRUTH_CSV_HEADER,
     Attitude,
     FilterConfig,
-    GroundTruthSample,
     HelmertParams,
     ImuSample,
     LeverArms,
@@ -70,7 +69,7 @@ def test_sample_counts_follow_rates():
     imu, rts, truth = generate_scenario(quiet())
     assert len(imu) == 300
     assert len(rts) == 15
-    assert len(truth) == 300
+    assert truth.shape == (300, 10)
 
     imu, rts, _ = generate_scenario(
         quiet(duration_s=0.999, idle_duration_s=0.5)
@@ -86,7 +85,7 @@ def test_streams_start_at_zero_on_exact_grids():
     assert rts[1].timestamp == 0.2
     # observation timestamps all appear on the IMU/truth grid
     assert all(rts[j].timestamp == imu[20 * j].timestamp for j in range(len(rts)))
-    assert all(truth[i].timestamp == imu[i].timestamp for i in range(300))
+    assert truth[:, 0].tolist() == [s.timestamp for s in imu]
 
 
 def test_static_scene_reads_gravity_and_zero_rates():
@@ -95,10 +94,9 @@ def test_static_scene_reads_gravity_and_zero_rates():
     for sample in imu[::17]:
         assert np.array_equal(sample.gyro, np.zeros(3))
         assert_allclose(sample.accel, [0.0, 0.0, G], atol=1e-12)
-    for s in truth[::17]:
-        assert s.attitude == Attitude()
-        assert_allclose(s.prism_nav, [5.0, 0.0, 1.0676], rtol=1e-12)
-        assert_allclose(s.poi_nav, [5.0, 0.0, 0.0], atol=0.0)
+    assert np.array_equal(truth[:, 1:4], np.zeros((300, 3)))
+    assert_allclose(truth[:, 4:7], np.tile([5.0, 0.0, 1.0676], (300, 1)), rtol=1e-12)
+    assert np.array_equal(truth[:, 7:10], np.tile([5.0, 0.0, 0.0], (300, 1)))
 
 
 def test_idle_segment_is_level_even_in_motion_scenarios():
@@ -117,8 +115,7 @@ def test_idle_segment_is_level_even_in_motion_scenarios():
     for sample in idle:
         assert np.array_equal(sample.gyro, bias)
         assert_allclose(sample.accel, [0.0, 0.0, G], atol=1e-12)
-    for s in truth[:100]:
-        assert s.attitude == Attitude()
+    assert np.array_equal(truth[:100, 1:4], np.zeros((100, 3)))
 
 
 def test_truth_attitude_follows_offset_sinusoid():
@@ -138,20 +135,21 @@ def test_truth_attitude_follows_offset_sinusoid():
         assert abs(a.pitch) <= peak + 1e-12
 
 
-def test_truth_samples_are_self_consistent():
+def test_truth_rows_are_self_consistent():
+    """prism - POI = R @ lever in every row: the prism, rotated back through
+    the row's own angles, lands on the row's POI."""
     cfg = quiet()
     _, _, truth = generate_scenario(cfg)
-    for s in truth[::23]:
-        rebuilt = poi_position(s.prism_nav, s.attitude, cfg.lever_arms)
-        assert_allclose(rebuilt, s.poi_nav, atol=1e-12)
+    for row in truth[::23]:
+        rebuilt = poi_position(row[4:7], Attitude(*row[1:4]), cfg.lever_arms)
+        assert_allclose(rebuilt, row[7:10], atol=1e-12)
 
 
 def test_prism_actually_moves_while_poi_stays_fixed():
-    _, _, truth = generate_scenario(quiet())
-    prism = np.array([s.prism_nav for s in truth])
-    poi = np.array([s.poi_nav for s in truth])
-    assert np.ptp(poi, axis=0).max() == 0.0
-    assert np.ptp(prism, axis=0).max() > 0.05
+    cfg = quiet()
+    _, _, truth = generate_scenario(cfg)
+    assert np.array_equal(truth[:, 7:10], np.broadcast_to(cfg.poi_nav, (len(truth), 3)))
+    assert np.ptp(truth[:, 4:7], axis=0).max() > 0.05
 
 
 def test_observations_back_convert_to_true_prism():
@@ -159,7 +157,7 @@ def test_observations_back_convert_to_true_prism():
     _, rts, truth = generate_scenario(cfg)
     for j, obs in enumerate(rts):
         prism = polar_to_cartesian(obs) + cfg.rts_station
-        assert_allclose(prism, truth[20 * j].prism_nav, atol=1e-9)
+        assert_allclose(prism, truth[20 * j, 4:7], atol=1e-9)
 
 
 def test_gyro_encodes_body_rates_for_euler_motion():
@@ -350,8 +348,9 @@ CONTEXT = {(ScenarioConfig, "duration_s"): {"idle_duration_s": 0.0}}
 def _out_of_range_cases():
     for cls, name, words, outside, bounds in RANGED_FIELDS:
         integral = isinstance(bounds[0], int)
-        for value in (*outside, math.nan, math.inf, -math.inf, *((2.5,) if integral else ())):
-            rule = "an integer" if integral and not isinstance(value, int) else words
+        # An int field rejects a float and a bool, an int to isinstance.
+        for value in (*outside, math.nan, math.inf, -math.inf, *((2.5, True) if integral else ())):
+            rule = "an integer" if integral and type(value) is not int else words
             # The NoiseSpec ids are the ones this test had when it covered only NoiseSpec.
             case_id = f"{name}-{value}" if cls is NoiseSpec else f"{cls.__name__}.{name}-{value}"
             yield pytest.param(cls, name, value, f"{name} must be {rule}, got {value}", id=case_id)
@@ -373,7 +372,7 @@ def test_the_range_table_lists_every_number_field():
 def test_noise_spec_rejects_each_field_out_of_range(cls, name, value, message):
     """Every number field of every config class, NoiseSpec's among them:
     NaN, +-inf and the values just outside the range are rejected, and an int
-    field also rejects a float."""
+    field also rejects a float and a bool."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**{name: value})
 
@@ -474,7 +473,7 @@ def simulate(tmp_path, config):
 @pytest.mark.parametrize("config", CONSUMER_CONFIGS, ids=CONSUMER_IDS)
 def test_the_public_writers_reproduce_simulates_files(tmp_path, capsys, config):
     """simulate formats the scenario's arrays; the public writers, run over
-    generate_scenario's objects, write the same bytes."""
+    generate_scenario's objects and truth table, write the same bytes."""
     code, out = simulate(tmp_path, config)
     assert code == 0
     imu, rts, truth = generate_scenario(parse_scenario_config(config))
@@ -487,17 +486,10 @@ def test_the_public_writers_reproduce_simulates_files(tmp_path, capsys, config):
 def constructed(cfg):
     """The scenario's objects as the dataclass constructors build them from
     its arrays, one row at a time."""
-    (t, accel, gyro), rts, (_, roll, pitch, yaw, prism, _) = _scenario(cfg)
+    (t, accel, gyro), rts, _ = _scenario(cfg)
     imu = [ImuSample(float(t[i]), accel[i], gyro[i]) for i in range(len(t))]
     obs = [RtsObservation(*map(float, row)) for row in zip(*rts)]
-    truth = [
-        GroundTruthSample(
-            float(t[i]), Attitude(float(roll[i]), float(pitch[i]), float(yaw[i])),
-            prism[i], cfg.poi_nav,
-        )
-        for i in range(len(t))
-    ]
-    return imu, obs, truth
+    return imu, obs
 
 
 def assert_same_fields(made, built):
@@ -508,8 +500,6 @@ def assert_same_fields(made, built):
         if isinstance(value, np.ndarray):
             assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (3,)
             assert got.tobytes() == value.tobytes(), name
-        elif isinstance(value, Attitude):
-            assert_same_fields(got, value)
         else:
             assert type(got) is float and got.hex() == value.hex(), name
 
@@ -518,18 +508,24 @@ def assert_same_fields(made, built):
 def test_generated_objects_equal_those_the_dataclass_constructors_build(config):
     """generate_scenario fills its objects without their constructors; each
     holds what the constructor would store. The arrays are rows of one array
-    per stream, and every truth sample holds the config's POI itself."""
+    per stream. Truth is one float64 table on the IMU grid: its angles are
+    truth_attitude's, and every POI row is the config's POI."""
     cfg = parse_scenario_config(config)
-    made = generate_scenario(cfg)
-    for stream, reference in zip(made, constructed(cfg), strict=True):
+    imu, rts, truth = generate_scenario(cfg)
+    for stream, reference in zip((imu, rts), constructed(cfg), strict=True):
         assert len(stream) == len(reference)
         for item, built in zip(stream, reference):
             assert_same_fields(item, built)
-    imu, _, truth = made
-    for arrays in ([s.accel for s in imu], [s.gyro for s in imu], [s.prism_nav for s in truth]):
+    for arrays in ([s.accel for s in imu], [s.gyro for s in imu]):
         assert all(a.base is not None and a.base is arrays[0].base for a in arrays)
         assert all(a.base.shape == (len(arrays), 3) for a in arrays)
-    assert all(s.poi_nav is cfg.poi_nav for s in truth)
+    assert type(truth) is np.ndarray and truth.dtype == np.float64
+    assert truth.shape == (len(imu), len(TRUTH_CSV_HEADER.split(",")))
+    assert [t.hex() for t in truth[:, 0].tolist()] == [s.timestamp.hex() for s in imu]
+    assert np.array_equal(truth[:, 7:10], np.broadcast_to(cfg.poi_nav, (len(imu), 3)))
+    for row in truth[:: max(1, len(truth) // 7)]:
+        expected = truth_attitude(cfg, row[0])
+        assert_allclose(row[1:4], [expected.roll, expected.pitch, expected.yaw], atol=1e-15)
 
 
 # Messages the parent printed for each fault, pinned.
@@ -565,7 +561,9 @@ def test_a_scenario_with_no_samples_writes_empty_streams(tmp_path, capsys):
     assert (out / "imu.txt").read_bytes() == b""
     assert (out / "rts.txt").read_bytes() == b""
     assert (out / "truth.csv").read_bytes() == f"{TRUTH_CSV_HEADER}\n".encode()
-    assert generate_scenario(parse_scenario_config(NO_SAMPLES)) == ([], [], [])
+    imu, rts, truth = generate_scenario(parse_scenario_config(NO_SAMPLES))
+    assert imu == [] and rts == []
+    assert truth.shape == (0, 10) and truth.dtype == np.float64
 
 
 def test_halving_gyro_density_halves_attitude_wander():
