@@ -20,14 +20,12 @@ import numpy as np
 
 from .attitude import FilterConfig
 # encode_can_frames, format_can_dump_line, parse_imu_line, parse_rts_line,
-# read_fused_csv, write_imu_line and write_rts_line are unused here (simulate
-# writes its streams from arrays, fuse reads the streams and writes the CAN
-# dump, and eval reads the fused table, in blocks) but stay importable:
-# bench/run.py traces the codec under these names.
+# write_imu_line and write_rts_line are unused here (simulate writes its
+# streams from arrays, and fuse reads the streams and writes the CAN dump, in
+# blocks) but stay importable: bench/run.py traces the codec under these names.
 from .codec import (  # noqa: F401
     _IMU,
     _RTS,
-    FUSED_CSV_HEADER,
     FormatError,
     _can_dump_lines,
     _check_base_id,
@@ -35,7 +33,6 @@ from .codec import (  # noqa: F401
     _lines,
     _read_imu,
     _read_rts,
-    _read_table,
     _read_text,
     _write_lines,
     encode_can_frames,
@@ -197,7 +194,7 @@ def cmd_helmert_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     # Columns of the fused and truth tables: t_s first, the POI at 4:7 and 7:10.
-    fused = _read_table(args.fused, FUSED_CSV_HEADER, "fused CSV")
+    fused = read_fused_csv(args.fused)
     if not len(fused):
         return _data_error(f"{args.fused}: no fused records")
 

@@ -8,25 +8,21 @@ Text stream lines (formats specific to this toolkit):
 * truth:  CSV with header :data:`TRUTH_CSV_HEADER`, nine-decimal fields
 * pairs:  CSV with header :data:`PAIRS_CSV_HEADER` (read only)
 
-Each record line format is declared once: its tag (none for a CSV row), field
-names and decimals; one ``%`` template per format writes it. A field whose
-name ends in ``_deg`` is an angle: radians inside, degrees on the wire. One
-row writer formats every IMU, RTS and truth line from float columns, a block
-of rows at a time, converting each angle column with ``math.degrees``:
-``simulate`` hands it the scenario's arrays, :func:`write_imu_line` and
-:func:`write_rts_line` the numbers of their objects, and
-:func:`write_truth_csv` the ground-truth table as it is. The fused CSV writer
-formats plain floats. Every reader converts the angle fields of its format
-back to radians through one helper, a whole table or one line at a time.
-Ground truth is never an object: it is an ``(n, 10)`` float64 table whose
-columns follow :data:`TRUTH_CSV_HEADER`, angles in radians.
+Each record file format is declared once: the noun its messages use, its
+tag (none for a CSV row, whose header is its field names joined), field
+names and decimals. A field named ``*_deg`` is an angle: radians inside,
+degrees on the wire. One row writer formats every IMU, RTS and truth line
+from float columns, a block of rows at a time (``simulate`` hands it the
+scenario's arrays); the fused CSV writer formats each record's floats. No
+writer writes a field as ``nan`` or ``inf``, which no reader reads: it
+raises FormatError naming the row and the field.
 
-One record reader reads every numeric record file (the IMU and RTS streams,
-the fused, truth and pairs tables) whole: one C pass parses all its lines
-into an ``(n, k)`` float array, from which ``fuse`` builds its samples and
-observations (the observations' rules tested over whole columns) and ``eval``
-takes its columns. A file the pass doubts goes through the line parser
-instead, line by line, which reads it alike or raises the FormatError naming
+Every reader takes the format of its file, and one record reader reads each
+numeric record file whole: one C pass parses its lines into an ``(n, k)``
+float array. ``fuse`` builds its samples and observations from it; the
+fused and truth CSVs read back as that table, angles in radians, and
+``eval`` takes their columns. A file the pass doubts goes through the line
+parser, line by line, which reads it alike or raises the FormatError naming
 the faulty line. The line parser, which also serves the public ``parse_*``
 functions, has a fast path (one split, one ``float`` per field, one
 finiteness test) that hands anything else to the field-by-field parser.
@@ -140,62 +136,67 @@ def _split_fields(
 
 
 class _Format(NamedTuple):
-    """One record line format: its tag (the first field of a stream line, None
-    for a CSV row), its field names, the ``%`` template that writes it, and
-    the indices of its angle fields, those whose name ends in ``_deg``:
-    radians inside the toolkit, degrees on the wire. ``radians`` holds each
-    field's factor from the wire to the toolkit: ``math.radians(1.0)``, the
-    constant ``math.radians`` multiplies by, for an angle and 1.0 otherwise."""
+    """One record file format: the noun its messages use, its tag (the first
+    field of a stream line; None for a CSV row, whose header is its names
+    joined by commas), its field names, the ``%`` template that writes it
+    (None if only read), and the indices of its angle fields, named ``*_deg``
+    (degrees on the wire). A reader multiplies its rows by ``radians``:
+    ``math.radians(1.0)`` for an angle (the bits of ``math.radians``), else 1."""
 
+    noun: str
     tag: str | None
     names: tuple[str, ...]
-    template: str
+    template: str | None
     angles: tuple[int, ...]
     radians: np.ndarray
 
 
-def _declare(tag: str | None, names: Sequence[str], decimals: int) -> _Format:
+def _declare(noun: str, tag: str | None, names: Sequence[str], decimals: int | None) -> _Format:
     fields = [f"%.{decimals}f"] * len(names)
-    template = ",".join(fields if tag is None else [tag, *fields])
+    template = None if decimals is None else ",".join(fields if tag is None else [tag, *fields])
     angles = tuple(i for i, name in enumerate(names) if name.endswith("_deg"))
     radians = np.array([math.radians(1.0) if i in angles else 1.0 for i in range(len(names))])
-    return _Format(tag, tuple(names), template, angles, radians)
+    return _Format(noun, tag, tuple(names), template, angles, radians)
 
 
-_IMU = _declare("IMU", ("t_s", "ax", "ay", "az", "gx", "gy", "gz"), 6)
-_RTS = _declare("RTS", ("t_s", "D_m", "Hz_deg", "V_deg"), 6)
-_FUSED = _declare(None, FUSED_CSV_HEADER.split(","), 9)
-_TRUTH = _declare(None, TRUTH_CSV_HEADER.split(","), 9)
+_IMU = _declare("IMU", "IMU", ("t_s", "ax", "ay", "az", "gx", "gy", "gz"), 6)
+_RTS = _declare("RTS", "RTS", ("t_s", "D_m", "Hz_deg", "V_deg"), 6)
+_FUSED = _declare("fused CSV", None, FUSED_CSV_HEADER.split(","), 9)
+_TRUTH = _declare("truth CSV", None, TRUTH_CSV_HEADER.split(","), 9)
+_PAIRS = _declare("point pairs CSV", None, PAIRS_CSV_HEADER.split(","), None)
+_DEGREES = 180.0 / math.pi  # math.degrees(x) is x * _DEGREES, bit for bit
+
+
+def _wire(fmt: _Format, rows, first: int = 0) -> np.ndarray:
+    """``rows``, n records of ``fmt``, as a new ``(n, k)`` float array as
+    written, angles in degrees (the bits of ``math.degrees``); a field written
+    as ``nan`` or ``inf`` raises FormatError naming its row, from ``first``."""
+    wire = np.array(rows, dtype=float)
+    with np.errstate(over="ignore"):
+        wire[:, fmt.angles] *= _DEGREES
+    if not np.isfinite(wire).all():
+        row, k = np.argwhere(~np.isfinite(wire))[0]
+        where = f"row {first + row}: field {fmt.names[k]}"
+        raise FormatError(f"{where}: cannot write non-finite value {wire[row, k]}")
+    return wire
 
 
 def _lines(fmt: _Format, *columns) -> Iterator[str]:
     """The lines of ``fmt`` whose fields, in ``fmt.names`` order, are the
     columns of ``columns``: float arrays (or nested sequences) of n rows, each
-    ``(n,)`` or ``(n, m)``. Each angle field is converted by ``math.degrees``
-    on a Python float. Rows are stacked and formatted :data:`_ROW_BLOCK` at a
-    time, so no copy of the whole table and few Python floats exist at once."""
+    ``(n,)`` or ``(n, m)``, angles in radians. Rows are stacked and formatted
+    :data:`_ROW_BLOCK` at a time, so no copy of the whole table and few
+    Python floats exist at once."""
     for start in range(0, len(columns[0]), _ROW_BLOCK):
         block = np.column_stack([column[start : start + _ROW_BLOCK] for column in columns])
-        fields = block.T.tolist()
-        for k in fmt.angles:
-            fields[k] = list(map(math.degrees, fields[k]))
-        yield from map(fmt.template.__mod__, zip(*fields))
+        yield from map(fmt.template.__mod__, zip(*_wire(fmt, block, start).T.tolist()))
 
 
-def _radians(fmt: _Format, rows: np.ndarray) -> np.ndarray:
-    """``rows``, the float array of one record of ``fmt`` ``(k,)`` or of n
-    ``(n, k)``, with its angle fields in radians: one product by
-    ``fmt.radians`` per field gives the bits ``math.radians`` gives, and
-    leaves every other field as it is."""
-    return rows * fmt.radians
-
-
-def _numbers(
-    line: str, tag: str | None, names: Sequence[str], what: str, line_number: int | None
-) -> list[float]:
-    """The numbers of one record line after its ``tag`` (None for a CSV row).
+def _numbers(line: str, fmt: _Format, line_number: int | None) -> list[float]:
+    """The numbers of one record line of ``fmt``, after its tag if it has one.
     A fast path reads a well-formed line; anything else goes on to the field
     parser, which tolerates blanks around commas or names the faulty field."""
+    tag, names = fmt.tag, fmt.names
     tokens = line.split(",")
     if (tag is None or tokens.pop(0) == tag) and len(tokens) == len(names):
         try:
@@ -204,6 +205,7 @@ def _numbers(
                 return values
         except ValueError:
             pass
+    what = f"{fmt.noun} record" if tag is None else f"{fmt.noun} line"
     fields = _split_fields(line, len(names) + (tag is not None), what, line_number)
     if tag is not None and (found := fields.pop(0)) != tag:
         _fail(f"expected tag {tag!r}, got {found!r}", line_number)
@@ -212,7 +214,7 @@ def _numbers(
 
 def parse_imu_line(line: str, line_number: int | None = None) -> ImuSample:
     """Parse one IMU stream line; whitespace around commas is tolerated."""
-    t, ax, ay, az, gx, gy, gz = _numbers(line, _IMU.tag, _IMU.names, "IMU line", line_number)
+    t, ax, ay, az, gx, gy, gz = _numbers(line, _IMU, line_number)
     return _imu_sample(t, np.array((ax, ay, az)), np.array((gx, gy, gz)))
 
 
@@ -223,7 +225,7 @@ def _read_imu(path) -> list[ImuSample]:
     def build(table: np.ndarray) -> list[ImuSample]:
         return list(map(_imu_sample, table[:, 0].tolist(), table[:, 1:4], table[:, 4:7]))
 
-    return _read_records(path, _IMU.tag, len(_IMU.names), build, parse_imu_line)
+    return _read_records(path, _IMU, build, parse_imu_line)
 
 
 def write_imu_line(sample: ImuSample) -> str:
@@ -232,9 +234,9 @@ def write_imu_line(sample: ImuSample) -> str:
 
 def parse_rts_line(line: str, line_number: int | None = None) -> RtsObservation:
     """Parse one observation line; wire angles are degrees, output radians."""
-    values = np.array(_numbers(line, _RTS.tag, _RTS.names, "RTS line", line_number))
+    values = np.array(_numbers(line, _RTS, line_number)) * _RTS.radians
     try:
-        return RtsObservation(*_radians(_RTS, values).tolist())
+        return RtsObservation(*values.tolist())
     except ValueError as exc:
         _fail(str(exc), line_number)
 
@@ -244,9 +246,9 @@ def _read_rts(path) -> list[RtsObservation]:
     each line."""
 
     def build(table: np.ndarray) -> list[RtsObservation]:
-        return _observations(*_radians(_RTS, table).T)
+        return _observations(*(table * _RTS.radians).T)
 
-    return _read_records(path, _RTS.tag, len(_RTS.names), build, parse_rts_line)
+    return _read_records(path, _RTS, build, parse_rts_line)
 
 
 def write_rts_line(obs: RtsObservation) -> str:
@@ -255,15 +257,21 @@ def write_rts_line(obs: RtsObservation) -> str:
 
 
 def write_csv_record(record: FusedRecord) -> str:
-    """One fused CSV line (without newline), fields in header order."""
+    """One fused CSV line (without newline), fields in header order. A field
+    it would write as ``nan`` or ``inf`` raises FormatError naming it."""
     px, py, pz = record.prism_nav.tolist()
     qx, qy, qz = record.poi_nav.tolist()
     att = record.attitude_used
-    return _FUSED.template % (
+    line = _FUSED.template % (
         record.timestamp, px, py, pz, qx, qy, qz,
         math.degrees(att.roll), math.degrees(att.pitch), math.degrees(att.yaw),
         record.alpha_used, record.imu_timestamp_used,
     )
+    if "n" in line:  # only a nan or inf field is written with an n
+        name, value = next((n, v) for n, v in zip(_FUSED.names, line.split(",")) if "n" in v)
+        where = f"record at t_s {record.timestamp}: field {name}"
+        raise FormatError(f"{where}: cannot write non-finite value {value}")
+    return line
 
 
 def _read_text(path) -> str:
@@ -298,30 +306,33 @@ def _bulk(records: list[str], tag: str | None, k: int) -> np.ndarray | None:
     return table
 
 
-def _read_records(path, tag: str | None, k: int, build, parse, header=None, what=""):
-    """The records of a numeric record file: ``build`` of the ``(n, k)`` float
-    table of its non-blank lines, each after ``tag`` (None for a CSV row), read
-    in one C pass. A CSV table passes its ``header``, which must be line 1,
-    and its name. When the pass doubts a line, or ``build`` raises ValueError,
-    each line goes through ``parse(line, line_number)`` instead, which reads
-    what the pass could not (``1_0``, non-ASCII digits, blanks around the tag)
-    or raises the FormatError naming the first faulty line."""
+def _read_records(path, fmt: _Format, build=None, parse=None):
+    """The records of a file of ``fmt``: ``build`` of (without ``build``, just)
+    the ``(n, k)`` float table of its non-blank lines, read in one C pass. A
+    CSV table's header must be line 1. When the pass doubts a line, or
+    ``build`` raises ValueError, each line goes through ``parse(line,
+    line_number)`` (:func:`_numbers` without ``parse``) instead, which reads
+    what the pass could not (``1_0``, non-ASCII digits, blanks around the
+    tag) or raises the FormatError naming the first faulty line."""
     lines = _read_text(path).split("\n")
     start = 1
-    if header is not None:
+    if fmt.tag is None:
+        header = ",".join(fmt.names)
         if lines == [""]:
-            raise FormatError(f"{path}: empty file, expected {what} header")
+            raise FormatError(f"{path}: empty file, expected {fmt.noun} header")
         if lines[0].strip() != header:
             raise FormatError(f"{path}: header mismatch: expected {header!r}, got {lines[0]!r}")
         del lines[0]
         start = 2
-    table = _bulk([line for line in lines if line.strip()], tag, k)
+    table = _bulk([line for line in lines if line.strip()], fmt.tag, len(fmt.names))
     if table is not None:
         try:
-            return build(table)
+            return table if build is None else build(table)
         except ValueError:
             pass
-    return [parse(line, i) for i, line in enumerate(lines, start) if line.strip()]
+    rows = [_numbers(line, fmt, i) if parse is None else parse(line, i)
+            for i, line in enumerate(lines, start) if line.strip()]
+    return rows if parse else np.array(rows, dtype=float).reshape(len(rows), len(fmt.names))
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -351,20 +362,9 @@ def _key_values(text: str, keys: Container[str], what: str) -> dict[str, tuple[i
     return settings
 
 
-def _read_table(path, header: str, what: str) -> np.ndarray:
-    """Every row of a CSV table as one ``(n, k)`` float array, k the number of
-    fields in ``header``; a row is read as :func:`_numbers` reads it."""
-    names = header.split(",")
-
-    def parse(line: str, line_number: int) -> list[float]:
-        return _numbers(line, None, names, f"{what} record", line_number)
-
-    rows = _read_records(path, None, len(names), lambda table: table, parse, header, what)
-    return np.asarray(rows, dtype=float).reshape(len(rows), len(names))
-
-
-def _fused_record(values: Sequence[float]) -> FusedRecord:
-    """The record of one fused CSV row, its angles already in radians."""
+def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
+    """The record of one fused CSV line, its fields in header order."""
+    values = (np.array(_numbers(line, _FUSED, line_number)) * _FUSED.radians).tolist()
     return FusedRecord(
         timestamp=values[0],
         prism_nav=values[1:4],
@@ -375,33 +375,33 @@ def _fused_record(values: Sequence[float]) -> FusedRecord:
     )
 
 
-def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
-    values = np.array(_numbers(line, None, _FUSED.names, "fused CSV record", line_number))
-    return _fused_record(_radians(_FUSED, values).tolist())
-
-
 def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
+    """Write records, as :meth:`Pipeline.drain` makes them, as a fused CSV;
+    :func:`read_fused_csv` reads it back as a table."""
     _write_lines(path, chain([FUSED_CSV_HEADER], map(write_csv_record, records)))
 
 
-def read_fused_csv(path) -> list[FusedRecord]:
-    table = _read_table(path, FUSED_CSV_HEADER, "fused CSV")
-    return list(map(_fused_record, _radians(_FUSED, table).tolist()))
+def read_fused_csv(path) -> np.ndarray:
+    """The ``(n, 12)`` float64 table of a fused CSV, columns in
+    :data:`FUSED_CSV_HEADER` order, angles in radians."""
+    return _read_records(path, _FUSED) * _FUSED.radians
 
 
 def write_truth_csv(table, path) -> None:
     """Write a ground-truth table, ``(n, 10)`` floats in
     :data:`TRUTH_CSV_HEADER` order with angles in radians, as a truth CSV.
-    Any other shape raises ValueError before the file is opened."""
+    Any other shape, or a field it would write as ``nan`` or ``inf``, raises
+    ValueError before the file is opened."""
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != len(_TRUTH.names):
         raise ValueError(f"truth table must have shape (n, {len(_TRUTH.names)}), got {table.shape}")
+    _wire(_TRUTH, table)
     _write_lines(path, chain([TRUTH_CSV_HEADER], _lines(_TRUTH, table)))
 
 
 def read_truth_csv(path) -> np.ndarray:
     """The ground-truth table of a truth CSV, as :func:`write_truth_csv` takes it."""
-    return _radians(_TRUTH, _read_table(path, TRUTH_CSV_HEADER, "truth CSV"))
+    return _read_records(path, _TRUTH) * _TRUTH.radians
 
 
 @dataclass(frozen=True)
@@ -547,5 +547,4 @@ def read_helmert_file(path) -> HelmertParams:
 
 def read_pairs_csv(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """Load (source, target) point pairs for transform fitting."""
-    table = _read_table(path, PAIRS_CSV_HEADER, "point pairs CSV")
-    return [(row[0:3], row[3:6]) for row in table]
+    return [(row[0:3], row[3:6]) for row in _read_records(path, _PAIRS)]

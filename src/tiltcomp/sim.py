@@ -41,14 +41,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._fields import _check_fields, _ranged, _vector
-from .attitude import Attitude, ImuSample, _imu_sample
+from .attitude import ImuSample, _imu_sample
 from .geodesy import RtsObservation, _check_observations, _observations
 from .kinematics import LeverArms, _zyx_rows, prism_to_poi_body
 
 __all__ = [
     "NoiseSpec",
     "ScenarioConfig",
-    "truth_attitude",
     "generate_scenario",
 ]
 
@@ -165,12 +164,6 @@ def _rotations(roll, pitch, yaw) -> np.ndarray:
         np.cos(roll), np.sin(roll), np.cos(pitch), np.sin(pitch), np.cos(yaw), np.sin(yaw)
     )
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-
-def truth_attitude(cfg: ScenarioConfig, t: float) -> Attitude:
-    """True attitude of the scenario at time ``t`` seconds."""
-    (roll, pitch, yaw), _ = _motion(cfg, np.array([float(t)]))
-    return Attitude(roll=float(roll[0]), pitch=float(pitch[0]), yaw=float(yaw[0]))
 
 
 def _points(cfg: ScenarioConfig, t: np.ndarray, lever_b: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from tiltcomp import (
     parse_can_dump_line,
     parse_imu_line,
     parse_rts_line,
+    read_csv_record,
     read_fused_csv,
     read_helmert_file,
     read_pairs_csv,
@@ -45,6 +46,12 @@ from tiltcomp.cli import ConfigError, main, parse_scenario_config
 from tiltcomp.evaluate import STATS_CSV_HEADER, compute_stats, stats_csv_row
 
 G = 9.80665
+
+# Columns of the table read_fused_csv returns, by FUSED_CSV_HEADER name.
+COLUMN = {name: k for k, name in enumerate(FUSED_CSV_HEADER.split(","))}
+T, IMU_T, YAW = COLUMN["t_s"], COLUMN["imu_t_s"], COLUMN["yaw_deg"]
+PRISM = [COLUMN[f"prism_{axis}_m"] for axis in "xyz"]
+POI = [COLUMN[f"poi_{axis}_m"] for axis in "xyz"]
 
 QUIET_CONFIG = """\
 # pole pivot run, noiseless
@@ -241,14 +248,13 @@ def test_full_chain_simulate_fuse_eval(tmp_path, capsys):
     )
     assert rc == 0
 
-    records = read_fused_csv(fused)
+    table = read_fused_csv(fused)
     # the idle-period observations are evicted unpaired; motion ones all pair
-    assert len(records) == 50
-    times = [r.timestamp for r in records]
+    assert table.shape == (50, len(COLUMN))
+    times = table[:, T].tolist()
     assert times == sorted(times)
     assert times[0] >= 10.0
-    for record in records[:5]:
-        assert record.imu_timestamp_used == record.timestamp
+    assert table[:5, IMU_T].tolist() == table[:5, T].tolist()
 
     stats_path = tmp_path / "stats.csv"
     rc = main(
@@ -360,9 +366,9 @@ def test_fuse_pairs_on_the_grid(tmp_path, capsys):
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10"]
     ) == 0
-    records = read_fused_csv(out)
-    assert [r.timestamp for r in records] == [0.25, 0.5, 0.75]
-    assert [r.imu_timestamp_used for r in records] == [0.25, 0.5, 0.75]
+    table = read_fused_csv(out)
+    assert table[:, T].tolist() == [0.25, 0.5, 0.75]
+    assert table[:, IMU_T].tolist() == [0.25, 0.5, 0.75]
     assert "wrote 3 fused records" in capsys.readouterr().out
 
 
@@ -373,9 +379,9 @@ def test_fuse_latency_flag_shifts_pairing(tmp_path):
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10", "--rts-latency", "0.2"]
     ) == 0
-    record = read_fused_csv(out)[0]
-    assert record.timestamp == 0.5
-    assert record.imu_timestamp_used == 0.3
+    (row,) = read_fused_csv(out)
+    assert row[T] == 0.5
+    assert row[IMU_T] == 0.3
 
 
 def test_fuse_tolerance_flag_rescues_observation_before_first_attitude(tmp_path):
@@ -387,15 +393,14 @@ def test_fuse_tolerance_flag_rescues_observation_before_first_attitude(tmp_path)
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10"]
     ) == 0
-    assert read_fused_csv(out) == []
+    assert read_fused_csv(out).shape == (0, len(COLUMN))
 
     assert main(
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10", "--pairing-tolerance", "0.05"]
     ) == 0
-    records = read_fused_csv(out)
-    assert len(records) == 1
-    assert records[0].imu_timestamp_used == 0.13
+    (row,) = read_fused_csv(out)
+    assert row[IMU_T] == 0.13
 
 
 def test_fuse_yaw_modes(tmp_path):
@@ -406,15 +411,15 @@ def test_fuse_yaw_modes(tmp_path):
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10", "--initial-yaw-deg", "30"]
     ) == 0
-    held = read_fused_csv(out)[0]
-    assert math.degrees(held.attitude_used.yaw) == pytest.approx(30.0, abs=1e-6)
+    (held,) = read_fused_csv(out)
+    assert math.degrees(held[YAW]) == pytest.approx(30.0, abs=1e-6)
 
     assert main(
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10", "--initial-yaw-deg", "30", "--integrate-yaw"]
     ) == 0
-    integrated = read_fused_csv(out)[0]
-    assert math.degrees(integrated.attitude_used.yaw) > 31.0
+    (integrated,) = read_fused_csv(out)
+    assert math.degrees(integrated[YAW]) > 31.0
 
 
 def test_fuse_reports_unpaired_observations(tmp_path, capsys):
@@ -427,7 +432,7 @@ def test_fuse_reports_unpaired_observations(tmp_path, capsys):
          "--bias-count", "10"]
     ) == 0
     assert "2 observations left unpaired" in capsys.readouterr().out
-    assert read_fused_csv(out) == []
+    assert read_fused_csv(out).shape == (0, len(COLUMN))
 
 
 def test_fuse_applies_helmert_file(tmp_path):
@@ -442,8 +447,8 @@ def test_fuse_applies_helmert_file(tmp_path):
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10", "--helmert", str(helmert_path)]
     ) == 0
-    record = read_fused_csv(out)[0]
-    assert record.prism_nav[0] > 100.0
+    (row,) = read_fused_csv(out)
+    assert row[PRISM[0]] > 100.0
 
 
 def test_fuse_writes_can_dump(tmp_path):
@@ -454,15 +459,15 @@ def test_fuse_writes_can_dump(tmp_path):
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10", "--can-out", str(dump), "--can-base-id", "0x300"]
     ) == 0
-    records = read_fused_csv(out)
+    table = read_fused_csv(out)
     lines = dump.read_text().splitlines()
-    assert len(lines) == 3 * len(records)
+    assert len(lines) == 3 * len(table)
 
     frames = [parse_can_dump_line(line) for line in lines[:3]]
     assert frames[0].can_id == 0x300
     prism, poi = decode_can_frames(frames)
-    assert_allclose(prism, records[0].prism_nav, atol=5.1e-5)
-    assert_allclose(poi, records[0].poi_nav, atol=5.1e-5)
+    assert_allclose(prism, table[0, PRISM], atol=5.1e-5)
+    assert_allclose(poi, table[0, POI], atol=5.1e-5)
 
 
 def test_fuse_can_out_rejects_coordinates_past_the_can_range(tmp_path, capsys):
@@ -518,6 +523,27 @@ def test_fuse_output_matches_pinned_fingerprints(tmp_path, capsys):
     assert "wrote 1501 fused records" in capsys.readouterr().out
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (fused, dump))
     assert digests == PINNED_FUSE_OUTPUT
+
+
+def test_fused_table_holds_what_the_line_reader_reads_of_each_line(tmp_path):
+    """read_fused_csv of the fused CSV fuse writes: one float64 row per line,
+    bit for bit the fields read_csv_record reads of it, angles included."""
+    (tmp_path / "scenario.cfg").write_text(DENSE_CONFIG)
+    assert main(["simulate", "--config", str(tmp_path / "scenario.cfg"), "--out-dir", str(tmp_path)]) == 0
+    fused = tmp_path / "fused.csv"
+    assert main(["fuse", "--imu", str(tmp_path / "imu.txt"), "--rts", str(tmp_path / "rts.txt"),
+                 "--out", str(fused)]) == 0
+    table = read_fused_csv(fused)
+    assert table.dtype == np.float64 and table.shape == (1501, len(COLUMN))
+    stacked = []
+    for i, line in enumerate(fused.read_text().splitlines()[1:], 2):
+        record = read_csv_record(line, i)
+        att = record.attitude_used
+        stacked.append([record.timestamp, *record.prism_nav.tolist(), *record.poi_nav.tolist(),
+                        att.roll, att.pitch, att.yaw, record.alpha_used, record.imu_timestamp_used])
+    assert [[v.hex() for v in row] for row in table.tolist()] == [
+        [v.hex() for v in row] for row in stacked
+    ]
 
 
 @pytest.mark.parametrize("base_id", ["0x1FFFFFFE", "0x1FFFFFFF", "-1"])
@@ -926,21 +952,21 @@ def test_eval_rejects_a_label_that_would_break_the_stats_csv(tmp_path, capsys, l
 
 
 # eval joins the fused and truth tables on their columns. The oracle is the
-# record-based join eval made before: one FusedRecord per fused row, and a
+# row-by-row join eval made before: each fused row looked up by its time in a
 # dict from truth time to POI.
 
 
 def record_join(fused_path, truth_path):
-    """(estimates, reference, skipped) of the record-based join."""
-    records = read_fused_csv(fused_path)
+    """(estimates, reference, skipped) of the row-by-row join."""
+    rows = read_fused_csv(fused_path)
     poi_by_time = {row[0]: np.array(row[7:10]) for row in read_truth_csv(truth_path).tolist()}
     estimates, references = [], []
-    for record in records:
-        ref = poi_by_time.get(record.timestamp)
+    for row in rows:
+        ref = poi_by_time.get(float(row[T]))
         if ref is not None:
-            estimates.append(record.poi_nav)
+            estimates.append(row[POI])
             references.append(ref)
-    return estimates, references[0], len(records) - len(estimates)
+    return estimates, references[0], len(rows) - len(estimates)
 
 
 @pytest.fixture(scope="module")
@@ -1050,7 +1076,7 @@ def test_eval_against_a_fixed_reference_matches_the_records(tmp_path, default_no
     fused, _ = default_noise_run
     code, stats = run_eval(tmp_path, fused, ["--ref", "0.1,-0.2,0.05"], label="ref")
     assert code == 0
-    estimates = [record.poi_nav for record in read_fused_csv(fused)]
+    estimates = list(read_fused_csv(fused)[:, POI])
     row = stats_csv_row("ref", compute_stats(estimates, np.array([0.1, -0.2, 0.05])))
     assert stats.read_text().splitlines() == [STATS_CSV_HEADER, row]
 

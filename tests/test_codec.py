@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -199,9 +200,9 @@ def field_by_field_row(line, names, what, line_number):
 
 
 _TABLES = {
-    "fused": (FUSED_CSV_HEADER, "fused CSV record"),
-    "truth": (TRUTH_CSV_HEADER, "truth CSV record"),
-    "pairs": (PAIRS_CSV_HEADER, "point pairs CSV record"),
+    "fused": (codec._FUSED, FUSED_CSV_HEADER, "fused CSV record"),
+    "truth": (codec._TRUTH, TRUTH_CSV_HEADER, "truth CSV record"),
+    "pairs": (codec._PAIRS, PAIRS_CSV_HEADER, "point pairs CSV record"),
 }
 
 
@@ -210,24 +211,26 @@ _TABLES = {
 @given(data=st.data(), line_number=st.one_of(st.none(), st.integers(1, 10**6)))
 def test_csv_row_fast_path_agrees_with_the_field_parser(table, data, line_number):
     """Bit for bit the same numbers, or the same FormatError message."""
-    header, what = _TABLES[table]
+    fmt, header, what = _TABLES[table]
     names = header.split(",")
+    assert fmt.names == tuple(names)
     line = data.draw(record_lines(None, len(names)))
     expected = row_outcome(field_by_field_row, line, names, what, line_number)
-    assert row_outcome(codec._numbers, line, None, names, what, line_number) == expected
+    assert row_outcome(codec._numbers, line, fmt, line_number) == expected
 
 
 @pytest.mark.parametrize("table", sorted(_TABLES))
 def test_csv_row_fast_path_skips_the_field_parser(table):
-    names = _TABLES[table][0].split(",")
+    fmt = _TABLES[table][0]
+    names = fmt.names
     row = ",".join(f"{0.125 * i - 1:.9f}" for i in range(len(names)))
     with mock.patch.object(codec, "_split_fields", wraps=codec._split_fields) as slow:
-        assert codec._numbers(row + "\n", None, names, "row", 2) == [
+        assert codec._numbers(row + "\n", fmt, 2) == [
             0.125 * i - 1 for i in range(len(names))
         ]
         assert not slow.called
         with pytest.raises(FormatError, match=f"line 2: field {names[-1]}: 'x'"):
-            codec._numbers(row.rsplit(",", 1)[0] + ",x", None, names, "row", 2)
+            codec._numbers(row.rsplit(",", 1)[0] + ",x", fmt, 2)
         assert slow.called
 
 
@@ -312,6 +315,76 @@ def test_truth_writer_rejects_a_table_of_another_shape_and_writes_nothing(tmp_pa
     with pytest.raises(ValueError, match=message):
         write_truth_csv(table, path)
     assert not path.exists()
+
+
+# A field a writer would write as nan or inf, which every reader refuses: the
+# writer raises instead, naming the row and the field. A finite angle whose
+# degrees overflow is one too.
+def truth_table(n=5):
+    table = np.zeros((n, 10))
+    table[:, 0] = np.arange(n) * 0.01
+    return table
+
+
+@pytest.mark.parametrize(
+    "row, column, value, field",
+    [(2, 5, math.nan, "prism_y_m"), (0, 0, math.inf, "t_s"), (4, 9, -math.inf, "poi_z_m"),
+     (3, 1, 1e308, "roll_deg"), (1, 3, -1e307, "yaw_deg")],
+)
+def test_truth_writer_refuses_a_non_finite_field_and_writes_nothing(
+    tmp_path, row, column, value, field
+):
+    table = truth_table()
+    table[row, column] = value
+    path = tmp_path / "truth.csv"
+    with pytest.raises(FormatError, match=f"^row {row}: field {field}: cannot write non-finite"):
+        write_truth_csv(table, path)
+    assert not path.exists()
+    # A huge value that stays finite as written (in degrees for an angle) is written.
+    table[row, column] = 1e300
+    write_truth_csv(table, path)
+    assert read_truth_csv(path)[row, column] == pytest.approx(1e300, rel=1e-15)
+
+
+def test_row_writer_names_the_row_of_the_whole_column_past_the_first_block():
+    n = 3 * codec._ROW_BLOCK
+    t = np.arange(n) * 0.01
+    accel, gyro = np.zeros((n, 3)), np.zeros((n, 3))
+    gyro[2500, 1] = math.nan
+    lines = codec._lines(codec._IMU, t, accel, gyro)
+    with pytest.raises(FormatError, match="^row 2500: field gy: cannot write non-finite value nan$"):
+        list(lines)
+
+
+def test_line_writers_refuse_a_non_finite_field():
+    sample = ImuSample(0.5, np.array([0.0, math.inf, 9.8]), np.zeros(3))
+    with pytest.raises(FormatError, match="^row 0: field ay: "):
+        write_imu_line(sample)
+    obs = RtsObservation(0.5, 5.0, 1e308, 1.5)
+    with pytest.raises(FormatError, match="^row 0: field Hz_deg: cannot write non-finite value inf$"):
+        write_rts_line(obs)
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [({"prism_nav": [0.0, math.inf, 0.0]}, "prism_y_m"),
+     ({"poi_nav": [math.nan, 0.0, 0.0]}, "poi_x_m"),
+     ({"attitude_used": Attitude(pitch=1e307)}, "pitch_deg"),
+     ({"alpha_used": math.nan}, "alpha"),
+     ({"timestamp": -math.inf}, "t_s")],
+)
+def test_fused_writers_refuse_a_non_finite_field(tmp_path, change, field):
+    record = dataclasses.replace(random_record(np.random.default_rng(41)), **change)
+    with pytest.raises(FormatError, match=f"^record at t_s .*: field {field}: cannot write"):
+        write_csv_record(record)
+    with pytest.raises(FormatError, match=f"field {field}: "):
+        write_fused_csv([record], tmp_path / "fused.csv")
+
+
+def test_fused_writer_writes_huge_finite_fields():
+    record = FusedRecord(1.0, [1e308, 1e308, 0.0], [0.0, 0.0, 0.0], Attitude(), 0.9, 1.0)
+    back = read_csv_record(write_csv_record(record))
+    assert back.prism_nav.tolist() == [1e308, 1e308, 0.0]
 
 
 def test_rts_line_example_converts_degrees():
@@ -406,9 +479,10 @@ def test_fused_csv_file_round_trip(tmp_path):
     assert len(text) == 26
 
     back = read_fused_csv(path)
-    assert len(back) == 25
+    assert back.shape == (25, len(FUSED_CSV_HEADER.split(",")))
+    poi = [FUSED_CSV_HEADER.split(",").index(f"poi_{axis}_m") for axis in "xyz"]
     for a, b in zip(records, back):
-        assert_allclose(b.poi_nav, a.poi_nav, atol=5e-10)
+        assert_allclose(b[poi], a.poi_nav, atol=5e-10)
 
 
 def test_fused_csv_rejects_bad_header(tmp_path):
@@ -872,26 +946,37 @@ def read_line_by_line(path, parse, header=None, what=""):
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _table_kind(header, what, bulk=None, parse=None):
-    """A CSV table's kind: by default the table reader's rows against each
-    line's numbers; a table with angles passes its reader and line parser."""
-    names = header.split(",")
+def _table_kind(fmt, header, bulk=None, parse=None):
+    """A CSV table's kind: by default the record reader's table rows against
+    each line's numbers; a table with angles passes its reader and line
+    parser."""
+    assert ",".join(fmt.names) == header
     if bulk is None:
         def bulk(path):
-            return codec._read_table(path, header, what).tolist()
+            return codec._read_records(path, fmt).tolist()
 
     if parse is None:
         def parse(line, i):
-            return codec._numbers(line, None, names, f"{what} record", i)
+            return codec._numbers(line, fmt, i)
 
-    return None, header, len(names), bulk, lambda path: read_line_by_line(path, parse, header, what)
+    def line_by_line(path):
+        return read_line_by_line(path, parse, header, fmt.noun)
+
+    return None, header, len(fmt.names), bulk, line_by_line
+
+
+def fused_row(record):
+    """A fused record's fields stacked in FUSED_CSV_HEADER order, angles in radians."""
+    att = record.attitude_used
+    return [record.timestamp, *record.prism_nav.tolist(), *record.poi_nav.tolist(),
+            att.roll, att.pitch, att.yaw, record.alpha_used, record.imu_timestamp_used]
 
 
 def _truth_row(line, i):
     """One truth CSV row read as the per-value rule reads it: each ``_deg``
     field through ``math.radians``."""
     names = TRUTH_CSV_HEADER.split(",")
-    values = codec._numbers(line, None, names, "truth CSV record", i)
+    values = codec._numbers(line, codec._TRUTH, i)
     return [math.radians(v) if name.endswith("_deg") else v for v, name in zip(values, names)]
 
 
@@ -899,11 +984,14 @@ RECORD_FILES = {
     # kind: (tag, header, field count, bulk reader, line-by-line reader)
     "imu": ("IMU", None, 7, codec._read_imu, lambda p: read_line_by_line(p, parse_imu_line)),
     "rts": ("RTS", None, 4, codec._read_rts, lambda p: read_line_by_line(p, parse_rts_line)),
-    "fused": _table_kind(FUSED_CSV_HEADER, "fused CSV", read_fused_csv, read_csv_record),
-    "truth": _table_kind(
-        TRUTH_CSV_HEADER, "truth CSV", lambda p: read_truth_csv(p).tolist(), _truth_row
+    "fused": _table_kind(
+        codec._FUSED, FUSED_CSV_HEADER, lambda p: read_fused_csv(p).tolist(),
+        lambda line, i: fused_row(read_csv_record(line, i)),
     ),
-    "pairs": _table_kind(PAIRS_CSV_HEADER, "point pairs CSV"),
+    "truth": _table_kind(
+        codec._TRUTH, TRUTH_CSV_HEADER, lambda p: read_truth_csv(p).tolist(), _truth_row
+    ),
+    "pairs": _table_kind(codec._PAIRS, PAIRS_CSV_HEADER),
 }
 
 
@@ -916,12 +1004,6 @@ def record_bits(item):
     if isinstance(item, RtsObservation):
         values = [item.timestamp, item.slant_distance, item.horizontal_angle, item.zenith_angle]
         return [float(v).hex() for v in values]
-    if isinstance(item, FusedRecord):
-        arrays = [(a.dtype.str, a.shape) for a in (item.prism_nav, item.poi_nav)]
-        att = item.attitude_used
-        values = [item.timestamp, *item.prism_nav.tolist(), *item.poi_nav.tolist(),
-                  att.roll, att.pitch, att.yaw, item.alpha_used, item.imu_timestamp_used]
-        return arrays, [float(v).hex() for v in values]
     return [float(v).hex() for v in item]
 
 
@@ -1026,9 +1108,10 @@ def test_bulk_reader_refuses_an_observation_out_of_range_as_the_line_reader(
 
 
 def test_every_reader_converts_its_angle_fields_as_math_radians_does():
-    """One angle rule for every reader: the ``_deg`` fields of each format,
-    converted on a whole table or on one record, to the bits math.radians
-    gives value by value; the other fields untouched."""
+    """One angle rule for every reader: the product by its format's
+    ``radians`` factors, on a whole table or on one record, turns the
+    ``_deg`` fields to the bits math.radians gives value by value and leaves
+    the other fields untouched."""
     rng = np.random.default_rng(31)
     degrees = np.concatenate([
         rng.uniform(-360.0, 360.0, 3000),
@@ -1044,11 +1127,35 @@ def test_every_reader_converts_its_angle_fields_as_math_radians_does():
             [math.radians(v).hex() if i in fmt.angles else v.hex() for i, v in enumerate(row)]
             for row in rows.tolist()
         ]
-        table = codec._radians(fmt, rows)
+        table = rows * fmt.radians
         assert [[v.hex() for v in row] for row in table.tolist()] == expected, name
         for row, want in zip(rows[:300], expected):
-            got = codec._radians(fmt, row).tolist()
+            got = (row * fmt.radians).tolist()
             assert [v.hex() for v in got] == want, name
+
+
+def test_every_writer_converts_its_angle_fields_as_math_degrees_does():
+    """The write side of the angle rule: the row writer's product gives the
+    ``_deg`` fields of each format the bits math.degrees gives value by
+    value, as the writers did one Python float at a time, and leaves the
+    other fields untouched."""
+    rng = np.random.default_rng(32)
+    radians = np.concatenate([
+        rng.uniform(-2 * math.pi, 2 * math.pi, 3000),
+        10.0 ** rng.uniform(-320.0, 306.0, 3000) * rng.choice([-1.0, 1.0], 3000),
+        [0.0, -0.0, 5e-324, 1e-300, math.pi, -math.pi / 2, 3e306],
+    ])
+    for fmt in (codec._IMU, codec._RTS, codec._TRUTH):
+        k = len(fmt.names)
+        rows = radians[: len(radians) // k * k].reshape(-1, k)
+        expected = [
+            [math.degrees(v).hex() if i in fmt.angles else v.hex() for i, v in enumerate(row)]
+            for row in rows.tolist()
+        ]
+        before = rows.copy()
+        wire = codec._wire(fmt, rows)
+        assert [[v.hex() for v in row] for row in wire.tolist()] == expected, fmt.noun
+        assert np.array_equal(rows, before)  # a new array: the caller's rows stay as they were
 
 
 def _tokens_around(char):
@@ -1065,6 +1172,9 @@ _TOKEN_CHARS = sorted(
 )
 
 
+ONE_FIELD = codec._declare("row", None, ["x"], None)
+
+
 def test_bulk_pass_reads_each_token_as_the_line_parser_reads_it():
     """What the C pass accepts, the line parser reads to the same bits; a
     token the pass refuses goes to the line parser anyway."""
@@ -1075,7 +1185,7 @@ def test_bulk_pass_reads_each_token_as_the_line_parser_reads_it():
             if table is None:
                 continue
             accepted += 1
-            (value,) = codec._numbers(token, None, ["x"], "row", 1)
+            (value,) = codec._numbers(token, ONE_FIELD, 1)
             assert table.shape == (1, 1)
             assert table[0, 0].hex() == value.hex(), repr(token)
     assert accepted > 50

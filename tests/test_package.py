@@ -6,6 +6,7 @@ import importlib.util
 import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from tiltcomp import attitude, codec, evaluate, geodesy, kinematics, pipeline, s
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = SRC.parent / "bench"
+ROOT = SRC.parent
 MODULES = (attitude, codec, evaluate, geodesy, kinematics, pipeline, sim)
 CONFIG_CLASSES = (
     tiltcomp.FilterConfig,
@@ -72,10 +74,8 @@ def test_every_open_call_names_its_encoding():
     assert [where for where, _ in calls if not where.startswith("codec.py:")] == []
 
 
-def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
-    """bench/run.py traces layers by wrapping the names their callers look up
-    (``cli.read_fused_csv``, ``pipeline.poi_position``, ...); a refactor that
-    drops one would crash traced benchmark runs. Imported read-only."""
+def _bench_run(monkeypatch):
+    """bench/run.py, imported read-only."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     loaded = set(sys.modules)
@@ -86,18 +86,86 @@ def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
     finally:
         for name in {"gauge", "spans"} - loaded:
             sys.modules.pop(name, None)
+    return run
 
+
+def _traced(run) -> list[tuple[object, str, str]]:
+    """``(owner, attribute, span)`` of each name the bench tracer wraps,
+    each looked up as the tracer looks it up."""
     wrapped = []
 
     class LookupTracer:
         def wrap(self, owner, attr, name, on_return=None):
             getattr(owner, attr)
-            wrapped.append(name)
+            wrapped.append((owner, attr, name))
 
     library = SimpleNamespace(cli=tiltcomp.cli, pipeline=pipeline)
     run.install_tracer(library, LookupTracer(), run.new_counters())
+    return wrapped
+
+
+def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
+    """bench/run.py traces layers by wrapping the names their callers look up
+    (``cli.read_fused_csv``, ``pipeline.poi_position``, ...); a refactor that
+    drops one would crash traced benchmark runs."""
+    run = _bench_run(monkeypatch)
+    wrapped = {name for _, _, name in _traced(run)}
     spans = {span for names in run.SPAN_TOTALS.values() for span in names}
-    assert spans | set(run.SPAN_SELF.values()) <= set(wrapped)
+    assert spans | set(run.SPAN_SELF.values()) <= wrapped
+
+
+def _imports_and_reads(path: Path) -> tuple[set[str], set[str]]:
+    """The names the module at ``path`` imports (``__future__`` aside), and
+    the names it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return imported, {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", [tiltcomp.cli, pipeline], ids=["cli", "pipeline"])
+def test_an_unused_import_is_only_a_name_the_bench_tracer_wraps(monkeypatch, module):
+    """A name kept imported only so that the bench tracer can wrap it is the
+    one kind of unused import: every other one is dead, and every wrapped
+    name the module neither reads nor defines must be one of these."""
+    imported, read = _imports_and_reads(Path(module.__file__))
+    wrapped = {attr for owner, attr, _ in _traced(_bench_run(monkeypatch)) if owner is module}
+    unused = imported - read
+    assert unused == wrapped - read
+    assert unused  # the walk does see the tracer-only imports
+    if module is tiltcomp.cli:
+        assert {"read_fused_csv", "read_truth_csv"} <= wrapped & read
+
+
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    """Under the repo's pytest settings a failing property test is one
+    failure, and the tests after it still run: writing the failing example's
+    patch must not end the session in an INTERNALERROR."""
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, settings, strategies as st
+
+
+        @settings(database=None, deadline=None)
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 0
+
+
+        def test_passes():
+            pass
+    """))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), str(tmp_path / "test_pair.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    output = done.stdout + done.stderr
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in output, output
 
 
 def test_every_config_number_and_vector_declares_its_rule():

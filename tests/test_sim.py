@@ -23,13 +23,12 @@ from tiltcomp import (
     poi_position,
     polar_to_cartesian,
     rotation_b_to_n,
-    truth_attitude,
     write_imu_line,
     write_rts_line,
     write_truth_csv,
 )
 from tiltcomp.cli import main, parse_scenario_config
-from tiltcomp.sim import _scenario
+from tiltcomp.sim import _motion, _scenario
 
 G = 9.80665
 DIFF_STEP = 1e-4
@@ -56,6 +55,12 @@ def lever_kinematic_accel(attitude_at, arms, t, *, step=DIFF_STEP, motion_start=
                 step * step
             )
     return (position(t - step) - 2.0 * position(t) + position(t + step)) / (step * step)
+
+
+def attitude_at(cfg, t):
+    """The scenario's true attitude at time ``t``, between samples too."""
+    (roll, pitch, yaw), _ = _motion(cfg, np.array([t]))
+    return Attitude(roll=float(roll[0]), pitch=float(pitch[0]), yaw=float(yaw[0]))
 
 
 def quiet(**kwargs):
@@ -118,21 +123,20 @@ def test_idle_segment_is_level_even_in_motion_scenarios():
     assert np.array_equal(truth[:100, 1:4], np.zeros((100, 3)))
 
 
-def test_truth_attitude_follows_offset_sinusoid():
+def test_motion_follows_offset_sinusoid():
     cfg = quiet()
-    assert truth_attitude(cfg, 0.5) == Attitude()
+    assert attitude_at(cfg, 0.5) == Attitude()
     # tilt starts from zero at motion onset and stays continuous
-    assert truth_attitude(cfg, cfg.idle_duration_s) == Attitude()
+    assert attitude_at(cfg, cfg.idle_duration_s) == Attitude()
     amp = math.radians(60.0)
     w = 2.0 * math.pi * 0.010
-    att = truth_attitude(cfg, cfg.idle_duration_s + 12.5)
+    att = attitude_at(cfg, cfg.idle_duration_s + 12.5)
     assert att.roll == pytest.approx(amp * math.sin(w * 12.5), rel=1e-12)
 
     peak = amp * 2.0  # amplitude plus phase offset can reach double
-    for t in np.linspace(0.0, 200.0, 400):
-        a = truth_attitude(quiet(duration_s=300.0), t)
-        assert abs(a.roll) <= peak + 1e-12
-        assert abs(a.pitch) <= peak + 1e-12
+    (roll, pitch, _), _ = _motion(quiet(duration_s=300.0), np.linspace(0.0, 200.0, 400))
+    assert np.abs(roll).max() <= peak + 1e-12
+    assert np.abs(pitch).max() <= peak + 1e-12
 
 
 def test_truth_rows_are_self_consistent():
@@ -163,16 +167,16 @@ def test_observations_back_convert_to_true_prism():
 def test_gyro_encodes_body_rates_for_euler_motion():
     # independent check: body rates from finite differences of the true angles
     cfg = quiet(yaw_rate_deg_s=2.0)
-    imu, _, _ = generate_scenario(cfg)
+    imu, _, truth = generate_scenario(cfg)
     h = 1e-6
     for i in (150, 211, 299):
         t = imu[i].timestamp
-        before = truth_attitude(cfg, t - h)
-        after = truth_attitude(cfg, t + h)
+        before = attitude_at(cfg, t - h)
+        after = attitude_at(cfg, t + h)
         roll_rate = (after.roll - before.roll) / (2.0 * h)
         pitch_rate = (after.pitch - before.pitch) / (2.0 * h)
         yaw_rate = (after.yaw - before.yaw) / (2.0 * h)
-        att = truth_attitude(cfg, t)
+        att = Attitude(*truth[i, 1:4])
         sr, cr = math.sin(att.roll), math.cos(att.roll)
         sp, cp = math.sin(att.pitch), math.cos(att.pitch)
         expected = [
@@ -185,14 +189,13 @@ def test_gyro_encodes_body_rates_for_euler_motion():
 
 def test_specific_force_matches_lever_swing_acceleration():
     cfg = quiet()
-    imu, _, _ = generate_scenario(cfg)
+    imu, _, truth = generate_scenario(cfg)
     for i in (150, 237):
         sample = imu[i]
-        att = truth_attitude(cfg, sample.timestamp)
-        r = rotation_b_to_n(att)
+        r = rotation_b_to_n(Attitude(*truth[i, 1:4]))
         a_nav = r @ sample.accel - np.array([0.0, 0.0, cfg.gravity])
         expected = lever_kinematic_accel(
-            lambda s: truth_attitude(cfg, s),
+            lambda s: attitude_at(cfg, s),
             cfg.lever_arms,
             sample.timestamp,
             motion_start=cfg.idle_duration_s,
@@ -257,8 +260,8 @@ def test_different_seeds_differ():
 
 def test_yaw_profile():
     cfg = quiet(yaw_deg=90.0, yaw_rate_deg_s=3.0)
-    assert truth_attitude(cfg, 0.5).yaw == pytest.approx(math.pi / 2, abs=1e-12)
-    att = truth_attitude(cfg, cfg.idle_duration_s + 10.0)
+    assert attitude_at(cfg, 0.5).yaw == pytest.approx(math.pi / 2, abs=1e-12)
+    att = attitude_at(cfg, cfg.idle_duration_s + 10.0)
     expected = math.radians(90.0 + 30.0)
     assert att.yaw == pytest.approx(expected, abs=1e-12)
 
@@ -509,7 +512,7 @@ def test_generated_objects_equal_those_the_dataclass_constructors_build(config):
     """generate_scenario fills its objects without their constructors; each
     holds what the constructor would store. The arrays are rows of one array
     per stream. Truth is one float64 table on the IMU grid: its angles are
-    truth_attitude's, and every POI row is the config's POI."""
+    the motion profile's at its times, and every POI row is the config's POI."""
     cfg = parse_scenario_config(config)
     imu, rts, truth = generate_scenario(cfg)
     for stream, reference in zip((imu, rts), constructed(cfg), strict=True):
@@ -523,9 +526,8 @@ def test_generated_objects_equal_those_the_dataclass_constructors_build(config):
     assert truth.shape == (len(imu), len(TRUTH_CSV_HEADER.split(",")))
     assert [t.hex() for t in truth[:, 0].tolist()] == [s.timestamp.hex() for s in imu]
     assert np.array_equal(truth[:, 7:10], np.broadcast_to(cfg.poi_nav, (len(imu), 3)))
-    for row in truth[:: max(1, len(truth) // 7)]:
-        expected = truth_attitude(cfg, row[0])
-        assert_allclose(row[1:4], [expected.roll, expected.pitch, expected.yaw], atol=1e-15)
+    rows = truth[:: max(1, len(truth) // 7)]
+    assert_allclose(rows[:, 1:4], np.transpose(_motion(cfg, rows[:, 0])[0]), atol=1e-15)
 
 
 # Messages the parent printed for each fault, pinned.
