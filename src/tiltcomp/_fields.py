@@ -1,6 +1,6 @@
-"""Config field rules, each declared with the field's default, and the one
-checker that enforces them all from ``__post_init__``. Imports nothing from
-the package, so every module can use it."""
+"""Config field rules, each declared with the field's default; the one checker
+that enforces them from ``__post_init__``; and the one finiteness test. Imports
+nothing from the package, so every module can use it."""
 
 import math
 from dataclasses import field, fields
@@ -8,15 +8,18 @@ from dataclasses import field, fields
 import numpy as np
 
 
+def _finite(*values: float) -> bool:
+    """Whether all ``values`` are finite: a finite sum implies finite terms, and
+    only a non-finite sum (finite terms can overflow) needs the term test."""
+    return math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))
+
+
 def _vec3(value, name: str) -> np.ndarray:
     """``value`` as a finite (3,) float array; ValueError naming ``name`` otherwise."""
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    # A finite sum implies three finite terms; only a non-finite sum (which
-    # finite terms can reach by overflow) needs the term-by-term test.
-    x, y, z = v.tolist()
-    if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):
+    if not _finite(*v.tolist()):
         raise ValueError(f"{name} must be finite, got {v}")
     return v
 

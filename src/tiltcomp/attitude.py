@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _integer, _ranged, _vec3
+from ._fields import _check_fields, _finite, _integer, _ranged, _vec3
 
 __all__ = [
     "Attitude",
@@ -189,11 +189,7 @@ def _check_sample(sample: ImuSample, last_timestamp: float | None) -> tuple[floa
     t = sample.timestamp
     ax, ay, az = sample.accel.tolist()
     gx, gy, gz = sample.gyro.tolist()
-    # A finite sum implies seven finite terms; only a non-finite sum (which
-    # finite terms can reach by overflow) needs the term-by-term test.
-    if not math.isfinite(t + ax + ay + az + gx + gy + gz) and not all(
-        map(math.isfinite, (t, ax, ay, az, gx, gy, gz))
-    ):
+    if not _finite(t, ax, ay, az, gx, gy, gz):
         raise ValueError(f"non-finite IMU sample at t={t!r}")
     if last_timestamp is not None and t < last_timestamp:
         raise ValueError(f"non-monotone IMU timestamp: {t} < {last_timestamp}")

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -20,15 +21,17 @@ import numpy as np
 
 from .attitude import FilterConfig
 # encode_can_frames, format_can_dump_line, parse_imu_line, parse_rts_line,
-# write_imu_line and write_rts_line are unused here (simulate writes its
-# streams from arrays, and fuse reads the streams and writes the CAN dump, in
-# blocks) but stay importable: bench/run.py traces the codec under these names.
+# write_fused_csv, write_imu_line and write_rts_line are unused here (fuse and
+# simulate read and write whole tables) but bench/run.py traces them by name.
 from .codec import (  # noqa: F401
+    _FUSED,
     _IMU,
     _RTS,
+    FUSED_CSV_HEADER,
     FormatError,
     _can_dump_lines,
     _check_base_id,
+    _fused_table,
     _key_values,
     _lines,
     _read_imu,
@@ -166,13 +169,17 @@ def cmd_fuse(args) -> int:
     pipeline = Pipeline(config)
     pipeline.set_yaw(math.radians(args.initial_yaw_deg))
     records = pipeline.replay(imu, rts)
-
-    write_fused_csv(records, args.out)
-    if args.can_out:
-        try:
-            _write_lines(args.can_out, _can_dump_lines(records, args.can_base_id))
-        except FormatError as exc:
-            return _data_error(f"{args.can_out}: {exc}")
+    del imu, rts  # freed before the table is built: only the records are written
+    table = _fused_table(records)
+    # Both outputs are made and checked whole before either file is opened.
+    csv = chain([FUSED_CSV_HEADER], _lines(_FUSED, table))
+    try:
+        can = args.can_out and _can_dump_lines(table[:, 1:7], args.can_base_id)
+    except FormatError as exc:
+        return _data_error(f"{args.can_out}: {exc}")
+    _write_lines(args.out, csv)
+    if can:
+        _write_lines(args.can_out, can)
     leftover = pipeline.rts_buffered
     note = f", {leftover} observations left unpaired" if leftover else ""
     print(f"wrote {len(records)} fused records to {args.out}{note}")

@@ -11,11 +11,11 @@ Text stream lines (formats specific to this toolkit):
 Each record file format is declared once: the noun its messages use, its
 tag (none for a CSV row, whose header is its field names joined), field
 names and decimals. A field named ``*_deg`` is an angle: radians inside,
-degrees on the wire. One row writer formats every IMU, RTS and truth line
-from float columns, a block of rows at a time (``simulate`` hands it the
-scenario's arrays); the fused CSV writer formats each record's floats. No
-writer writes a field as ``nan`` or ``inf``, which no reader reads: it
-raises FormatError naming the row and the field.
+degrees on the wire. One row writer formats every line from float columns
+(``simulate`` hands it the scenario's arrays; fused records become one
+table first). It checks the whole table before it makes a line: a field it
+would write as ``nan`` or ``inf``, which no reader reads, raises FormatError
+naming the row and the field, and no file is left.
 
 Every reader takes the format of its file, and one record reader reads each
 numeric record file whole: one C pass parses its lines into an ``(n, k)``
@@ -30,9 +30,9 @@ finiteness test) that hands anything else to the field-by-field parser.
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2). Hex dumps use
 ``<id hex>#<payload hex>`` lines. One counts rule serves
-:func:`encode_can_frames` and the dump writer ``fuse`` uses, which packs ~1k
-records at a time into one hex string and cuts it into lines, building no
-:class:`CanFrame`.
+:func:`encode_can_frames` and the dump writer ``fuse`` uses, which checks
+every count of the fused table, then cuts one hex string into lines,
+building no :class:`CanFrame`.
 
 The transform file, like the scenario config, is ``key = value`` text where
 ``#`` starts a comment; a line without ``=``, an unknown or a repeated key is
@@ -51,6 +51,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
@@ -102,7 +103,6 @@ _COUNT_LIMIT = 2**31 - 1
 # The coordinate frames' counts in order, two per frame: prism then POI.
 _CAN_FIELDS = ("prism_x", "prism_y", "prism_z", "poi_x", "poi_y", "poi_z")
 _CAN_FRAMES = len(_CAN_FIELDS) // 2
-_CAN_BLOCK = 1024  # records the dump encoder packs at a time
 _ROW_BLOCK = 1024  # rows the row writer formats at a time
 
 
@@ -167,16 +167,16 @@ _PAIRS = _declare("point pairs CSV", None, PAIRS_CSV_HEADER.split(","), None)
 _DEGREES = 180.0 / math.pi  # math.degrees(x) is x * _DEGREES, bit for bit
 
 
-def _wire(fmt: _Format, rows, first: int = 0) -> np.ndarray:
-    """``rows``, n records of ``fmt``, as a new ``(n, k)`` float array as
-    written, angles in degrees (the bits of ``math.degrees``); a field written
-    as ``nan`` or ``inf`` raises FormatError naming its row, from ``first``."""
-    wire = np.array(rows, dtype=float)
+def _wire(fmt: _Format, *columns) -> np.ndarray:
+    """``columns`` (as :func:`_lines` takes them) as a new ``(n, k)`` float
+    array as written, angles in degrees (the bits of ``math.degrees``); a
+    field written as ``nan`` or ``inf`` raises FormatError naming its row."""
+    wire = np.column_stack(columns).astype(float, copy=False)
     with np.errstate(over="ignore"):
         wire[:, fmt.angles] *= _DEGREES
     if not np.isfinite(wire).all():
         row, k = np.argwhere(~np.isfinite(wire))[0]
-        where = f"row {first + row}: field {fmt.names[k]}"
+        where = f"row {row}: field {fmt.names[k]}"
         raise FormatError(f"{where}: cannot write non-finite value {wire[row, k]}")
     return wire
 
@@ -184,12 +184,12 @@ def _wire(fmt: _Format, rows, first: int = 0) -> np.ndarray:
 def _lines(fmt: _Format, *columns) -> Iterator[str]:
     """The lines of ``fmt`` whose fields, in ``fmt.names`` order, are the
     columns of ``columns``: float arrays (or nested sequences) of n rows, each
-    ``(n,)`` or ``(n, m)``, angles in radians. Rows are stacked and formatted
-    :data:`_ROW_BLOCK` at a time, so no copy of the whole table and few
-    Python floats exist at once."""
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        block = np.column_stack([column[start : start + _ROW_BLOCK] for column in columns])
-        yield from map(fmt.template.__mod__, zip(*_wire(fmt, block, start).T.tolist()))
+    ``(n,)`` or ``(n, m)``, angles in radians. The whole table is checked when
+    called (:func:`_wire`); the lines are then formatted :data:`_ROW_BLOCK`
+    rows at a time, so few Python floats exist at once."""
+    wire = _wire(fmt, *columns)
+    blocks = (wire[start : start + _ROW_BLOCK] for start in range(0, len(wire), _ROW_BLOCK))
+    return chain.from_iterable(map(fmt.template.__mod__, zip(*b.T.tolist())) for b in blocks)
 
 
 def _numbers(line: str, fmt: _Format, line_number: int | None) -> list[float]:
@@ -256,22 +256,24 @@ def write_rts_line(obs: RtsObservation) -> str:
     return next(_lines(_RTS, [row]))
 
 
+def _fused_table(records: Iterable[FusedRecord]) -> np.ndarray:
+    """The ``(n, 12)`` float64 table of ``records`` in :data:`FUSED_CSV_HEADER`
+    order, angles in radians, filled as one flat buffer (no object per row);
+    a prism or POI that is not a 3-vector raises ValueError."""
+    flat = array("d")
+    for r in records:
+        px, py, pz = r.prism_nav.tolist()
+        qx, qy, qz = r.poi_nav.tolist()
+        att = r.attitude_used
+        flat.extend((r.timestamp, px, py, pz, qx, qy, qz,
+                     att.roll, att.pitch, att.yaw, r.alpha_used, r.imu_timestamp_used))
+    return np.frombuffer(flat, dtype=float).reshape(-1, len(_FUSED.names))
+
+
 def write_csv_record(record: FusedRecord) -> str:
     """One fused CSV line (without newline), fields in header order. A field
     it would write as ``nan`` or ``inf`` raises FormatError naming it."""
-    px, py, pz = record.prism_nav.tolist()
-    qx, qy, qz = record.poi_nav.tolist()
-    att = record.attitude_used
-    line = _FUSED.template % (
-        record.timestamp, px, py, pz, qx, qy, qz,
-        math.degrees(att.roll), math.degrees(att.pitch), math.degrees(att.yaw),
-        record.alpha_used, record.imu_timestamp_used,
-    )
-    if "n" in line:  # only a nan or inf field is written with an n
-        name, value = next((n, v) for n, v in zip(_FUSED.names, line.split(",")) if "n" in v)
-        where = f"record at t_s {record.timestamp}: field {name}"
-        raise FormatError(f"{where}: cannot write non-finite value {value}")
-    return line
+    return next(_lines(_FUSED, _fused_table([record])))
 
 
 def _read_text(path) -> str:
@@ -377,8 +379,9 @@ def read_csv_record(line: str, line_number: int | None = None) -> FusedRecord:
 
 def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
     """Write records, as :meth:`Pipeline.drain` makes them, as a fused CSV;
-    :func:`read_fused_csv` reads it back as a table."""
-    _write_lines(path, chain([FUSED_CSV_HEADER], map(write_csv_record, records)))
+    :func:`read_fused_csv` reads it back as a table. A refused field raises
+    FormatError before the file is opened."""
+    _write_lines(path, chain([FUSED_CSV_HEADER], _lines(_FUSED, _fused_table(records))))
 
 
 def read_fused_csv(path) -> np.ndarray:
@@ -395,7 +398,6 @@ def write_truth_csv(table, path) -> None:
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != len(_TRUTH.names):
         raise ValueError(f"truth table must have shape (n, {len(_TRUTH.names)}), got {table.shape}")
-    _wire(_TRUTH, table)
     _write_lines(path, chain([TRUTH_CSV_HEADER], _lines(_TRUTH, table)))
 
 
@@ -419,13 +421,12 @@ class CanFrame:
         object.__setattr__(self, "payload", bytes(self.payload))
 
 
-def _counts(records: Sequence[FusedRecord]) -> np.ndarray:
-    """The ``(n, 6)`` little-endian int32 counts of 0.1 mm of ``records``'
-    coordinates in :data:`_CAN_FIELDS` order, rounded half to even as
-    ``round`` does. A NaN or infinite coordinate, or one whose count exceeds
-    int32, raises FormatError naming the first, record by record, then field
-    by field."""
-    coords = np.array([(*r.prism_nav.tolist(), *r.poi_nav.tolist()) for r in records])
+def _counts(coords: np.ndarray) -> np.ndarray:
+    """The ``(n, 6)`` little-endian int32 counts of 0.1 mm of the ``(n, 6)``
+    float coordinates ``coords``, columns in :data:`_CAN_FIELDS` order,
+    rounded half to even as ``round`` does. A NaN or infinite coordinate, or
+    one whose count exceeds int32, raises FormatError naming the first, row by
+    row, then field by field."""
     with np.errstate(over="ignore"):
         counts = np.rint(coords / _COUNT_SCALE)
     # NaN and inf fail the test, and so does a huge coordinate's inf count.
@@ -456,22 +457,19 @@ def encode_can_frames(record: FusedRecord, base_id: int) -> list[CanFrame]:
     two per frame in :data:`_CAN_FIELDS` order.
     """
     _check_base_id(base_id)
-    (counts,) = _counts([record])
+    (counts,) = _counts(_fused_table([record])[:, 1:7])
     return [CanFrame(base_id + k, counts[2 * k : 2 * k + 2].tobytes()) for k in range(_CAN_FRAMES)]
 
 
-def _can_dump_lines(records: Sequence[FusedRecord], base_id: int) -> Iterator[str]:
-    """The dump lines of every record's coordinate frames, as
-    :func:`format_can_dump_line` writes those of :func:`encode_can_frames`,
-    encoded :data:`_CAN_BLOCK` records at a time so the arrays stay small."""
+def _can_dump_lines(coords: np.ndarray, base_id: int) -> Iterator[str]:
+    """The dump lines of the frames of each row of ``(n, 6)`` coordinates, as
+    :func:`format_can_dump_line` writes those of :func:`encode_can_frames`;
+    every count is checked when called, before the first line is made."""
     _check_base_id(base_id)
     ids = [f"{base_id + k:08X}#" for k in range(_CAN_FRAMES)]
-    for start in range(0, len(records), _CAN_BLOCK):
-        block = records[start : start + _CAN_BLOCK]
-        payloads = _counts(block).tobytes().hex().upper()
-        # A frame's payload is two counts: 8 bytes, 16 hex digits.
-        for i in range(0, len(payloads), 16):
-            yield ids[i // 16 % _CAN_FRAMES] + payloads[i : i + 16]
+    payloads = _counts(coords).tobytes().hex().upper()
+    # A frame's payload is two counts: 8 bytes, 16 hex digits.
+    return (ids[i // 16 % _CAN_FRAMES] + payloads[i : i + 16] for i in range(0, len(payloads), 16))
 
 
 def decode_can_frames(frames: Sequence[CanFrame]) -> tuple[np.ndarray, np.ndarray]:

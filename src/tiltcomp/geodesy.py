@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _ranged, _vec3, _vector
+from ._fields import _check_fields, _finite, _ranged, _vec3, _vector
 
 __all__ = [
     "RtsObservation",
@@ -46,9 +46,7 @@ class RtsObservation:
 
     def __post_init__(self):
         t, d, hz, v = self.timestamp, self.slant_distance, self.horizontal_angle, self.zenith_angle
-        # A finite sum implies four finite fields; only a non-finite sum (which
-        # finite fields can reach by overflow) needs the field-by-field test.
-        if not math.isfinite(t + d + hz + v) and not all(map(math.isfinite, (t, d, hz, v))):
+        if not _finite(t, d, hz, v):
             raise ValueError(f"RTS observation has non-finite fields: {(t, d, hz, v)}")
         if self.slant_distance <= 0.0:
             raise ValueError(f"slant distance must be positive, got {self.slant_distance}")

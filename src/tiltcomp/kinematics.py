@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import _check_fields, _vec3, _vector
+from ._fields import _check_fields, _finite, _vec3, _vector
 from .attitude import Attitude
 
 __all__ = [
@@ -89,9 +89,7 @@ def _poi(
     the BLAS ``ndarray.dot``, bit-identical to ``@``. Raises ValueError for a
     non-finite prism.
     """
-    # A finite sum implies three finite coordinates; only a non-finite sum
-    # (which finite coordinates can reach by overflow) needs the per-field test.
-    if not math.isfinite(px + py + pz) and not all(map(math.isfinite, (px, py, pz))):
+    if not _finite(px, py, pz):
         raise ValueError(f"prism_nav must be finite, got {np.array((px, py, pz))}")
     dx, dy, dz = _rotation(roll, pitch, yaw).dot(lever).tolist()
     return px + dx, py + dy, pz + dz

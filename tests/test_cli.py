@@ -484,6 +484,8 @@ def test_fuse_can_out_rejects_coordinates_past_the_can_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{dump}: prism_x = " in err
     assert "exceeds the encodable range" in err
+    # Every coordinate is checked before either output is opened.
+    assert not (tmp_path / "f.csv").exists() and not dump.exists()
 
 
 def test_fuse_can_out_rejects_a_coordinate_whose_count_overflows(tmp_path, capsys):
@@ -498,6 +500,7 @@ def test_fuse_can_out_rejects_a_coordinate_whose_count_overflows(tmp_path, capsy
     assert capsys.readouterr().err == (
         f"error: {dump}: prism_x = 1e+306 m exceeds the encodable range of +/-214748.3647 m\n"
     )
+    assert not (tmp_path / "f.csv").exists() and not dump.exists()
 
 
 # sha256 of the fused CSV and CAN dump that fuse --can-out writes for 25 s of

@@ -351,9 +351,8 @@ def test_row_writer_names_the_row_of_the_whole_column_past_the_first_block():
     t = np.arange(n) * 0.01
     accel, gyro = np.zeros((n, 3)), np.zeros((n, 3))
     gyro[2500, 1] = math.nan
-    lines = codec._lines(codec._IMU, t, accel, gyro)
     with pytest.raises(FormatError, match="^row 2500: field gy: cannot write non-finite value nan$"):
-        list(lines)
+        codec._lines(codec._IMU, t, accel, gyro)  # raises when called, before any line
 
 
 def test_line_writers_refuse_a_non_finite_field():
@@ -375,10 +374,14 @@ def test_line_writers_refuse_a_non_finite_field():
 )
 def test_fused_writers_refuse_a_non_finite_field(tmp_path, change, field):
     record = dataclasses.replace(random_record(np.random.default_rng(41)), **change)
-    with pytest.raises(FormatError, match=f"^record at t_s .*: field {field}: cannot write"):
+    with pytest.raises(FormatError, match=f"^row 0: field {field}: cannot write non-finite value"):
         write_csv_record(record)
-    with pytest.raises(FormatError, match=f"field {field}: "):
-        write_fused_csv([record], tmp_path / "fused.csv")
+    # A refused record leaves no file, even after a record the writer accepts.
+    path, ok = tmp_path / "fused.csv", random_record(np.random.default_rng(42))
+    for records, row in (([record], 0), ([ok, record], 1)):
+        with pytest.raises(FormatError, match=f"^row {row}: field {field}: "):
+            write_fused_csv(records, path)
+        assert not path.exists()
 
 
 def test_fused_writer_writes_huge_finite_fields():
@@ -1244,7 +1247,7 @@ def reference_dump(records, base_id):
     return lines
 
 
-_BLOCK = codec._CAN_BLOCK
+_BLOCK = codec._ROW_BLOCK
 # Half-count ties: each of these over 1e-4 is exactly k + 0.5, as are most of
 # the drawn (k + 0.5) * 1e-4. Then the largest encodable magnitudes, and -0.0.
 _CAN_EDGES = [0.5e-4, 2.5e-4, -3.5e-4, 214748.3647, -214748.3647, -0.0]
@@ -1270,7 +1273,7 @@ def test_block_can_dump_matches_the_per_record_encoder(n, seed, placed, base_id)
             coords[row % n, col] = value
     records = list(map(coordinate_record, coords))
     expected = reference_dump(records, base_id)
-    assert list(codec._can_dump_lines(records, base_id)) == expected
+    assert list(codec._can_dump_lines(coords, base_id)) == expected
     assert per_record_dump(records, base_id) == expected
 
 
@@ -1299,9 +1302,66 @@ def test_block_can_dump_names_the_first_faulty_field_as_the_per_record_encoder(
     with pytest.raises(FormatError) as per_record:
         per_record_dump(records, 0x300)
     assert str(per_record.value).startswith(f"{name} = {value} m {words}")
-    lines = []
+    # Every count is checked when called: no line is produced.
     with pytest.raises(FormatError) as block:
-        lines.extend(codec._can_dump_lines(records, 0x300))
+        codec._can_dump_lines(coords, 0x300)
     assert str(block.value) == str(per_record.value)
-    # Every block before the faulty one is written.
-    assert len(lines) == 3 * (row // _BLOCK * _BLOCK)
+
+
+def table_record(row):
+    """The record of one fused table row, angles in radians."""
+    return FusedRecord(row[0], row[1:4], row[4:7], Attitude(*row[7:10]), row[10], row[11])
+
+
+# Huge finite values, -0.0, angles at +/-pi, and values whose degrees overflow
+# (the last two), placed in any field of any row.
+_FUSED_EDGES = [1e300, -1e300, -0.0, math.pi, -math.pi, 5e-324, 1e307, -1.7e308]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(n=1, seed=0, placed=[(0, k, -0.0) for k in range(12)])
+@example(n=_BLOCK + 1, seed=1, placed=[(_BLOCK, 8, 1e307), (_BLOCK, 2, 1e300)])
+@given(
+    n=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    placed=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 11),
+                              st.one_of(st.sampled_from(_FUSED_EDGES), st.floats(-1e3, 1e3)))),
+)
+def test_table_writers_match_the_per_record_oracles(tmp_path_factory, n, seed, placed):
+    """The fused CSV and CAN dump written from one table give, line for line,
+    what the per-record f-string oracle and encoder give; a refused field is
+    named alike, by row and field, through every entry point, and leaves no
+    file."""
+    rng = np.random.default_rng(seed)
+    table = np.column_stack([rng.uniform(0.0, 1000.0, n), rng.uniform(-3000.0, 3000.0, (n, 6)),
+                             rng.uniform(-math.pi, math.pi, (n, 3)), rng.uniform(0.9, 1.0, n),
+                             rng.uniform(0.0, 1000.0, n)])
+    for row, col, value in placed:
+        if n:
+            table[row % n, col] = value
+    records = [table_record(row) for row in table.tolist()]
+    assert codec._fused_table(iter(records)).tobytes() == table.tobytes()
+
+    path = tmp_path_factory.mktemp("fused") / "fused.csv"
+    expected = [f_string_fused_row(r) for r in records]
+    faulty = [(i, k) for i, line in enumerate(expected)
+              for k, token in enumerate(line.split(",")) if "n" in token]  # nan or inf
+    if not faulty:
+        write_fused_csv((r for r in records), path)  # a generator is accepted
+        assert path.read_text() == "".join(f"{line}\n" for line in [FUSED_CSV_HEADER, *expected])
+        assert [write_csv_record(r) for r in records] == expected
+    else:
+        (row, k), name = faulty[0], codec._FUSED.names[faulty[0][1]]
+        with pytest.raises(FormatError, match=f"^row {row}: field {name}: cannot write"):
+            write_fused_csv(records, path)
+        assert not path.exists()
+        with pytest.raises(FormatError, match=f"^row 0: field {name}: cannot write"):
+            write_csv_record(records[row])
+
+    try:
+        dump = per_record_dump(records, 0x300)
+    except FormatError as exc:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
+            codec._can_dump_lines(table[:, 1:7], 0x300)
+    else:
+        assert list(codec._can_dump_lines(table[:, 1:7], 0x300)) == dump
