@@ -36,7 +36,7 @@ def _ranged(default, lo: float, hi: float, *, above: bool = False):
 
 
 def _vector(x: float, y: float, z: float):
-    """A field holding a finite 3-vector, stored as a (3,) float array."""
+    """A field holding a finite 3-vector, stored as a read-only (3,) float array."""
     return field(default_factory=lambda: np.array([x, y, z], float), metadata={"vector": True})
 
 
@@ -50,11 +50,13 @@ def _rule(lo: float, hi: float, above: bool) -> str:
 
 
 def _check_fields(obj) -> None:
-    """Enforce each declared rule of dataclass ``obj``; store its vectors as float arrays."""
+    """Enforce each declared rule of dataclass ``obj``; store its vectors as read-only copies."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if "vector" in f.metadata:
-            object.__setattr__(obj, f.name, _vec3(value, f.name))
+            vector = _vec3(value, f.name).copy()
+            vector.flags.writeable = False
+            object.__setattr__(obj, f.name, vector)
         elif "range" in f.metadata:
             lo, hi, above, integral = f.metadata["range"]
             if integral and not _integer(value):

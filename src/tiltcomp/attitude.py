@@ -12,12 +12,14 @@ obtained by integrating the z gyro alone and therefore drifts; it can be reset
 externally with :func:`set_yaw`.
 
 One private scalar kernel, ``_step``, holds the recurrence: it validates a
-sample and maps the previous roll, pitch, yaw and timestamp, as floats, to
-the new ``(roll, pitch, yaw, alpha)``. :func:`filter_step` unpacks a
-:class:`FilterState` into it and packs the result; the streaming pipeline
-keeps its state as floats and calls the kernel directly, so both paths run
-the same arithmetic. :func:`accel_angles` and :func:`adaptive_alpha` share the
-kernel's formulas.
+sample (``_check_sample``, which calibration runs too) and maps the previous
+roll, pitch, yaw and timestamp, as floats, to the new ``(roll, pitch, yaw,
+alpha)``. :func:`filter_step` unpacks a :class:`FilterState` into it and packs
+the result; the streaming pipeline keeps its state as floats and calls the
+kernel directly, so both paths run the same arithmetic. The kernel is one flat
+body, as a call costs about what its arithmetic does: it writes out the
+formulas of :func:`accel_angles`, :func:`adaptive_alpha` and :func:`wrap_angle`
+as the same floating-point expressions, which a test holds bit for bit.
 
 Units: all angles radians, accel m/s^2, gyro rad/s, time seconds. All
 operations are pure functions over an explicitly passed state value; a single
@@ -146,13 +148,6 @@ def _gravity_angles(ax: float, ay: float, az: float) -> tuple[float, float]:
     return wrap_angle(math.atan2(ay, az)), math.atan2(-ax, math.hypot(ay, az))
 
 
-def _alpha(accel_norm: float, cfg: FilterConfig) -> float:
-    delta_a = abs(accel_norm - cfg.gravity)
-    return min(
-        1.0, cfg.alpha_base + (1.0 - cfg.alpha_base) * delta_a / cfg.delta_a_threshold
-    )
-
-
 def _accel_norm(accel: np.ndarray) -> float:
     """``||accel||`` for a (3,) float array, bit-identical to ``np.linalg.norm``.
 
@@ -180,7 +175,8 @@ def adaptive_alpha(accel, cfg: FilterConfig) -> float:
 
     alpha = min(1, alpha_base + (1 - alpha_base) * |  ||a|| - g | / threshold).
     """
-    return _alpha(_accel_norm(np.asarray(accel, dtype=float)), cfg)
+    delta_a = abs(_accel_norm(np.asarray(accel, dtype=float)) - cfg.gravity)
+    return min(1.0, cfg.alpha_base + (1.0 - cfg.alpha_base) * delta_a / cfg.delta_a_threshold)
 
 
 def _check_sample(sample: ImuSample, last_timestamp: float | None) -> tuple[float, ...]:
@@ -189,8 +185,9 @@ def _check_sample(sample: ImuSample, last_timestamp: float | None) -> tuple[floa
     t = sample.timestamp
     ax, ay, az = sample.accel.tolist()
     gx, gy, gz = sample.gyro.tolist()
-    if not _finite(t, ax, ay, az, gx, gy, gz):
-        raise ValueError(f"non-finite IMU sample at t={t!r}")
+    if not math.isfinite(t + ax + ay + az + gx + gy + gz):  # _finite's test, inline
+        if not _finite(t, ax, ay, az, gx, gy, gz):
+            raise ValueError(f"non-finite IMU sample at t={t!r}")
     if last_timestamp is not None and t < last_timestamp:
         raise ValueError(f"non-monotone IMU timestamp: {t} < {last_timestamp}")
     return t, ax, ay, az, gx, gy, gz
@@ -210,24 +207,36 @@ def _step(
 
     ``last_timestamp`` None seeds roll and pitch from the accelerometer and
     wraps ``yaw``, with alpha 0. Raises ValueError for a non-finite or
-    out-of-order sample and for a zero-norm accel reading.
+    out-of-order sample and for a zero-norm accel reading. The clamps are the
+    comparisons ``min``/``max`` make: a NaN alpha becomes 1, a NaN pitch -pi/2.
     """
     t, ax, ay, az, gx, gy, gz = _check_sample(sample, last_timestamp)
-    roll_acc, pitch_acc = _gravity_angles(ax, ay, az)
+    if ax == 0.0 and ay == 0.0 and az == 0.0:
+        raise ValueError("accelerometer reading has zero norm; no usable gravity reference")
+    roll_acc = (math.atan2(ay, az) + math.pi) % _TWO_PI - math.pi
+    if roll_acc <= -math.pi:
+        roll_acc = math.pi
+    pitch_acc = math.atan2(-ax, math.hypot(ay, az))
     if last_timestamp is None:
         return roll_acc, pitch_acc, wrap_angle(yaw), 0.0
 
     dt = t - last_timestamp
     bx, by, bz = gyro_bias
-    alpha = _alpha(_accel_norm(sample.accel), cfg)
+    accel, base = sample.accel, cfg.alpha_base
+    delta_a = abs(math.sqrt(accel.dot(accel)) - cfg.gravity)
+    alpha = base + (1.0 - base) * delta_a / cfg.delta_a_threshold
+    if not alpha < 1.0:
+        alpha = 1.0
     roll = alpha * (roll + (gx - bx) * dt) + (1.0 - alpha) * roll_acc
+    roll = (roll + math.pi) % _TWO_PI - math.pi
+    if roll <= -math.pi:
+        roll = math.pi
     pitch = alpha * (pitch + (gy - by) * dt) + (1.0 - alpha) * pitch_acc
-    return (
-        wrap_angle(roll),
-        min(_HALF_PI, max(-_HALF_PI, pitch)),
-        wrap_angle(yaw + (gz - bz) * dt),
-        alpha,
-    )
+    pitch = (pitch if pitch < _HALF_PI else _HALF_PI) if pitch > -_HALF_PI else -_HALF_PI
+    yaw = (yaw + (gz - bz) * dt + math.pi) % _TWO_PI - math.pi
+    if yaw <= -math.pi:
+        yaw = math.pi
+    return roll, pitch, yaw, alpha
 
 
 def filter_step(state: FilterState, sample: ImuSample, cfg: FilterConfig) -> FilterState:

@@ -88,7 +88,7 @@ def _observations(t, distance, hz, v) -> list[RtsObservation]:
 @dataclass(frozen=True)
 class HelmertParams:
     """Similarity transform nav = scale * rotation @ point + translation; the
-    rotation must be a finite, orthonormal 3x3 matrix with det +1."""
+    rotation must be a finite, orthonormal 3x3 matrix with det +1; both are kept read-only."""
 
     scale: float = _ranged(1.0, 0.0, math.inf, above=True)
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
@@ -96,13 +96,14 @@ class HelmertParams:
 
     def __post_init__(self):
         _check_fields(self)
-        rot = np.asarray(self.rotation, dtype=float)
+        rot = np.array(self.rotation, dtype=float)
         if rot.shape != (3, 3) or not np.all(np.isfinite(rot)):
             raise ValueError("rotation must be a finite 3x3 matrix")
         if not np.allclose(rot.T @ rot, np.eye(3), atol=1e-8):
             raise ValueError("rotation must be orthonormal")
         if np.linalg.det(rot) < 0.0:
             raise ValueError("rotation must be proper (det +1), got a reflection")
+        rot.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
 
 

@@ -19,7 +19,8 @@ two new float64 ``(3,)`` arrays are already what those would store.
 Both streams must carry timestamps from one shared clock. The pipeline is a
 single state machine: all push/drain calls must be externally serialized.
 Offline replay is strictly single-threaded and, with ``pairing_tolerance_s``
-zero, bit-deterministic for a given push ordering.
+zero, bit-deterministic for a given push ordering. The config is immutable
+(its vectors are read-only arrays) and read once, when the pipeline is built.
 """
 
 from __future__ import annotations
@@ -130,11 +131,14 @@ class Pipeline:
     attitude module's scalar kernel, the one :func:`filter_step` runs. The
     attitude history is two float arrays: IMU timestamps, and roll, pitch,
     yaw and alpha per sample. :class:`Attitude` objects are built only where
-    they are handed out, by :meth:`drain` and :attr:`latest_attitude`.
+    they are handed out, by :meth:`drain` and :attr:`latest_attitude`. The
+    immutable config is read once, at construction; :attr:`config` is read-only.
     """
 
     def __init__(self, config: PipelineConfig | None = None):
-        self.config = config if config is not None else PipelineConfig()
+        self._config = config = config if config is not None else PipelineConfig()
+        self._filter_config, self._hold_yaw = config.filter_config, config.hold_yaw
+        self._lever = prism_to_poi_body(config.lever_arms)
         self._calib_samples: list[ImuSample] = []
         self._bias: tuple[float, float, float] | None = None
         self._roll = self._pitch = self._yaw = 0.0
@@ -143,6 +147,11 @@ class Pipeline:
         self._att_values = array("d")
         self._buffer: deque[RtsObservation] = deque()
         self._dropped = 0
+
+    @property
+    def config(self) -> PipelineConfig:
+        """The settings this pipeline was built with."""
+        return self._config
 
     @property
     def calibrated(self) -> bool:
@@ -173,33 +182,39 @@ class Pipeline:
 
     def push_imu(self, sample: ImuSample) -> None:
         """Feed one IMU sample: calibrates until the count is reached, then filters."""
-        cfg = self.config.filter_config
-        bias = self._bias
-        if bias is None:
-            calib = self._calib_samples
-            _check_sample(sample, calib[-1].timestamp if calib else None)
-            if len(calib) + 1 < cfg.bias_calibration_count:
-                calib.append(sample)
-                return
-            # Keep the seed sample out of the list until the kernel accepts it.
-            bias = tuple(calibrate_bias([*calib, sample], cfg.bias_calibration_count).tolist())
-        roll, pitch, yaw, alpha = _step(
-            self._roll, self._pitch, self._yaw, self._last_timestamp, sample, bias, cfg
-        )
-        if self.config.hold_yaw:
+        if self._bias is not None:
+            step = _step(
+                self._roll, self._pitch, self._yaw, self._last_timestamp,
+                sample, self._bias, self._filter_config,
+            )
+        elif (step := self._calibrate(sample)) is None:
+            return
+        roll, pitch, yaw, alpha = step
+        if self._hold_yaw:
             # The state keeps the yaw set_yaw left; the kernel's integral is dropped.
             yaw = self._yaw
-        if self._bias is None:
-            self._calib_samples.clear()
-            self._bias = bias
         self._roll, self._pitch, self._yaw = roll, pitch, yaw
         self._last_timestamp = sample.timestamp
         self._att_times.append(sample.timestamp)
         self._att_values.extend((roll, pitch, yaw, alpha))
 
+    def _calibrate(self, sample: ImuSample) -> tuple[float, float, float, float] | None:
+        """Collect an idle ``sample`` (None); the one that completes the count
+        returns its seed step and fixes the bias once the kernel accepts it."""
+        cfg, calib = self._filter_config, self._calib_samples
+        _check_sample(sample, calib[-1].timestamp if calib else None)
+        if len(calib) + 1 < cfg.bias_calibration_count:
+            calib.append(sample)
+            return None
+        bias = tuple(calibrate_bias([*calib, sample], cfg.bias_calibration_count).tolist())
+        step = _step(self._roll, self._pitch, self._yaw, None, sample, bias, cfg)
+        calib.clear()
+        self._bias = bias
+        return step
+
     def push_rts(self, obs: RtsObservation) -> None:
         """Buffer one observation; past capacity the oldest is dropped and counted."""
-        if len(self._buffer) >= self.config.rts_buffer_capacity:
+        if len(self._buffer) >= self._config.rts_buffer_capacity:
             self._buffer.popleft()
             self._dropped += 1
         self._buffer.append(obs)
@@ -221,8 +236,8 @@ class Pipeline:
         if self._bias is None:
             return []
         records = []
-        cfg = self.config
-        helmert, lever = cfg.helmert, prism_to_poi_body(cfg.lever_arms)
+        cfg, lever = self._config, self._lever
+        helmert = cfg.helmert
         new, put = object.__new__, object.__setattr__
         while self._buffer:
             obs = self._buffer[0]
@@ -258,21 +273,23 @@ class Pipeline:
     ) -> list[FusedRecord]:
         """Feed two recorded streams in timestamp order and return every record.
 
-        The streams are merged by timestamp, IMU first on ties. The pipeline
-        drains after each observation and once more at the end, so an
-        observation is paired as soon as its attitude exists. Observations
-        still waiting at the end stay buffered (see :attr:`rts_buffered`).
-        A rejected IMU sample raises ValueError, as in :meth:`push_imu`.
+        The streams are merged by timestamp, IMU first on ties: each
+        observation follows the IMU samples not yet fed stamped at or before
+        it. The pipeline drains after each observation and once more at the
+        end, so an observation is paired as soon as its attitude exists.
+        Observations still waiting at the end stay buffered (see
+        :attr:`rts_buffered`). A rejected IMU sample raises ValueError, as in
+        :meth:`push_imu`.
         """
         records = []
-        i = j = 0
-        while i < len(imu) or j < len(rts):
-            if j >= len(rts) or (i < len(imu) and imu[i].timestamp <= rts[j].timestamp):
+        i, n = 0, len(imu)
+        for obs in rts:
+            while i < n and imu[i].timestamp <= obs.timestamp:
                 self.push_imu(imu[i])
                 i += 1
-            else:
-                self.push_rts(rts[j])
-                j += 1
-                records.extend(self.drain())
+            self.push_rts(obs)
+            records.extend(self.drain())
+        for k in range(i, n):
+            self.push_imu(imu[k])
         records.extend(self.drain())
         return records

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -409,3 +409,133 @@ def test_kernel_accel_norm_is_bitwise_numpy_norm():
     # numpy's norm rounds through fused multiply-adds: a plain sum of squares
     # differs on some of these readings, so they can tell the two apart.
     assert naive_differs > 0
+
+
+# ---------------------------------------------------------------- kernel parity
+
+
+def oracle_wrap(angle):
+    wrapped = (angle + math.pi) % (2.0 * math.pi) - math.pi
+    if wrapped <= -math.pi:
+        wrapped = math.pi
+    return wrapped
+
+
+def oracle_step(roll, pitch, yaw, last_timestamp, sample, gyro_bias, cfg):
+    """The filter kernel as a chain of helper calls, one per formula: the
+    reference the flat ``attitude._step`` must match bit for bit."""
+    t = sample.timestamp
+    ax, ay, az = sample.accel.tolist()
+    gx, gy, gz = sample.gyro.tolist()
+    values = (t, ax, ay, az, gx, gy, gz)
+    if not (math.isfinite(sum(values, 0.0)) or all(map(math.isfinite, values))):
+        raise ValueError(f"non-finite IMU sample at t={t!r}")
+    if last_timestamp is not None and t < last_timestamp:
+        raise ValueError(f"non-monotone IMU timestamp: {t} < {last_timestamp}")
+    if ax == 0.0 and ay == 0.0 and az == 0.0:
+        raise ValueError("accelerometer reading has zero norm; no usable gravity reference")
+    roll_acc, pitch_acc = oracle_wrap(math.atan2(ay, az)), math.atan2(-ax, math.hypot(ay, az))
+    if last_timestamp is None:
+        return roll_acc, pitch_acc, oracle_wrap(yaw), 0.0
+
+    dt = t - last_timestamp
+    bx, by, bz = gyro_bias
+    delta_a = abs(math.sqrt(sample.accel.dot(sample.accel)) - cfg.gravity)
+    alpha = min(
+        1.0, cfg.alpha_base + (1.0 - cfg.alpha_base) * delta_a / cfg.delta_a_threshold
+    )
+    roll = alpha * (roll + (gx - bx) * dt) + (1.0 - alpha) * roll_acc
+    pitch = alpha * (pitch + (gy - by) * dt) + (1.0 - alpha) * pitch_acc
+    return (
+        oracle_wrap(roll),
+        min(math.pi / 2, max(-math.pi / 2, pitch)),
+        oracle_wrap(yaw + (gz - bz) * dt),
+        alpha,
+    )
+
+
+def kernel_outcome(step, *args):
+    """The bits of a kernel's four floats, or the message of its ValueError."""
+    try:
+        # A huge accel reading overflows the dot product, which numpy warns of.
+        with np.errstate(over="ignore"):
+            result = step(*args)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(v) is float for v in result)
+    return [v.hex() for v in result]
+
+
+KERNEL_FLOATS = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 1e308, -1e308, 1e-320, -1e-320]
+    ),
+)
+TRIPLES = st.tuples(KERNEL_FLOATS, KERNEL_FLOATS, KERNEL_FLOATS)
+HALF_PI = math.pi / 2
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    angles=TRIPLES,
+    last_timestamp=st.one_of(st.none(), KERNEL_FLOATS),
+    t=KERNEL_FLOATS,
+    accel=TRIPLES,
+    gyro=TRIPLES,
+    bias=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    alpha_base=st.one_of(st.sampled_from([0.0, 0.9, 1.0]), st.floats(0.0, 1.0)),
+    threshold=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+)
+# ay = -0.0 with az < 0: atan2 gives -pi, and the wrap makes it pi.
+@example((0.0, 0.0, 0.0), None, 0.0, (0.0, -0.0, -G), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.9, 1.0)
+@example((0.0, 0.0, 0.0), 0.0, 0.01, (0.0, -0.0, -G), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.9, 1.0)
+# Roll and yaw sums landing on +-pi (alpha 1: the accel norm is far from g).
+@example((math.pi, 0.0, -math.pi), 0.0, 0.01, (0.0, 0.0, 3 * G), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+         0.9, 1.0)
+@example((-math.pi, 0.0, math.pi), 0.0, 0.01, (0.0, 0.0, 3 * G), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+         0.9, 1.0)
+# Pitch past +-pi/2 on either side.
+@example((0.0, 1.6, 0.0), 0.0, 0.01, (0.0, 0.0, 3 * G), (0.0, 0.5, 0.0), (0.0, 0.0, 0.0), 0.9, 1.0)
+@example((0.0, -1.6, 0.0), 0.0, 0.01, (0.0, 0.0, 3 * G), (0.0, -0.5, 0.0), (0.0, 0.0, 0.0), 0.9, 1.0)
+# Gyro overflow with alpha_base 0 and an accel norm of exactly g: 0 * inf
+# makes a NaN pitch (clamped to -pi/2) and a NaN roll.
+@example((0.0, 0.0, 0.0), 0.0, 10.0, (0.0, 0.0, G), (1e308, 1e308, 0.0), (-1.0, -1.0, 0.0), 0.0,
+         1.0)
+# An accel norm that overflows with alpha_base 1: 1 + 0 * inf is a NaN alpha,
+# which the clamp makes 1.
+@example((0.1, 0.2, 0.3), 0.0, 0.01, (1e308, 1e308, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0,
+         1.0)
+# Zero-norm, non-finite and out-of-order samples, each also breaking the
+# checks after its own: non-finite, then out of order, then zero norm.
+@example((0.0, 0.0, 0.0), 0.0, 0.01, (0.0, -0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.9, 1.0)
+@example((0.0, 0.0, 0.0), 0.02, 0.01, (math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.9,
+         1.0)
+@example((0.0, 0.0, 0.0), 0.02, 0.01, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.9, 1.0)
+# Finite numbers whose sum overflows: the finiteness test goes term by term.
+@example((0.0, 0.0, 0.0), 0.0, 0.01, (1e308, 1e308, G), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.9, 1.0)
+def test_flat_kernel_matches_the_helper_chain_bit_for_bit(
+    angles, last_timestamp, t, accel, gyro, bias, alpha_base, threshold
+):
+    """``_step`` writes its formulas out flat; it gives the helper chain's
+    bits, or its ValueError message, for any input: the wraps at +-pi, the
+    pitch clamp, NaN from overflow, and each rejected sample in the order the
+    checks run (non-finite, then out of order, then zero norm). Where it
+    returns, its formulas are those of the public functions too."""
+    from tiltcomp.attitude import _imu_sample, _step
+
+    cfg = FilterConfig(alpha_base=alpha_base, delta_a_threshold=threshold)
+    sample = _imu_sample(t, np.array(accel), np.array(gyro))
+    args = (*angles, last_timestamp, sample, bias, cfg)
+    got = kernel_outcome(_step, *args)
+    assert got == kernel_outcome(oracle_step, *args)
+    if isinstance(got, str):
+        return
+    assert -HALF_PI <= float.fromhex(got[1]) <= HALF_PI
+    if last_timestamp is None:
+        assert [v.hex() for v in accel_angles(sample.accel)] == got[:2]
+        assert wrap_angle(angles[2]).hex() == got[2]
+    else:
+        with np.errstate(over="ignore"):
+            assert adaptive_alpha(sample.accel, cfg).hex() == got[3]

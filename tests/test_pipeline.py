@@ -592,3 +592,113 @@ def test_drain_records_equal_those_the_dataclass_constructor_builds():
     assert not any(
         np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
     )
+
+
+class CallLog(Pipeline):
+    """A pipeline that logs each public call it gets, in order."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.calls = []
+
+    def push_imu(self, sample):
+        self.calls.append(("imu", sample.timestamp))
+        super().push_imu(sample)
+
+    def push_rts(self, obs):
+        self.calls.append(("rts", obs.timestamp))
+        super().push_rts(obs)
+
+    def drain(self):
+        self.calls.append(("drain",))
+        return super().drain()
+
+
+def merge_replay(pipe, imu, rts):
+    """Pipeline.replay as a two-pointer merge of the two streams: the order oracle."""
+    records = []
+    i = j = 0
+    while i < len(imu) or j < len(rts):
+        if j >= len(rts) or (i < len(imu) and imu[i].timestamp <= rts[j].timestamp):
+            pipe.push_imu(imu[i])
+            i += 1
+        else:
+            pipe.push_rts(rts[j])
+            j += 1
+            records.extend(pipe.drain())
+    records.extend(pipe.drain())
+    return records
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    imu_ticks=st.lists(st.integers(0, 30), max_size=40).map(sorted),
+    rts_ticks=st.lists(st.integers(-3, 33), max_size=15),
+    capacity=st.integers(1, 4),
+)
+def test_replay_pushes_in_the_merge_order(imu_ticks, rts_ticks, capacity):
+    """replay walks the observations, feeding the IMU samples stamped at or
+    before each one first: the same calls, in the same order, as a merge of
+    the streams, with equal records and counters, for ties, unsorted
+    observations, empty streams and a ring buffer that overflows."""
+    imu = [imu_at(i, gyro=(0.01 * i, -0.02, 0.03)) for i in imu_ticks]
+    rts = [obs_at(k / 100.0) for k in rts_ticks]
+    config = fast_config(
+        filter_config=FilterConfig(bias_calibration_count=3), rts_buffer_capacity=capacity
+    )
+    walked, merged = CallLog(config), CallLog(config)
+    got = walked.replay(imu, rts)
+    want = merge_replay(merged, imu, rts)
+    assert walked.calls == merged.calls
+    assert len(got) == len(want) and all(map(same_records, got, want))
+    assert (walked.rts_dropped, walked.rts_buffered) == (merged.rts_dropped, merged.rts_buffered)
+
+
+CONFIG_VECTORS = [
+    (LeverArms, "imu_to_prism_b"),
+    (LeverArms, "imu_to_poi_b"),
+    (HelmertParams, "translation"),
+    (HelmertParams, "rotation"),
+    (ScenarioConfig, "poi_nav"),
+    (ScenarioConfig, "rts_station"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name", CONFIG_VECTORS, ids=[f"{c.__name__}.{n}" for c, n in CONFIG_VECTORS]
+)
+def test_a_config_keeps_a_read_only_copy_of_each_vector(cls, name):
+    caller = np.array(getattr(cls(), name), copy=True)
+    config = cls(**{name: caller})
+    stored = getattr(config, name)
+    assert stored is not caller and not np.shares_memory(stored, caller)
+    caller.flat[0] += 100.0
+    assert stored.flat[0] == caller.flat[0] - 100.0
+    with pytest.raises(ValueError, match="read-only"):
+        stored.flat[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(cls(), name)[0] += 1.0
+
+
+def test_a_caller_array_cannot_move_a_running_pipeline():
+    """The pipeline reads the lever arms once; the caller's array is not the
+    config's, so writing into it leaves the next POI where it was."""
+    tip = np.array([0.0, 0.0, -0.9920])
+    config = fast_config(lever_arms=LeverArms(imu_to_poi_b=tip))
+    pipe, clean = Pipeline(config), Pipeline(fast_config())
+    first = pipe.replay(INTERLEAVE_IMU[:60], INTERLEAVE_RTS[:10])
+    tip[2] = -5.0
+    second = pipe.replay(INTERLEAVE_IMU[60:], INTERLEAVE_RTS[10:])
+    expected = clean.replay(INTERLEAVE_IMU, INTERLEAVE_RTS)
+    assert first and second
+    assert all(map(same_records, first + second, expected))
+    assert pipe.config.lever_arms.imu_to_poi_b[2] == -0.9920
+
+
+def test_pipeline_config_is_read_only():
+    config = fast_config()
+    pipe = Pipeline(config)
+    assert pipe.config is config
+    with pytest.raises(AttributeError):
+        pipe.config = PipelineConfig()
+    assert pipe.config is config
