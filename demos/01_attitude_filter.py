@@ -19,8 +19,6 @@ from tiltcomp import (
     FilterState,
     ImuSample,
     ScenarioConfig,
-    accel_angles,
-    adaptive_alpha,
     calibrate_bias,
     filter_step,
     generate_scenario,
@@ -63,20 +61,24 @@ print(f"pitch RMSE over the run: {np.sqrt(np.mean(errs[:, 1] ** 2)):.4f} deg")
 # force matches gravity and the gain sits at its floor, so 10 percent of
 # every update comes from the accelerometer.  Mid-sway the lever arm adds
 # kinematic acceleration and the gain creeps up.  The sway here is slow,
-# so the creep is small; the table maps the full range of the gain.
+# so the creep is small; the table maps the full range of the gain: the
+# weight a second step of a steady reading uses (a seed step uses none).
 print(f"blend gain while idle:    {alpha_idle:.4f}  (floor is {fc.alpha_base})")
 print(f"blend gain mid-sway:      {alpha_motion:.4f}")
 for mismatch in (0.0, 0.5, 1.0, 2.0):
     shaken = (0.0, 0.0, cfg.gravity + mismatch)
-    print(f"  |force - g| = {mismatch:3.1f} m/s^2  ->  alpha = "
-          f"{adaptive_alpha(shaken, fc):.3f}")
+    seeded = filter_step(FilterState(), ImuSample(0.0, shaken, (0.0, 0.0, 0.0)), fc)
+    second = filter_step(seeded, ImuSample(0.01, shaken, (0.0, 0.0, 0.0)), fc)
+    print(f"  |force - g| = {mismatch:3.1f} m/s^2  ->  alpha = {second.last_alpha:.3f}")
 
 # Step 4: the accelerometer path alone, for contrast.  Same stream, no
-# gyro at all: just the tilt angles each accel vector implies.
+# gyro at all: a seed step takes roll and pitch straight from the gravity
+# direction, so seeding a fresh filter on each sample gives the tilt
+# angles each accel vector implies.
 acc_errs = []
 for sample, (_, roll, pitch) in zip(imu, truth[:, :3].tolist()):
-    roll_a, pitch_a = accel_angles(sample.accel)
-    acc_errs.append([roll_a - roll, pitch_a - pitch])
+    seeded = filter_step(FilterState(), sample, fc).attitude
+    acc_errs.append([seeded.roll - roll, seeded.pitch - pitch])
 acc_errs = np.degrees(acc_errs)
 print(f"accel-only roll RMSE:  {np.sqrt(np.mean(acc_errs[:, 0] ** 2)):.4f} deg "
       f"(worst sample {np.max(np.abs(acc_errs[:, 0])):.2f} deg)")

@@ -5,11 +5,17 @@ The estimator blends gyro-propagated angles with accelerometer gravity angles:
     roll_i  = alpha * (roll_{i-1}  + gx * dt) + (1 - alpha) * roll_acc
     pitch_i = alpha * (pitch_{i-1} + gy * dt) + (1 - alpha) * pitch_acc
 
-where the blending weight ``alpha`` rises from ``alpha_base`` toward 1.0 as the
-measured acceleration norm departs from gravity (a dynamic-motion indicator),
-saturating at 1.0 once the deviation reaches ``delta_a_threshold``. Yaw is
-obtained by integrating the z gyro alone and therefore drifts; it can be reset
-externally with :func:`set_yaw`.
+where ``roll_acc = atan2(ay, az)`` and ``pitch_acc = atan2(-ax, sqrt(ay^2 +
+az^2))`` are the angles of the gravity direction (a level sensor reads (0, 0,
++g)), and the blending weight
+
+    alpha = min(1, alpha_base + (1 - alpha_base) * | ||a|| - g | / delta_a_threshold)
+
+rises from ``alpha_base`` toward 1.0 as the measured acceleration norm departs
+from gravity (a dynamic-motion indicator). Yaw is obtained by integrating the
+z gyro alone and therefore drifts; it can be reset externally with
+:func:`set_yaw`. A seed step (the first sample) returns the accelerometer
+angles themselves, with alpha 0; a later step's ``last_alpha`` is alpha.
 
 One private scalar kernel, ``_step``, holds the recurrence: it validates a
 sample (``_check_sample``, which calibration runs too) and maps the previous
@@ -17,9 +23,9 @@ roll, pitch, yaw and timestamp, as floats, to the new ``(roll, pitch, yaw,
 alpha)``. :func:`filter_step` unpacks a :class:`FilterState` into it and packs
 the result; the streaming pipeline keeps its state as floats and calls the
 kernel directly, so both paths run the same arithmetic. The kernel is one flat
-body, as a call costs about what its arithmetic does: it writes out the
-formulas of :func:`accel_angles`, :func:`adaptive_alpha` and :func:`wrap_angle`
-as the same floating-point expressions, which a test holds bit for bit.
+body, as a call costs about what its arithmetic does: the formulas above and
+those of :func:`wrap_angle` are written out there once, and a test holds them
+bit for bit against a reference written as one helper call per formula.
 
 Units: all angles radians, accel m/s^2, gyro rad/s, time seconds. All
 operations are pure functions over an explicitly passed state value; a single
@@ -42,8 +48,6 @@ __all__ = [
     "FilterConfig",
     "FilterState",
     "wrap_angle",
-    "accel_angles",
-    "adaptive_alpha",
     "filter_step",
     "calibrate_bias",
     "set_yaw",
@@ -142,43 +146,6 @@ class FilterState:
         object.__setattr__(self, "gyro_bias", _vec3(self.gyro_bias, "gyro_bias"))
 
 
-def _gravity_angles(ax: float, ay: float, az: float) -> tuple[float, float]:
-    if ax == 0.0 and ay == 0.0 and az == 0.0:
-        raise ValueError("accelerometer reading has zero norm; no usable gravity reference")
-    return wrap_angle(math.atan2(ay, az)), math.atan2(-ax, math.hypot(ay, az))
-
-
-def _accel_norm(accel: np.ndarray) -> float:
-    """``||accel||`` for a (3,) float array, bit-identical to ``np.linalg.norm``.
-
-    Both take the square root of the BLAS dot product, which accumulates with
-    fused multiply-adds; ``math.sqrt(ax*ax + ay*ay + az*az)`` or
-    ``math.hypot`` round differently.
-    """
-    return math.sqrt(accel.dot(accel))
-
-
-def accel_angles(accel) -> tuple[float, float]:
-    """Roll and pitch implied by the gravity direction in an accel reading.
-
-    roll = atan2(ay, az); pitch = atan2(-ax, sqrt(ay^2 + az^2)). Valid when the
-    reading is dominated by gravity; a level sensor reads (0, 0, +g).
-
-    Raises ValueError if the reading has zero norm (no usable gravity reference).
-    """
-    ax, ay, az = (float(c) for c in np.asarray(accel, dtype=float))
-    return _gravity_angles(ax, ay, az)
-
-
-def adaptive_alpha(accel, cfg: FilterConfig) -> float:
-    """Dynamic gyro confidence in [alpha_base, 1.0].
-
-    alpha = min(1, alpha_base + (1 - alpha_base) * |  ||a|| - g | / threshold).
-    """
-    delta_a = abs(_accel_norm(np.asarray(accel, dtype=float)) - cfg.gravity)
-    return min(1.0, cfg.alpha_base + (1.0 - cfg.alpha_base) * delta_a / cfg.delta_a_threshold)
-
-
 def _check_sample(sample: ImuSample, last_timestamp: float | None) -> tuple[float, ...]:
     """The sample's seven numbers ``(t, ax, ay, az, gx, gy, gz)``; rejects a
     non-finite sample or one stamped before ``last_timestamp``."""
@@ -223,6 +190,8 @@ def _step(
     dt = t - last_timestamp
     bx, by, bz = gyro_bias
     accel, base = sample.accel, cfg.alpha_base
+    # np.linalg.norm's bits: the BLAS dot product rounds through fused
+    # multiply-adds, as math.hypot or a plain sum of squares do not.
     delta_a = abs(math.sqrt(accel.dot(accel)) - cfg.gravity)
     alpha = base + (1.0 - base) * delta_a / cfg.delta_a_threshold
     if not alpha < 1.0:

@@ -180,7 +180,7 @@ def cmd_fuse(args) -> int:
     _write_lines(args.out, csv)
     if can:
         _write_lines(args.can_out, can)
-    leftover = pipeline.rts_buffered
+    leftover = pipeline.rts_dropped + pipeline.rts_buffered
     note = f", {leftover} observations left unpaired" if leftover else ""
     print(f"wrote {len(records)} fused records to {args.out}{note}")
     return 0

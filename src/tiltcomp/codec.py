@@ -24,8 +24,7 @@ fused and truth CSVs read back as that table, angles in radians, and
 ``eval`` takes their columns. A file the pass doubts goes through the line
 parser, line by line, which reads it alike or raises the FormatError naming
 the faulty line. The line parser, which also serves the public ``parse_*``
-functions, has a fast path (one split, one ``float`` per field, one
-finiteness test) that hands anything else to the field-by-field parser.
+functions, reads a line field by field, blanks around commas tolerated.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2). Hex dumps use
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import io
 import math
-import struct
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -99,7 +97,8 @@ PAIRS_CSV_HEADER = "sx,sy,sz,tx,ty,tz"
 
 _CAN_ID_LIMIT = 1 << 29
 _COUNT_SCALE = 1e-4
-_COUNT_LIMIT = 2**31 - 1
+_COUNT_DTYPE = np.dtype("<i4")  # a count on the wire: little-endian int32
+_COUNT_LIMIT = int(np.iinfo(_COUNT_DTYPE).max)
 # The coordinate frames' counts in order, two per frame: prism then POI.
 _CAN_FIELDS = ("prism_x", "prism_y", "prism_z", "poi_x", "poi_y", "poi_z")
 _CAN_FRAMES = len(_CAN_FIELDS) // 2
@@ -124,15 +123,6 @@ def _parse_float(token: str, name: str, line_number: int | None) -> float:
     if not math.isfinite(value):
         _fail(f"field {name}: non-finite value {token!r}", line_number)
     return value
-
-
-def _split_fields(
-    line: str, expected: int, what: str, line_number: int | None
-) -> list[str]:
-    fields = [f.strip() for f in line.strip().split(",")]
-    if len(fields) != expected:
-        _fail(f"{what} needs {expected} comma-separated fields, got {len(fields)}", line_number)
-    return fields
 
 
 class _Format(NamedTuple):
@@ -193,20 +183,16 @@ def _lines(fmt: _Format, *columns) -> Iterator[str]:
 
 
 def _numbers(line: str, fmt: _Format, line_number: int | None) -> list[float]:
-    """The numbers of one record line of ``fmt``, after its tag if it has one.
-    A fast path reads a well-formed line; anything else goes on to the field
-    parser, which tolerates blanks around commas or names the faulty field."""
+    """The numbers of one record line of ``fmt``, after its tag if it has one,
+    read field by field: blanks around a comma are stripped, and a wrong
+    field count or tag, or a field that is not a finite number, raises the
+    FormatError naming it."""
     tag, names = fmt.tag, fmt.names
-    tokens = line.split(",")
-    if (tag is None or tokens.pop(0) == tag) and len(tokens) == len(names):
-        try:
-            values = list(map(float, tokens))
-            if math.isfinite(sum(values)):
-                return values
-        except ValueError:
-            pass
-    what = f"{fmt.noun} record" if tag is None else f"{fmt.noun} line"
-    fields = _split_fields(line, len(names) + (tag is not None), what, line_number)
+    fields = [f.strip() for f in line.strip().split(",")]
+    expected = len(names) + (tag is not None)
+    if len(fields) != expected:
+        what = f"{fmt.noun} record" if tag is None else f"{fmt.noun} line"
+        _fail(f"{what} needs {expected} comma-separated fields, got {len(fields)}", line_number)
     if tag is not None and (found := fields.pop(0)) != tag:
         _fail(f"expected tag {tag!r}, got {found!r}", line_number)
     return [_parse_float(tok, name, line_number) for tok, name in zip(fields, names)]
@@ -440,7 +426,7 @@ def _counts(coords: np.ndarray) -> np.ndarray:
             f"{name} = {value} m exceeds the encodable range of "
             f"+/-{_COUNT_LIMIT * _COUNT_SCALE} m"
         )
-    return counts.astype("<i4")
+    return counts.astype(_COUNT_DTYPE)
 
 
 def _check_base_id(base_id: int) -> None:
@@ -485,8 +471,8 @@ def decode_can_frames(frames: Sequence[CanFrame]) -> tuple[np.ndarray, np.ndarra
                 f"frame ids must be consecutive from {base:#x}, got {frame.can_id:#x} "
                 f"at position {offset}"
             )
-    counts = [struct.unpack("<ii", frame.payload) for frame in frames]
-    prism, poi = np.array(counts).reshape(2, 3) * _COUNT_SCALE
+    counts = np.frombuffer(b"".join(frame.payload for frame in frames), dtype=_COUNT_DTYPE)
+    prism, poi = counts.reshape(2, 3) * _COUNT_SCALE
     return prism, poi
 
 

@@ -122,9 +122,9 @@ class Pipeline:
     filter. Observations may arrive at any time; they are buffered (oldest
     dropped past capacity) until :meth:`drain` can pair them.
 
-    Records are emitted in observation order. A buffered observation earlier
-    than the first attitude estimate blocks the queue until the ring buffer
-    evicts it; feed the pipeline its idle segment first to avoid the churn.
+    Records are emitted in observation order. An observation stamped before
+    the first attitude estimate can never be paired, as IMU timestamps only
+    grow: :meth:`drain` drops it and counts it in :attr:`rts_dropped`.
 
     The filter state is plain floats (roll, pitch, yaw, the last IMU
     timestamp and the gyro bias), advanced from the seed step on by the
@@ -177,7 +177,9 @@ class Pipeline:
 
     @property
     def rts_dropped(self) -> int:
-        """Observations evicted by ring-buffer overflow since construction."""
+        """Observations that will never give a record, since construction:
+        those evicted by ring-buffer overflow, and those :meth:`drain` found
+        earlier than the first attitude estimate."""
         return self._dropped
 
     def push_imu(self, sample: ImuSample) -> None:
@@ -228,10 +230,11 @@ class Pipeline:
 
         Eligible means the attitude's IMU timestamp is at or before the
         observation timestamp minus ``rts_latency_s`` plus
-        ``pairing_tolerance_s``; the latest such estimate is used. Processing
-        stops at the first observation with no eligible attitude, which stays
-        buffered together with everything behind it. Returns an empty list
-        during the calibration phase.
+        ``pairing_tolerance_s``; the latest such estimate is used. An
+        observation with no eligible attitude is dropped and counted in
+        :attr:`rts_dropped`, as IMU timestamps only grow; so once calibrated,
+        a drain leaves no observation buffered. Returns an empty list during
+        the calibration phase.
         """
         if self._bias is None:
             return []
@@ -243,9 +246,10 @@ class Pipeline:
             obs = self._buffer[0]
             cutoff = obs.timestamp - cfg.rts_latency_s + cfg.pairing_tolerance_s
             idx = bisect_right(self._att_times, cutoff) - 1
-            if idx < 0:
-                break
             self._buffer.popleft()
+            if idx < 0:
+                self._dropped += 1
+                continue
             roll, pitch, yaw, alpha = self._att_values[4 * idx : 4 * idx + 4]
             prism = _helmert(
                 helmert, *_polar(obs.slant_distance, obs.horizontal_angle, obs.zenith_angle)
@@ -277,9 +281,9 @@ class Pipeline:
         observation follows the IMU samples not yet fed stamped at or before
         it. The pipeline drains after each observation and once more at the
         end, so an observation is paired as soon as its attitude exists.
-        Observations still waiting at the end stay buffered (see
-        :attr:`rts_buffered`). A rejected IMU sample raises ValueError, as in
-        :meth:`push_imu`.
+        Observations still waiting at the end, when calibration never
+        completed, stay buffered (see :attr:`rts_buffered`). A rejected IMU
+        sample raises ValueError, as in :meth:`push_imu`.
         """
         records = []
         i, n = 0, len(imu)

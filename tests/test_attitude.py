@@ -11,8 +11,6 @@ from tiltcomp import (
     FilterConfig,
     FilterState,
     ImuSample,
-    accel_angles,
-    adaptive_alpha,
     calibrate_bias,
     filter_step,
     set_yaw,
@@ -76,67 +74,79 @@ def test_wrap_angle_is_idempotent(angle):
     assert wrap_angle(wrapped).hex() == wrapped.hex()
 
 
-def test_accel_angles_level():
-    roll, pitch = accel_angles(np.array([0.0, 0.0, G]))
+def seed_angles(accel):
+    """Roll and pitch a seed step takes from an accel reading alone."""
+    att = filter_step(FilterState(), ImuSample(0.0, accel, np.zeros(3)), FilterConfig()).attitude
+    return att.roll, att.pitch
+
+
+def alpha_of(accel, cfg):
+    """The blend weight a second step of a steady accel reading uses."""
+    seeded = filter_step(FilterState(), ImuSample(0.0, accel, np.zeros(3)), cfg)
+    return filter_step(seeded, ImuSample(0.01, accel, np.zeros(3)), cfg).last_alpha
+
+
+def test_seed_step_angles_level():
+    roll, pitch = seed_angles(np.array([0.0, 0.0, G]))
     assert roll == 0.0
     assert pitch == 0.0
 
 
-def test_accel_angles_diagonal_roll():
-    roll, pitch = accel_angles(np.array([0.0, 6.9367, 6.9367]))
+def test_seed_step_angles_diagonal_roll():
+    roll, pitch = seed_angles(np.array([0.0, 6.9367, 6.9367]))
     assert roll == pytest.approx(math.pi / 4, abs=1e-15)
     assert pitch == 0.0
 
 
-def test_accel_angles_nose_down_singularity():
-    roll, pitch = accel_angles(np.array([-9.81, 0.0, 0.0]))
+def test_seed_step_angles_nose_down_singularity():
+    roll, pitch = seed_angles(np.array([-9.81, 0.0, 0.0]))
     assert pitch == pytest.approx(math.pi / 2, abs=1e-15)
 
 
-def test_accel_angles_zero_norm_rejected():
-    with pytest.raises(ValueError, match="zero"):
-        accel_angles(np.zeros(3))
+def test_zero_norm_accel_is_rejected_on_seed_and_later_steps():
+    cfg = FilterConfig()
+    for state in (FilterState(), FilterState(last_timestamp=0.0)):
+        with pytest.raises(ValueError, match="zero norm; no usable gravity reference"):
+            filter_step(state, ImuSample(0.01, np.zeros(3), np.zeros(3)), cfg)
 
 
 @pytest.mark.parametrize("roll_deg", [-60.0, -30.0, 0.0, 30.0, 60.0])
 @pytest.mark.parametrize("pitch_deg", [-60.0, -30.0, 0.0, 30.0, 60.0])
-def test_accel_angles_recovers_static_tilt(roll_deg, pitch_deg):
+def test_seed_step_recovers_static_tilt(roll_deg, pitch_deg):
     roll = math.radians(roll_deg)
     pitch = math.radians(pitch_deg)
-    got_roll, got_pitch = accel_angles(static_accel(roll, pitch))
+    got_roll, got_pitch = seed_angles(static_accel(roll, pitch))
     assert got_roll == pytest.approx(roll, abs=1e-12)
     assert got_pitch == pytest.approx(pitch, abs=1e-12)
 
 
-def test_accel_angles_ranges_random():
+def test_seed_step_angle_ranges_random():
     rng = np.random.default_rng(7)
     count = 0
     while count < 300:
         accel = rng.standard_normal(3) * 10.0
         if np.linalg.norm(accel) < 1e-6:
             continue
-        roll, pitch = accel_angles(accel)
+        roll, pitch = seed_angles(accel)
         assert -math.pi <= roll <= math.pi
         assert -math.pi / 2 <= pitch <= math.pi / 2
         count += 1
 
 
-def test_adaptive_alpha_at_rest_and_saturated():
+def test_alpha_at_rest_and_saturated():
     cfg = FilterConfig()
-    assert adaptive_alpha(np.array([0.0, 0.0, G]), cfg) == cfg.alpha_base
+    assert alpha_of(np.array([0.0, 0.0, G]), cfg) == cfg.alpha_base
     # half the threshold puts alpha halfway between the base and 1
-    assert adaptive_alpha(np.array([0.0, 0.0, G + 0.5]), cfg) == pytest.approx(
-        0.95, abs=1e-12
-    )
-    assert adaptive_alpha(np.array([0.0, 0.0, G + 1.0]), cfg) == 1.0
-    assert adaptive_alpha(np.array([0.0, 0.0, G + 7.3]), cfg) == 1.0
-    assert adaptive_alpha(np.array([0.0, 0.0, G - 2.0]), cfg) == 1.0
+    assert alpha_of(np.array([0.0, 0.0, G + 0.5]), cfg) == pytest.approx(0.95, abs=1e-12)
+    assert alpha_of(np.array([0.0, 0.0, G + 1.0]), cfg) == 1.0
+    assert alpha_of(np.array([0.0, 0.0, G + 7.3]), cfg) == 1.0
+    assert alpha_of(np.array([0.0, 0.0, G - 2.0]), cfg) == 1.0
 
 
-def test_adaptive_alpha_monotone_in_disturbance():
+def test_alpha_monotone_in_disturbance():
     cfg = FilterConfig()
     deltas = np.linspace(0.0, 5.0, 101)
-    alphas = [adaptive_alpha(np.array([0.0, 0.0, G + d]), cfg) for d in deltas]
+    alphas = [alpha_of(np.array([0.0, 0.0, G + d]), cfg) for d in deltas]
     assert all(b >= a for a, b in zip(alphas, alphas[1:]))
     assert all(cfg.alpha_base <= a <= 1.0 for a in alphas)
 
@@ -390,8 +400,7 @@ def test_readings_not_of_shape_3_are_rejected(which, reading):
 
 
 def test_kernel_accel_norm_is_bitwise_numpy_norm():
-    from tiltcomp.attitude import _accel_norm
-
+    """The kernel's ``math.sqrt(accel.dot(accel))`` gives np.linalg.norm's bits."""
     rng = np.random.default_rng(23)
     readings = np.concatenate(
         [
@@ -402,7 +411,7 @@ def test_kernel_accel_norm_is_bitwise_numpy_norm():
     )
     naive_differs = 0
     for accel in readings:
-        norm = _accel_norm(accel)
+        norm = math.sqrt(accel.dot(accel))
         assert norm.hex() == float(np.linalg.norm(accel)).hex(), accel.tolist()
         ax, ay, az = accel.tolist()
         naive_differs += math.sqrt(ax * ax + ay * ay + az * az) != norm
@@ -521,8 +530,8 @@ def test_flat_kernel_matches_the_helper_chain_bit_for_bit(
     """``_step`` writes its formulas out flat; it gives the helper chain's
     bits, or its ValueError message, for any input: the wraps at +-pi, the
     pitch clamp, NaN from overflow, and each rejected sample in the order the
-    checks run (non-finite, then out of order, then zero norm). Where it
-    returns, its formulas are those of the public functions too."""
+    checks run (non-finite, then out of order, then zero norm). Where a seed
+    step returns, its yaw is :func:`wrap_angle`'s."""
     from tiltcomp.attitude import _imu_sample, _step
 
     cfg = FilterConfig(alpha_base=alpha_base, delta_a_threshold=threshold)
@@ -534,8 +543,4 @@ def test_flat_kernel_matches_the_helper_chain_bit_for_bit(
         return
     assert -HALF_PI <= float.fromhex(got[1]) <= HALF_PI
     if last_timestamp is None:
-        assert [v.hex() for v in accel_angles(sample.accel)] == got[:2]
         assert wrap_angle(angles[2]).hex() == got[2]
-    else:
-        with np.errstate(over="ignore"):
-            assert adaptive_alpha(sample.accel, cfg).hex() == got[3]

@@ -249,7 +249,7 @@ def test_full_chain_simulate_fuse_eval(tmp_path, capsys):
     assert rc == 0
 
     table = read_fused_csv(fused)
-    # the idle-period observations are evicted unpaired; motion ones all pair
+    # the idle-period observations are dropped unpaired; motion ones all pair
     assert table.shape == (50, len(COLUMN))
     times = table[:, T].tolist()
     assert times == sorted(times)
@@ -423,16 +423,32 @@ def test_fuse_yaw_modes(tmp_path):
 
 
 def test_fuse_reports_unpaired_observations(tmp_path, capsys):
-    # observations from before the first attitude estimate block the queue
-    # and end the replay still buffered
+    # an observation from before the first attitude estimate is dropped; the
+    # one behind it is still paired
     imu, rts = write_level_streams(tmp_path, rts_times=(0.03, 0.5))
     out = tmp_path / "fused.csv"
     assert main(
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10"]
     ) == 0
-    assert "2 observations left unpaired" in capsys.readouterr().out
-    assert read_fused_csv(out).shape == (0, len(COLUMN))
+    assert capsys.readouterr().out.endswith(", 1 observations left unpaired\n")
+    assert read_fused_csv(out)[:, T].tolist() == [0.5]
+
+
+def test_idle_observations_do_not_hold_back_a_slow_tracker(tmp_path, capsys):
+    # 10 idle-period observations at 1 Hz, fewer than the ring buffer holds,
+    # are dropped at once instead of blocking the 20 motion ones
+    config = tmp_path / "scenario.cfg"
+    config.write_text("duration_s = 30\nrts_rate_hz = 1\n")
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(run)]) == 0
+    out = tmp_path / "fused.csv"
+    assert main(["fuse", "--imu", str(run / "imu.txt"), "--rts", str(run / "rts.txt"),
+                 "--out", str(out)]) == 0
+    note = capsys.readouterr().out.splitlines()[-1]
+    assert note.startswith("wrote 20 fused records")
+    assert note.endswith(", 10 observations left unpaired")
+    assert read_fused_csv(out)[:, T].tolist() == [float(t) for t in range(10, 30)]
 
 
 def test_fuse_applies_helmert_file(tmp_path):

@@ -222,3 +222,35 @@ def test_the_module_layering_holds():
     assert {"codec", "sim"} <= imports["cli"]
     assert {"attitude", "geodesy", "pipeline"} <= imports["codec"]
     assert {"attitude", "sim"} <= imports["__init__"]
+
+
+def test_every_private_helper_is_read():
+    """A module-level ``_name`` function or class of the package is read (as
+    a name or an attribute) somewhere in the package outside its own
+    definition: a helper whose last caller went is dead code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "tiltcomp").glob("*.py"))}
+    helpers = {
+        (module, node.name): node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    assert ("attitude.py", "_step") in helpers  # the walk does see the helpers
+
+    def reads(node):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                yield child.id
+            elif isinstance(child, ast.Attribute):
+                yield child.attr
+
+    read = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if node not in helpers.values():
+                read.update(reads(node))
+    # A helper read only by another helper counts too, but not by itself.
+    for (_, name), node in helpers.items():
+        read.update(other for other in reads(node) if other != name)
+    assert sorted(f"{module}:{name}" for module, name in helpers if name not in read) == []

@@ -131,15 +131,40 @@ def test_tolerance_allows_slightly_later_attitude():
     assert loose.drain()[0].imu_timestamp_used == 1.25
 
 
-def test_observation_before_first_attitude_blocks_the_queue():
+def test_observation_before_first_attitude_is_dropped():
     pipe = Pipeline(fast_config())
     for i in range(200):
         pipe.push_imu(imu_at(i))
     pipe.push_rts(obs_at(0.01))
     pipe.push_rts(obs_at(1.5))
-    # the head has no eligible attitude, so nothing behind it is emitted either
-    assert pipe.drain() == []
-    assert pipe.rts_buffered == 2
+    # IMU time only grows, so the head can never be paired: it is dropped, and
+    # the observation behind it is paired in the same drain
+    (record,) = pipe.drain()
+    assert record.timestamp == 1.5
+    assert pipe.rts_buffered == 0
+    assert pipe.rts_dropped == 1
+
+
+def test_a_live_loop_emits_each_record_before_the_next_observation():
+    imu, rts, _ = generate_scenario(ScenarioConfig(duration_s=30.0, seed=3))
+    pipe = Pipeline()
+    records, i = 0, 0
+    for obs in rts:
+        while i < len(imu) and imu[i].timestamp <= obs.timestamp:
+            pipe.push_imu(imu[i])
+            i += 1
+        pipe.push_rts(obs)
+        out = pipe.drain()
+        assert [r.timestamp for r in out] in ([], [obs.timestamp])
+        if pipe.calibrated:
+            assert pipe.rts_buffered == 0
+        records += len(out)
+    first_attitude = imu[pipe.config.filter_config.bias_calibration_count - 1].timestamp
+    idle = sum(obs.timestamp < first_attitude for obs in rts)
+    # more idle observations than the ring buffer holds: none waits for eviction
+    assert idle > pipe.config.rts_buffer_capacity
+    assert pipe.rts_dropped == idle
+    assert records == len(rts) - idle
 
 
 def test_ring_buffer_drops_oldest_past_capacity():
