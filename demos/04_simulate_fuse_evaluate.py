@@ -29,15 +29,15 @@ print(f"simulated {len(imu)} IMU samples, {len(rts)} tracker observations, "
       f"{len(truth)} truth rows")
 
 # Replay both streams in time order (IMU first on equal stamps).  The
-# pipeline holds observations until calibration finishes and pairs each
-# one with the newest attitude estimate at or before it.  A positive
-# pairing tolerance (PipelineConfig) is for live streams whose clocks
-# jitter; it would let the calibration backlog borrow slightly newer
-# attitudes, so the default is zero.
+# pipeline pairs each observation with the newest attitude estimate at or
+# before it; the ones from the calibration window, stamped before the first
+# estimate, are dropped.  A positive pairing tolerance (PipelineConfig) is
+# for live streams whose clocks jitter; it would let observations buffered
+# during calibration borrow slightly newer attitudes, so the default is zero.
 pipe = Pipeline()
 records = pipe.replay(imu, rts)
 print(f"fused {len(records)} records "
-      f"({pipe.rts_dropped} observations dropped during calibration)")
+      f"({pipe.rts_dropped} observations dropped from the calibration window)")
 
 # Score the fused tip positions against the planted tip.  The pole sways
 # but its tip stays put, which the truth rows confirm: truth is one table

@@ -21,11 +21,12 @@ One private scalar kernel, ``_step``, holds the recurrence: it validates a
 sample (``_check_sample``, which calibration runs too) and maps the previous
 roll, pitch, yaw and timestamp, as floats, to the new ``(roll, pitch, yaw,
 alpha)``. :func:`filter_step` unpacks a :class:`FilterState` into it and packs
-the result; the streaming pipeline keeps its state as floats and calls the
-kernel directly, so both paths run the same arithmetic. The kernel is one flat
-body, as a call costs about what its arithmetic does: the formulas above and
-those of :func:`wrap_angle` are written out there once, and a test holds them
-bit for bit against a reference written as one helper call per formula.
+the result; the streaming pipeline keeps its state as floats in its attitude
+history and calls the kernel directly, so both paths run the same arithmetic.
+The kernel is one flat body, as a call costs about what its arithmetic does:
+the formulas above and those of :func:`wrap_angle` are written out there once,
+and a test holds them bit for bit against a reference written as one helper
+call per formula.
 
 Units: all angles radians, accel m/s^2, gyro rad/s, time seconds. All
 operations are pure functions over an explicitly passed state value; a single

@@ -180,8 +180,14 @@ def cmd_fuse(args) -> int:
     _write_lines(args.out, csv)
     if can:
         _write_lines(args.can_out, can)
-    leftover = pipeline.rts_dropped + pipeline.rts_buffered
-    note = f", {leftover} observations left unpaired" if leftover else ""
+    # Replay drains after each observation, so every drop is from the calibration window.
+    note = ""
+    for count, fate in (
+        (pipeline.rts_dropped, "dropped from the calibration window"),
+        (pipeline.rts_buffered, "left unpaired (calibration never completed)"),
+    ):
+        if count:
+            note += f", {count} observation{'s' * (count != 1)} {fate}"
     print(f"wrote {len(records)} fused records to {args.out}{note}")
     return 0
 

@@ -12,20 +12,23 @@ the rotated prism->POI lever (``kinematics._poi``). :func:`polar_to_cartesian`,
 :func:`apply_helmert` and :func:`poi_position` run the same three formulas,
 so :meth:`Pipeline.drain` gives their results bit for bit while building only
 the two coordinate arrays each record holds. It fills each
-:class:`FusedRecord` and its :class:`Attitude` directly, without their
-dataclass ``__init__`` and ``__post_init__``: the kernel's plain floats and
-two new float64 ``(3,)`` arrays are already what those would store.
+:class:`FusedRecord` directly, without its dataclass ``__init__`` and
+``__post_init__``: the kernel's plain floats and two new float64 ``(3,)``
+arrays are already what those would store.
 
 Both streams must carry timestamps from one shared clock. The pipeline is a
-single state machine: all push/drain calls must be externally serialized.
-Offline replay is strictly single-threaded and, with ``pairing_tolerance_s``
-zero, bit-deterministic for a given push ordering. The config is immutable
-(its vectors are read-only arrays) and read once, when the pipeline is built.
+single state machine; its filter state is the newest entry of its attitude
+history plus the heading :meth:`Pipeline.set_yaw` can change and the gyro
+bias. All push/drain calls must be externally serialized. Offline replay is
+strictly single-threaded and, with ``pairing_tolerance_s`` zero,
+bit-deterministic for a given push ordering. The config is immutable (its
+vectors are read-only arrays) and read once, when the pipeline is built.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from collections import deque
@@ -122,17 +125,14 @@ class Pipeline:
     filter. Observations may arrive at any time; they are buffered (oldest
     dropped past capacity) until :meth:`drain` can pair them.
 
-    Records are emitted in observation order. An observation stamped before
-    the first attitude estimate can never be paired, as IMU timestamps only
-    grow: :meth:`drain` drops it and counts it in :attr:`rts_dropped`.
-
-    The filter state is plain floats (roll, pitch, yaw, the last IMU
-    timestamp and the gyro bias), advanced from the seed step on by the
-    attitude module's scalar kernel, the one :func:`filter_step` runs. The
-    attitude history is two float arrays: IMU timestamps, and roll, pitch,
-    yaw and alpha per sample. :class:`Attitude` objects are built only where
-    they are handed out, by :meth:`drain` and :attr:`latest_attitude`. The
-    immutable config is read once, at construction; :attr:`config` is read-only.
+    The attitude history is two float arrays: IMU timestamps, and roll,
+    pitch, yaw and alpha per sample. Its newest entry is the filter state,
+    with the heading :meth:`set_yaw` can change between samples and the gyro
+    bias; from the seed step on, the attitude module's scalar kernel, the one
+    :func:`filter_step` runs, advances it by one entry per sample.
+    :class:`Attitude` objects are built only where they are handed out, by
+    :meth:`drain` and :attr:`latest_attitude`. The immutable config is read
+    once, at construction; :attr:`config` is read-only.
     """
 
     def __init__(self, config: PipelineConfig | None = None):
@@ -141,11 +141,11 @@ class Pipeline:
         self._lever = prism_to_poi_body(config.lever_arms)
         self._calib_samples: list[ImuSample] = []
         self._bias: tuple[float, float, float] | None = None
-        self._roll = self._pitch = self._yaw = 0.0
-        self._last_timestamp: float | None = None
+        self._yaw = 0.0
         self._att_times = array("d")
         self._att_values = array("d")
-        self._buffer: deque[RtsObservation] = deque()
+        # A deque refuses a maxlen above sys.maxsize, more than it could hold.
+        self._buffer = deque(maxlen=min(config.rts_buffer_capacity, sys.maxsize))
         self._dropped = 0
 
     @property
@@ -168,8 +168,7 @@ class Pipeline:
         """Most recent (imu_timestamp, attitude) estimate, or None before seeding."""
         if not self._att_times:
             return None
-        roll, pitch, yaw, _ = self._att_values[-4:]
-        return self._att_times[-1], Attitude(roll, pitch, yaw)
+        return self._att_times[-1], Attitude(*self._att_values[-4:-1])
 
     @property
     def rts_buffered(self) -> int:
@@ -184,21 +183,20 @@ class Pipeline:
 
     def push_imu(self, sample: ImuSample) -> None:
         """Feed one IMU sample: calibrates until the count is reached, then filters."""
+        values = self._att_values
         if self._bias is not None:
             step = _step(
-                self._roll, self._pitch, self._yaw, self._last_timestamp,
+                values[-4], values[-3], self._yaw, self._att_times[-1],
                 sample, self._bias, self._filter_config,
             )
         elif (step := self._calibrate(sample)) is None:
             return
         roll, pitch, yaw, alpha = step
-        if self._hold_yaw:
-            # The state keeps the yaw set_yaw left; the kernel's integral is dropped.
-            yaw = self._yaw
-        self._roll, self._pitch, self._yaw = roll, pitch, yaw
-        self._last_timestamp = sample.timestamp
+        # A held yaw stays what set_yaw left; the kernel's integral is dropped.
+        if not self._hold_yaw:
+            self._yaw = yaw
         self._att_times.append(sample.timestamp)
-        self._att_values.extend((roll, pitch, yaw, alpha))
+        values.extend((roll, pitch, self._yaw, alpha))
 
     def _calibrate(self, sample: ImuSample) -> tuple[float, float, float, float] | None:
         """Collect an idle ``sample`` (None); the one that completes the count
@@ -209,15 +207,15 @@ class Pipeline:
             calib.append(sample)
             return None
         bias = tuple(calibrate_bias([*calib, sample], cfg.bias_calibration_count).tolist())
-        step = _step(self._roll, self._pitch, self._yaw, None, sample, bias, cfg)
+        # A seed step reads neither roll nor pitch.
+        step = _step(0.0, 0.0, self._yaw, None, sample, bias, cfg)
         calib.clear()
         self._bias = bias
         return step
 
     def push_rts(self, obs: RtsObservation) -> None:
         """Buffer one observation; past capacity the oldest is dropped and counted."""
-        if len(self._buffer) >= self._config.rts_buffer_capacity:
-            self._buffer.popleft()
+        if len(self._buffer) == self._buffer.maxlen:
             self._dropped += 1
         self._buffer.append(obs)
 
@@ -226,7 +224,7 @@ class Pipeline:
         self._yaw = _wrapped_yaw(yaw)
 
     def drain(self) -> list[FusedRecord]:
-        """Pair and emit all buffered observations that have an eligible attitude.
+        """Pair and emit, in order, each buffered observation with an eligible attitude.
 
         Eligible means the attitude's IMU timestamp is at or before the
         observation timestamp minus ``rts_latency_s`` plus
@@ -243,10 +241,9 @@ class Pipeline:
         helmert = cfg.helmert
         new, put = object.__new__, object.__setattr__
         while self._buffer:
-            obs = self._buffer[0]
+            obs = self._buffer.popleft()
             cutoff = obs.timestamp - cfg.rts_latency_s + cfg.pairing_tolerance_s
             idx = bisect_right(self._att_times, cutoff) - 1
-            self._buffer.popleft()
             if idx < 0:
                 self._dropped += 1
                 continue
@@ -255,18 +252,13 @@ class Pipeline:
                 helmert, *_polar(obs.slant_distance, obs.horizontal_angle, obs.zenith_angle)
             )
             poi = _poi(*prism, roll, pitch, yaw, lever)
-            # Filled directly: these are what the dataclass __init__ would store.
-            # (Setting each attribute keeps the compact per-instance layout;
-            # going through __dict__ would add a dict to every object.)
-            attitude = new(Attitude)
-            put(attitude, "roll", roll)
-            put(attitude, "pitch", pitch)
-            put(attitude, "yaw", yaw)
+            # Filled directly, as the dataclass __init__ would: setting each
+            # attribute keeps the compact per-instance layout that __dict__ would not.
             record = new(FusedRecord)
             put(record, "timestamp", obs.timestamp)
             put(record, "prism_nav", np.array(prism))
             put(record, "poi_nav", np.array(poi))
-            put(record, "attitude_used", attitude)
+            put(record, "attitude_used", Attitude(roll, pitch, yaw))
             put(record, "alpha_used", alpha)
             put(record, "imu_timestamp_used", self._att_times[idx])
             records.append(record)

@@ -431,8 +431,24 @@ def test_fuse_reports_unpaired_observations(tmp_path, capsys):
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10"]
     ) == 0
-    assert capsys.readouterr().out.endswith(", 1 observations left unpaired\n")
+    assert capsys.readouterr().out.endswith(", 1 observation dropped from the calibration window\n")
     assert read_fused_csv(out)[:, T].tolist() == [0.5]
+
+
+def test_fuse_reports_observations_a_never_completed_calibration_left_buffered(tmp_path, capsys):
+    # 100 samples never complete a 200-sample calibration: the ring buffer keeps
+    # the newest 32 of 40 observations and evicted the oldest 8
+    imu, rts = write_level_streams(tmp_path, rts_times=[k / 50.0 for k in range(40)])
+    out = tmp_path / "fused.csv"
+    assert main(
+        ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
+         "--bias-count", "200"]
+    ) == 0
+    assert capsys.readouterr().out.endswith(
+        ", 8 observations dropped from the calibration window"
+        ", 32 observations left unpaired (calibration never completed)\n"
+    )
+    assert len(read_fused_csv(out)) == 0
 
 
 def test_idle_observations_do_not_hold_back_a_slow_tracker(tmp_path, capsys):
@@ -447,7 +463,7 @@ def test_idle_observations_do_not_hold_back_a_slow_tracker(tmp_path, capsys):
                  "--out", str(out)]) == 0
     note = capsys.readouterr().out.splitlines()[-1]
     assert note.startswith("wrote 20 fused records")
-    assert note.endswith(", 10 observations left unpaired")
+    assert note.endswith(", 10 observations dropped from the calibration window")
     assert read_fused_csv(out)[:, T].tolist() == [float(t) for t in range(10, 30)]
 
 

@@ -181,6 +181,21 @@ def test_ring_buffer_drops_oldest_past_capacity():
     assert [r.timestamp for r in records] == [1.2, 1.4, 1.6, 1.8]
 
 
+def test_a_capacity_beyond_what_a_deque_holds_still_builds_a_working_buffer():
+    # a deque refuses a maxlen above sys.maxsize; the pipeline clamps to it
+    pipe = Pipeline(fast_config(rts_buffer_capacity=2**70))
+    for k in range(10):
+        pipe.push_rts(obs_at(20 * k / 100.0))
+    assert (pipe.rts_buffered, pipe.rts_dropped) == (10, 0)
+
+    # nothing was evicted: only the one stamped before the first attitude drops
+    for i in range(200):
+        pipe.push_imu(imu_at(i))
+    records = pipe.drain()
+    assert [r.timestamp for r in records] == [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8]
+    assert (pipe.rts_buffered, pipe.rts_dropped) == (0, 1)
+
+
 def test_records_come_out_in_observation_order(replay):
     imu = [imu_at(i) for i in range(400)]
     rts = [obs_at((100 + 20 * k) / 100.0) for k in range(14)]
@@ -333,6 +348,34 @@ def test_pipeline_rejects_each_non_finite_imu_field(field, value, calibrated):
 def test_pipeline_config_validation(kwargs):
     with pytest.raises(ValueError):
         PipelineConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [(imu_at(13), "non-monotone"), (imu_at(15, accel=np.zeros(3)), "zero norm")],
+    ids=["out-of-order", "zero-norm-accel"],
+)
+def test_a_rejected_sample_after_calibration_leaves_no_trace(sample, message):
+    pipe, clean = Pipeline(fast_config()), Pipeline(fast_config())
+    for i in range(15):
+        pipe.push_imu(imu_at(i))
+        clean.push_imu(imu_at(i))
+    with pytest.raises(ValueError, match=message):
+        pipe.push_imu(sample)
+    # the history's newest entry is the filter state: nothing was appended
+    assert pipe.latest_attitude == clean.latest_attitude
+    for i in range(15, 20):
+        pipe.push_imu(imu_at(i))
+        clean.push_imu(imu_at(i))
+    for t in (0.125, 0.135, 0.145, 0.155, 0.195):
+        pipe.push_rts(obs_at(t))
+        clean.push_rts(obs_at(t))
+    fields = ("timestamp", "attitude_used", "alpha_used", "imu_timestamp_used")
+    got, want = pipe.drain(), clean.drain()
+    assert [[getattr(r, f) for f in fields] for r in got] == [
+        [getattr(r, f) for f in fields] for r in want
+    ]
+    assert [r.imu_timestamp_used for r in got] == [0.12, 0.13, 0.14, 0.15, 0.19]
 
 
 def test_rejected_seed_sample_leaves_no_trace_in_the_bias():
