@@ -38,6 +38,7 @@ from .codec import (  # noqa: F401
     _read_rts,
     _read_text,
     _write_lines,
+    _write_text,
     encode_can_frames,
     format_can_dump_line,
     parse_imu_line,
@@ -122,6 +123,11 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _count(count: int, noun: str) -> str:
+    """``count`` and ``noun``, plural unless the count is 1."""
+    return f"{count} {noun}{'s' * (count != 1)}"
+
+
 def _data_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -131,8 +137,8 @@ def cmd_simulate(args) -> int:
     imu, rts, truth = _scenario(parse_scenario_config(_read_text(args.config)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_lines(out_dir / "imu.txt", _lines(_IMU, *imu))
-    _write_lines(out_dir / "rts.txt", _lines(_RTS, *rts))
+    _write_text(out_dir / "imu.txt", _lines(_IMU, *imu))
+    _write_text(out_dir / "rts.txt", _lines(_RTS, *rts))
     write_truth_csv(truth, out_dir / "truth.csv")
     print(
         f"wrote {len(imu[0])} IMU samples, {len(rts[0])} observations, "
@@ -172,12 +178,12 @@ def cmd_fuse(args) -> int:
     del imu, rts  # freed before the table is built: only the records are written
     table = _fused_table(records)
     # Both outputs are made and checked whole before either file is opened.
-    csv = chain([FUSED_CSV_HEADER], _lines(_FUSED, table))
+    csv = chain([FUSED_CSV_HEADER + "\n"], _lines(_FUSED, table))
     try:
         can = args.can_out and _can_dump_lines(table[:, 1:7], args.can_base_id)
     except FormatError as exc:
         return _data_error(f"{args.can_out}: {exc}")
-    _write_lines(args.out, csv)
+    _write_text(args.out, csv)
     if can:
         _write_lines(args.can_out, can)
     # Replay drains after each observation, so every drop is from the calibration window.
@@ -187,8 +193,8 @@ def cmd_fuse(args) -> int:
         (pipeline.rts_buffered, "left unpaired (calibration never completed)"),
     ):
         if count:
-            note += f", {count} observation{'s' * (count != 1)} {fate}"
-    print(f"wrote {len(records)} fused records to {args.out}{note}")
+            note += f", {_count(count, 'observation')} {fate}"
+    print(f"wrote {_count(len(records), 'fused record')} to {args.out}{note}")
     return 0
 
 
@@ -222,7 +228,7 @@ def cmd_eval(args) -> int:
             )
         if skipped := len(fused) - len(joined):
             print(
-                f"warning: {skipped} fused records without matching truth timestamp",
+                f"warning: {_count(skipped, 'fused record')} without matching truth timestamp",
                 file=sys.stderr,
             )
         rows = np.array(joined)

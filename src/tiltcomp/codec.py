@@ -11,11 +11,15 @@ Text stream lines (formats specific to this toolkit):
 Each record file format is declared once: the noun its messages use, its
 tag (none for a CSV row, whose header is its field names joined), field
 names and decimals. A field named ``*_deg`` is an angle: radians inside,
-degrees on the wire. One row writer formats every line from float columns
+degrees on the wire. One row writer formats every table from float columns
 (``simulate`` hands it the scenario's arrays; fused records become one
 table first). It checks the whole table before it makes a line: a field it
 would write as ``nan`` or ``inf``, which no reader reads, raises FormatError
-naming the row and the field, and no file is left.
+naming the row and the field, and no file is left. One numpy kernel then
+writes each block of rows as fixed-point counts of the last decimal; a row
+the kernel cannot prove exact goes through the format's ``%`` template, just
+as a file the bulk pass doubts goes through the line parser, so every byte
+is the template's. The one-line writers use the template alone.
 
 Every reader takes the format of its file, and one record reader reads each
 numeric record file whole: one C pass parses its lines into an ``(n, k)``
@@ -128,14 +132,16 @@ def _parse_float(token: str, name: str, line_number: int | None) -> float:
 class _Format(NamedTuple):
     """One record file format: the noun its messages use, its tag (the first
     field of a stream line; None for a CSV row, whose header is its names
-    joined by commas), its field names, the ``%`` template that writes it
-    (None if only read), and the indices of its angle fields, named ``*_deg``
-    (degrees on the wire). A reader multiplies its rows by ``radians``:
-    ``math.radians(1.0)`` for an angle (the bits of ``math.radians``), else 1."""
+    joined by commas), its field names, the decimals of every field and the
+    ``%`` template that writes them (both None if only read), and the
+    indices of its angle fields, named ``*_deg`` (degrees on the wire). A
+    reader multiplies its rows by ``radians``: ``math.radians(1.0)`` for an
+    angle (the bits of ``math.radians``), else 1."""
 
     noun: str
     tag: str | None
     names: tuple[str, ...]
+    decimals: int | None
     template: str | None
     angles: tuple[int, ...]
     radians: np.ndarray
@@ -146,7 +152,7 @@ def _declare(noun: str, tag: str | None, names: Sequence[str], decimals: int | N
     template = None if decimals is None else ",".join(fields if tag is None else [tag, *fields])
     angles = tuple(i for i, name in enumerate(names) if name.endswith("_deg"))
     radians = np.array([math.radians(1.0) if i in angles else 1.0 for i in range(len(names))])
-    return _Format(noun, tag, tuple(names), template, angles, radians)
+    return _Format(noun, tag, tuple(names), decimals, template, angles, radians)
 
 
 _IMU = _declare("IMU", "IMU", ("t_s", "ax", "ay", "az", "gx", "gy", "gz"), 6)
@@ -171,15 +177,99 @@ def _wire(fmt: _Format, *columns) -> np.ndarray:
     return wire
 
 
+def _line(fmt: _Format, *columns) -> str:
+    """The one line (without newline) of ``fmt`` of one-row ``columns``, as
+    :func:`_lines` takes them, checked by :func:`_wire` and formatted by the
+    ``%`` template."""
+    (row,) = _wire(fmt, *columns).tolist()
+    return fmt.template % tuple(row)
+
+
 def _lines(fmt: _Format, *columns) -> Iterator[str]:
-    """The lines of ``fmt`` whose fields, in ``fmt.names`` order, are the
-    columns of ``columns``: float arrays (or nested sequences) of n rows, each
-    ``(n,)`` or ``(n, m)``, angles in radians. The whole table is checked when
-    called (:func:`_wire`); the lines are then formatted :data:`_ROW_BLOCK`
-    rows at a time, so few Python floats exist at once."""
+    """The text of the lines of ``fmt`` whose fields, in ``fmt.names`` order,
+    are the columns of ``columns``: float arrays (or nested sequences) of n
+    rows, each ``(n,)`` or ``(n, m)``, angles in radians. The whole table is
+    checked when called (:func:`_wire`); :func:`_text` then formats it
+    :data:`_ROW_BLOCK` rows at a time, one string of ``\\n``-ended lines per
+    block, so memory stays flat. A row the kernel cannot prove exact goes
+    through the ``%`` template, just as a file the bulk pass doubts goes
+    through the line parser."""
     wire = _wire(fmt, *columns)
     blocks = (wire[start : start + _ROW_BLOCK] for start in range(0, len(wire), _ROW_BLOCK))
-    return chain.from_iterable(map(fmt.template.__mod__, zip(*b.T.tolist())) for b in blocks)
+    return (_text(fmt, block) for block in blocks)
+
+
+# The ASCII digits of 000 to 999, one row each, and the same rows padded with
+# a NUL to one 4-byte word, which numpy gathers ~10x faster than 3 bytes.
+_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+_DIGIT_WORDS = np.pad(_DIGITS, ((0, 0), (0, 1))).view(np.uint32).ravel()
+_EXACT_LIMIT = 2.0**53  # every integer below it is a float64, and an int64
+
+
+def _put_digits(fields: np.ndarray, start: int, counts: np.ndarray, groups: int) -> None:
+    """Write the ASCII digits of the non-negative int64 ``counts``, each below
+    ``1000**groups`` and zero-padded to ``3 * groups``, into ``fields[...,
+    start : start + 3 * groups]``, three at a time from :data:`_DIGIT_WORDS`."""
+    for at in range(start + 3 * (groups - 1), start - 1, -3):
+        counts, group = np.divmod(counts, 1000)
+        words = _DIGIT_WORDS[group].view(np.uint8).reshape(*group.shape, 4)
+        fields[..., at : at + 3] = words[..., :3]
+
+
+def _text(fmt: _Format, wire: np.ndarray) -> str:
+    """The ``\\n``-ended lines of the rows of ``wire``, a checked ``(m, k)``
+    table as :func:`_wire` makes it, byte for byte as ``fmt.template`` writes
+    each row.
+
+    A field is ``c = |x| * 10**d`` counts of its last decimal, and its digits
+    are those of the integer ``rint(c)``, a sign first where ``x`` has one
+    (``-0.0`` and ``-4e-7`` too, as ``%`` writes them). That is the correctly
+    rounded ``%.{d}f`` when ``c < 2**53`` and ``c`` is not a half: the product
+    is rounded to the nearest float and ``10**d`` is exact, so ``c`` is on the
+    side of each half that ``|x| * 10**d`` is on, or on the half. A row with any
+    other field (a half, a huge value) is formatted by the template and spliced
+    in at its place. Each field is laid out as a sign, the integer digits
+    right-aligned in the block's widest width, a point, ``d`` decimals and a
+    comma or newline, with NUL bytes as blanks, which one pass drops."""
+    d = fmt.decimals
+    m, k = wire.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge x: c is inf, c - rint(c) nan
+        c = np.abs(wire) * float(10**d)
+        rounded = np.rint(c)
+        exact = (c < _EXACT_LIMIT) & (np.abs(c - rounded) < 0.5)
+    units, fraction = np.divmod(np.where(exact, rounded, 0.0).astype(np.int64), 10**d)
+    groups = -(-len(str(int(units.max()))) // 3)
+    frac_groups = -(-d // 3)
+    width = 3 * groups
+    size = width + 3 * frac_groups + 3  # sign, digits, point, decimals, comma
+    prefix = b"" if fmt.tag is None else f"{fmt.tag},".encode()
+    row = np.empty((m, len(prefix) + k * size), dtype=np.uint8)
+    row[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    fields = row[:, len(prefix) :].reshape(m, k, size)
+    fields[..., 0] = np.signbit(wire) * np.uint8(ord("-"))
+    _put_digits(fields, 1, units, groups)
+    # A leading zero is blank, the units digit never.
+    for at in range(1, width):
+        np.copyto(fields[..., at], 0, where=units < 10 ** (width - at))
+    fields[..., width + 1] = ord(".")
+    # Whole groups hold the fraction's d digits, then blanks.
+    _put_digits(fields, width + 2, fraction * 10 ** (3 * frac_groups - d), frac_groups)
+    fields[..., width + 2 + d : -1] = 0
+    fields[..., -1] = ord(",")
+    fields[:, -1, -1] = ord("\n")
+    doubted = np.flatnonzero(~exact.all(axis=1))
+    row[doubted] = 0
+    text = row.tobytes().translate(None, b"\0").decode("ascii")
+    if not len(doubted):
+        return text
+    # A doubted row wrote nothing, so its line goes where the row before it ends.
+    ends = np.count_nonzero(row, axis=1).cumsum().tolist()
+    pieces, start = [], 0
+    for r in doubted.tolist():
+        pieces += [text[start : ends[r]], fmt.template % tuple(wire[r].tolist()), "\n"]
+        start = ends[r]
+    pieces.append(text[start:])
+    return "".join(pieces)
 
 
 def _numbers(line: str, fmt: _Format, line_number: int | None) -> list[float]:
@@ -215,7 +305,7 @@ def _read_imu(path) -> list[ImuSample]:
 
 
 def write_imu_line(sample: ImuSample) -> str:
-    return next(_lines(_IMU, [(sample.timestamp, *sample.accel.tolist(), *sample.gyro.tolist())]))
+    return _line(_IMU, [(sample.timestamp, *sample.accel.tolist(), *sample.gyro.tolist())])
 
 
 def parse_rts_line(line: str, line_number: int | None = None) -> RtsObservation:
@@ -239,7 +329,7 @@ def _read_rts(path) -> list[RtsObservation]:
 
 def write_rts_line(obs: RtsObservation) -> str:
     row = (obs.timestamp, obs.slant_distance, obs.horizontal_angle, obs.zenith_angle)
-    return next(_lines(_RTS, [row]))
+    return _line(_RTS, [row])
 
 
 def _fused_table(records: Iterable[FusedRecord]) -> np.ndarray:
@@ -259,7 +349,7 @@ def _fused_table(records: Iterable[FusedRecord]) -> np.ndarray:
 def write_csv_record(record: FusedRecord) -> str:
     """One fused CSV line (without newline), fields in header order. A field
     it would write as ``nan`` or ``inf`` raises FormatError naming it."""
-    return next(_lines(_FUSED, _fused_table([record])))
+    return _line(_FUSED, _fused_table([record]))
 
 
 def _read_text(path) -> str:
@@ -323,10 +413,15 @@ def _read_records(path, fmt: _Format, build=None, parse=None):
     return rows if parse else np.array(rows, dtype=float).reshape(len(rows), len(fmt.names))
 
 
+def _write_text(path, text: Iterable[str]) -> None:
+    """Write the pieces of ``text``, in order, to a UTF-8 text file."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.writelines(text)
+
+
 def _write_lines(path, lines: Iterable[str]) -> None:
     """Write each line and a ``\n`` to a UTF-8 text file."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.writelines(line + "\n" for line in lines)
+    _write_text(path, (line + "\n" for line in lines))
 
 
 def _key_values(text: str, keys: Container[str], what: str) -> dict[str, tuple[int, str]]:
@@ -367,7 +462,7 @@ def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
     """Write records, as :meth:`Pipeline.drain` makes them, as a fused CSV;
     :func:`read_fused_csv` reads it back as a table. A refused field raises
     FormatError before the file is opened."""
-    _write_lines(path, chain([FUSED_CSV_HEADER], _lines(_FUSED, _fused_table(records))))
+    _write_text(path, chain([FUSED_CSV_HEADER + "\n"], _lines(_FUSED, _fused_table(records))))
 
 
 def read_fused_csv(path) -> np.ndarray:
@@ -384,7 +479,7 @@ def write_truth_csv(table, path) -> None:
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != len(_TRUTH.names):
         raise ValueError(f"truth table must have shape (n, {len(_TRUTH.names)}), got {table.shape}")
-    _write_lines(path, chain([TRUTH_CSV_HEADER], _lines(_TRUTH, table)))
+    _write_text(path, chain([TRUTH_CSV_HEADER + "\n"], _lines(_TRUTH, table)))
 
 
 def read_truth_csv(path) -> np.ndarray:

@@ -16,10 +16,12 @@ for downstream gyro-bias calibration. All randomness flows from the seed, so
 identical configs produce bit-identical streams.
 
 One function, ``_motion``, gives the Euler angles and their rates at any
-times; one, ``_points``, places a body point (IMU or prism) from the fixed
-POI and its body lever. Kinematic accelerations difference the analytic IMU
-position with step 1e-4 s through one second-difference stencil, central or
-forward by sample: forward just after the idle/motion boundary, central
+times; one, ``_place``, places a body point (IMU or prism) from the fixed
+POI, its body lever and a stack of rotations. The IMU grid's rotations are
+built once and serve the gyro, the specific force, the truth prism and the
+stencil's central points. Kinematic accelerations difference the analytic
+IMU position with step 1e-4 s through one second-difference stencil, central
+or forward by sample: forward just after the idle/motion boundary, central
 elsewhere, and exact zeros during idle (the rate profile has a kink at motion
 start that a crossing stencil would smear into a spurious spike).
 
@@ -158,36 +160,49 @@ def _motion(cfg: ScenarioConfig, t: np.ndarray):
     return (roll, pitch, yaw), (roll_rate, pitch_rate, yaw_rate)
 
 
-def _rotations(roll, pitch, yaw) -> np.ndarray:
-    """C-contiguous stack of body-to-navigation matrices, shape (n, 3, 3)."""
-    rows = _zyx_rows(
-        np.cos(roll), np.sin(roll), np.cos(pitch), np.sin(pitch), np.cos(yaw), np.sin(yaw)
-    )
+def _rotations(rows) -> np.ndarray:
+    """C-contiguous stack of body-to-navigation matrices, shape (n, 3, 3), from
+    the rows :func:`~tiltcomp.kinematics._zyx_rows` gives of (n,) arrays."""
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def _points(cfg: ScenarioConfig, t: np.ndarray, lever_b: np.ndarray) -> np.ndarray:
+def _place(cfg: ScenarioConfig, rot: np.ndarray, lever_b: np.ndarray) -> np.ndarray:
     """Navigation-frame positions, shape (n, 3), of the body point whose lever
-    to the fixed POI is ``lever_b``: poi_nav - R(t) @ lever_b."""
-    angles, _ = _motion(cfg, t)
-    return cfg.poi_nav - np.einsum("nij,j->ni", _rotations(*angles), lever_b)
+    to the fixed POI is ``lever_b``, for each rotation of the stack ``rot``:
+    poi_nav - R @ lever_b. The product stays ``np.einsum``, whose sums give
+    the streams' bits."""
+    return cfg.poi_nav - np.einsum("nij,j->ni", rot, lever_b)
 
 
-def _kinematic_accels(cfg: ScenarioConfig, t: np.ndarray) -> np.ndarray:
-    """Second derivative of the IMU position at each time, shape (n, 3)."""
-    t = np.asarray(t, dtype=float)
+def _points(cfg: ScenarioConfig, t: np.ndarray, lever_b: np.ndarray) -> np.ndarray:
+    """:func:`_place` of the body point at each time."""
+    (roll, pitch, yaw), _ = _motion(cfg, t)
+    rows = _zyx_rows(
+        np.cos(roll), np.sin(roll), np.cos(pitch), np.sin(pitch), np.cos(yaw), np.sin(yaw)
+    )
+    return _place(cfg, _rotations(rows), lever_b)
+
+
+def _kinematic_accels(cfg: ScenarioConfig, t: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Second derivative of the IMU position at each time, shape (n, 3);
+    ``rot`` is the rotation stack at the times, which places the central
+    stencil's middle points."""
     h = _DIFF_STEP
+    lever = cfg.lever_arms.imu_to_poi_b
     moving = t >= cfg.idle_duration_s
     tm = t[moving]
     central = tm >= cfg.idle_duration_s + h
     lo = np.where(central, tm - h, tm)
-    mid = np.where(central, tm, tm + h)
     hi = np.where(central, tm + h, tm + 2.0 * h)
-    lever = cfg.lever_arms.imu_to_poi_b
+    # (lo - 2 mid + hi) / h^2, summed in that order in one buffer: -2 mid + lo
+    # is lo - 2 mid, bit for bit.
+    stencil = _place(cfg, rot, lever)[moving]
+    stencil[~central] = _points(cfg, tm[~central] + h, lever)
+    stencil *= -2.0
+    stencil += _points(cfg, lo, lever)
+    stencil += _points(cfg, hi, lever)
     accel = np.zeros(t.shape + (3,))
-    accel[moving] = (
-        _points(cfg, lo, lever) - 2.0 * _points(cfg, mid, lever) + _points(cfg, hi, lever)
-    ) / (h * h)
+    accel[moving] = stencil / (h * h)
     return accel
 
 
@@ -217,22 +232,24 @@ def _scenario(cfg: ScenarioConfig):
     hz_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
     v_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
 
+    # One rotation per IMU-grid time serves the gyro, the specific force, the
+    # stencil's central points and the truth prism.
     (roll, pitch, yaw), (roll_rate, pitch_rate, yaw_rate) = _motion(cfg, t_imu)
-    rot = _rotations(roll, pitch, yaw)
-
     sr, cr = np.sin(roll), np.cos(roll)
     sp, cp = np.sin(pitch), np.cos(pitch)
+    rot = _rotations(_zyx_rows(cr, sr, cp, sp, np.cos(yaw), np.sin(yaw)))
+
     body_p = roll_rate - yaw_rate * sp
     body_q = pitch_rate * cr + yaw_rate * cp * sr
     body_r = -pitch_rate * sr + yaw_rate * cp * cr
     gyro = np.column_stack([body_p, body_q, body_r]) + bias + gyro_noise
 
-    accel_nav = _kinematic_accels(cfg, t_imu)
+    accel_nav = _kinematic_accels(cfg, t_imu, rot)
     accel_nav[:, 2] += cfg.gravity
     specific_force = np.einsum("nji,nj->ni", rot, accel_nav) + accel_noise
 
     lever = prism_to_poi_body(cfg.lever_arms)
-    prism = _points(cfg, t_imu, lever)
+    prism = _place(cfg, rot, lever)
 
     diff = _points(cfg, t_rts, lever) - cfg.rts_station
     horiz = np.hypot(diff[:, 0], diff[:, 1])

@@ -431,7 +431,9 @@ def test_fuse_reports_unpaired_observations(tmp_path, capsys):
         ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
          "--bias-count", "10"]
     ) == 0
-    assert capsys.readouterr().out.endswith(", 1 observation dropped from the calibration window\n")
+    note = capsys.readouterr().out
+    assert note.startswith(f"wrote 1 fused record to {out},")
+    assert note.endswith(", 1 observation dropped from the calibration window\n")
     assert read_fused_csv(out)[:, T].tolist() == [0.5]
 
 
@@ -1064,6 +1066,17 @@ def test_eval_partial_overlap_warns_and_uses_the_matched_rows(
     row = stats_csv_row("run", compute_stats(estimates, reference))
     assert stats.read_text().splitlines() == [STATS_CSV_HEADER, row]
     assert int(row.split(",")[8]) == len(matched) - len(dropped)
+
+
+def test_eval_warns_of_one_unmatched_record_in_the_singular(tmp_path, capsys, default_noise_run):
+    fused, truth = default_noise_run
+    first = fused.read_text().splitlines()[1].split(",")[0]
+    lines = [line for line in truth_lines(truth) if line.split(",")[0] != first]
+    partial = tmp_path / "partial.csv"
+    write_truth_lines(partial, lines)
+    code, _ = run_eval(tmp_path, fused, ["--truth", str(partial)])
+    assert code == 0
+    assert capsys.readouterr().err == "warning: 1 fused record without matching truth timestamp\n"
 
 
 def shifted_poi(line, dx):

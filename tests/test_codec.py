@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -246,9 +247,20 @@ def f_string_truth_row(row):
     return f_string_csv_line((row[0], *map(math.degrees, row[1:4]), *row[4:10]))
 
 
+# Values at the edge of the row writer kernel's exactness rule: scaled to 6
+# or 9 decimals, each is a half, exact (0.0078125, 1/1024, 2.5e-6) or a few
+# ulps off (45.96051251349999, a pitch extreme of simulate's), or at least
+# 2**53 counts.
+_KERNEL_EDGES = [
+    0.0078125, 3 / 128, 1 / 1024, 2.5e-6, 2.5e-9, -2.5e-9, 1.0000005, 45.96051251349999,
+    2**53 / 1e6, 2**53 / 1e9, -(2**53) / 1e9, math.nextafter(2**53 / 1e9, 0.0), 1e300,
+]
+
+
 @pytest.mark.parametrize(
     "v",
-    [-0.0, 1e300, 5e-7, -5e-7, 5e-10, -5e-10, np.float64(-5e-10), np.float64(1e300), 7],
+    [-0.0, 1e300, 5e-7, -5e-7, 5e-10, -5e-10, np.float64(-5e-10), np.float64(1e300), 7,
+     5e-324, -5e-324, -4e-7, *_KERNEL_EDGES[:-1]],
     ids=repr,
 )
 def test_writers_match_the_f_string_formatting(tmp_path, v):
@@ -275,6 +287,87 @@ def test_writers_match_the_f_string_formatting(tmp_path, v):
     write_truth_csv([truth], tmp_path / "truth.csv")
     expected = [TRUTH_CSV_HEADER, f_string_truth_row(truth)]
     assert (tmp_path / "truth.csv").read_text() == "\n".join(expected) + "\n"
+
+
+_KERNEL_FORMATS = {fmt.noun: fmt for fmt in (codec._IMU, codec._RTS, codec._FUSED, codec._TRUTH)}
+_BLOCK_ROWS = codec._ROW_BLOCK
+
+
+def scaled_half(d):
+    """A value at, or a few ulps from, a half of its last decimal at ``d``
+    decimals."""
+
+    def value(k, steps, sign):
+        half = (k + 0.5) / 10**d
+        return sign * (half + steps * math.ulp(half))
+
+    signs = st.sampled_from([1.0, -1.0])
+    return st.builds(value, st.integers(0, 10**12), st.integers(-3, 3), signs)
+
+
+_SPECIAL = st.one_of(
+    scaled_half(6),
+    scaled_half(9),
+    st.integers(-(2**20), 2**20).map(lambda k: k / 128),
+    st.integers(-(2**20), 2**20).map(lambda k: k / 1024),
+    st.sampled_from([-0.0, 5e-7, -5e-7, 5e-10, -5e-10, 5e-324, -5e-324, *_KERNEL_EDGES]),
+    st.floats(2**53 / 1e9, 1e300),
+    st.floats(-1e300, 1e300),  # finite in degrees too
+)
+# Rows at a block's first and last rows, in the middle, and adjacent.
+_BLOCK_EDGES = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS // 2]
+
+
+@pytest.mark.parametrize("noun", sorted(_KERNEL_FORMATS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(n=_BLOCK_ROWS + 2, seed=0, placed=[(r, r % 4, 2.5e-6) for r in _BLOCK_EDGES])
+@example(n=_BLOCK_ROWS + 2, seed=1, placed=[(r, 0, v) for r, v in zip(_BLOCK_EDGES, _KERNEL_EDGES)])
+@example(n=3, seed=2, placed=[(0, 0, 1e300), (1, 0, 0.0078125), (2, 0, -0.0)])
+@given(
+    n=st.sampled_from([1, 2, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 2]),
+    seed=st.integers(0, 2**32 - 1),
+    placed=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 11), _SPECIAL), max_size=12),
+)
+def test_row_writer_kernel_writes_what_the_template_writes(noun, n, seed, placed):
+    fmt = _KERNEL_FORMATS[noun]
+    k = len(fmt.names)
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-1.0, 1.0, (n, k)) * 10.0 ** rng.integers(-8, 6, (n, k))
+    for row, col, value in placed:
+        table[row % n, col % k] = value
+    # Through _lines the angle columns are scaled to degrees; the kernel
+    # alone writes the placed values as they are.
+    wire = codec._wire(fmt, table)
+    expected = "".join(fmt.template % tuple(row) + "\n" for row in wire.tolist())
+    assert "".join(codec._lines(fmt, table)) == expected
+    expected = "".join(fmt.template % tuple(row) + "\n" for row in table.tolist())
+    assert codec._text(fmt, table) == expected
+
+
+def test_line_writers_format_by_the_template_not_the_kernel(tmp_path):
+    record = random_record(np.random.default_rng(3))
+    with mock.patch.object(codec, "_text", wraps=codec._text) as kernel:
+        assert write_imu_line(ImuSample(0.01, [0.0, 0.0, 9.80665], [0.001, -0.002, 0.0005])) == (
+            "IMU,0.010000,0.000000,0.000000,9.806650,0.001000,-0.002000,0.000500"
+        )
+        assert write_rts_line(RtsObservation(0.5, 5.0, 0.0, math.pi / 2)) == (
+            "RTS,0.500000,5.000000,0.000000,90.000000"
+        )
+        assert write_csv_record(record) == f_string_fused_row(record)
+        assert kernel.call_count == 0
+        write_truth_csv(truth_table(), tmp_path / "truth.csv")  # a table goes through it
+        assert kernel.call_count == 1
+
+
+def test_writing_a_truth_table_holds_one_copy_of_it_and_a_block_at_a_time(tmp_path):
+    table = np.random.default_rng(6).uniform(-500.0, 500.0, (30_000, 10))
+    tracemalloc.start()
+    try:
+        write_truth_csv(table, tmp_path / "truth.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.nbytes
 
 
 def test_writers_reject_a_coordinate_triple_of_another_length(tmp_path):

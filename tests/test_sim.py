@@ -446,10 +446,18 @@ PINNED_STREAMS = {
         "de17702ea3c227a331fc244b1631e9f5b69cecf7749edc10fc52ec340ff5a923",
         "53dd1dc7c486fe09ca42554ffc3ffdaf8ff591935edae06a7a952aa81bdc0b0d",
     ),
+    # slanted levers: R @ lever sums three non-zero products per row
+    "duration_s = 30\nseed = 3\nimu_to_poi_b = 0.3,-0.2,-0.9\nimu_to_prism_b = 0.05,0.1,0.08\n": (
+        "bc83d4c77b4ed7730bce23ace0f04fccc4ef4d8e30864ccbe93736c32811827d",
+        "1e6ab56cbc4c9071ba8df088c8e5c4ccf108a5e03918775932a93c71466c49e9",
+        "c75bee09819755a43f9350902d2d54b1235ea55becc33a693dcb75f0f9a24a5e",
+    ),
 }
 
 
-@pytest.mark.parametrize("config", PINNED_STREAMS, ids=["defaults", "tracker_100hz", "yaw_7hz"])
+@pytest.mark.parametrize(
+    "config", PINNED_STREAMS, ids=["defaults", "tracker_100hz", "yaw_7hz", "slanted_levers"]
+)
 def test_streams_match_pinned_fingerprints(tmp_path, capsys, config):
     (tmp_path / "scenario.cfg").write_text(config)
     assert main(["simulate", "--config", str(tmp_path / "scenario.cfg"), "--out-dir", str(tmp_path)]) == 0
@@ -462,7 +470,7 @@ def test_streams_match_pinned_fingerprints(tmp_path, capsys, config):
 
 NO_SAMPLES = "duration_s = 0.005\nidle_duration_s = 0.001\n"
 CONSUMER_CONFIGS = [*PINNED_STREAMS, NO_SAMPLES]
-CONSUMER_IDS = ["defaults", "tracker_100hz", "yaw_7hz", "no_samples"]
+CONSUMER_IDS = ["defaults", "tracker_100hz", "yaw_7hz", "slanted_levers", "no_samples"]
 
 
 def simulate(tmp_path, config):
