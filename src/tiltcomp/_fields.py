@@ -1,6 +1,7 @@
 """Config field rules, each declared with the field's default; the one checker
-that enforces them from ``__post_init__``; and the one finiteness test. Imports
-nothing from the package, so every module can use it."""
+that enforces them from ``__post_init__``; the one finiteness test; and the
+slot setters the bulk fills of value objects use. Imports nothing from the
+package, so every module can use it."""
 
 import math
 from dataclasses import field, fields
@@ -22,6 +23,14 @@ def _vec3(value, name: str) -> np.ndarray:
     if not _finite(*v.tolist()):
         raise ValueError(f"{name} must be finite, got {v}")
     return v
+
+
+def _setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot of the slotted dataclass ``cls``, in
+    field order: ``put(obj, value)`` stores a field of an instance made by
+    ``object.__new__(cls)``, frozen or not, without a call of its ``__init__``.
+    Bound once, at import, by each module that fills objects in bulk."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 def _integer(value) -> bool:

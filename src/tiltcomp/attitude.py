@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _finite, _integer, _ranged, _vec3
+from ._fields import _check_fields, _finite, _integer, _ranged, _setters, _vec3
 
 __all__ = [
     "Attitude",
@@ -66,7 +66,7 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attitude:
     """Z-Y-X Euler angles in radians: roll in (-pi, pi], pitch in [-pi/2, pi/2], yaw in (-pi, pi]."""
 
@@ -75,7 +75,7 @@ class Attitude:
     yaw: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImuSample:
     """One timestamped IMU reading: body-frame accel [m/s^2] and gyro [rad/s].
 
@@ -99,13 +99,17 @@ class ImuSample:
         object.__setattr__(self, "gyro", gyro)
 
 
+_put_timestamp, _put_accel, _put_gyro = _setters(ImuSample)
+
+
 def _imu_sample(timestamp: float, accel: np.ndarray, gyro: np.ndarray) -> ImuSample:
     """An :class:`ImuSample` of a float and two (3,) float arrays the caller has
-    already checked, built without ``__post_init__``'s conversions."""
+    already checked, built without ``__post_init__``'s conversions: each value
+    goes straight into its slot, through the slot setters bound at import."""
     sample = object.__new__(ImuSample)
-    object.__setattr__(sample, "timestamp", timestamp)
-    object.__setattr__(sample, "accel", accel)
-    object.__setattr__(sample, "gyro", gyro)
+    _put_timestamp(sample, timestamp)
+    _put_accel(sample, accel)
+    _put_gyro(sample, gyro)
     return sample
 
 

@@ -185,7 +185,7 @@ def cmd_fuse(args) -> int:
         return _data_error(f"{args.can_out}: {exc}")
     _write_text(args.out, csv)
     if can:
-        _write_lines(args.can_out, can)
+        _write_text(args.can_out, can)
     # Replay drains after each observation, so every drop is from the calibration window.
     note = ""
     for count, fate in (

@@ -34,8 +34,8 @@ CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2). Hex dumps use
 ``<id hex>#<payload hex>`` lines. One counts rule serves
 :func:`encode_can_frames` and the dump writer ``fuse`` uses, which checks
-every count of the fused table, then cuts one hex string into lines,
-building no :class:`CanFrame`.
+every count of the fused table, then writes each block of rows from a table
+of id prefixes and one of hex digit pairs, building no :class:`CanFrame`.
 
 The transform file, like the scenario config, is ``key = value`` text where
 ``#`` starts a comment; a line without ``=``, an unknown or a repeated key is
@@ -487,7 +487,7 @@ def read_truth_csv(path) -> np.ndarray:
     return _read_records(path, _TRUTH) * _TRUTH.radians
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanFrame:
     """One bus frame: 29-bit identifier plus exactly eight payload bytes."""
 
@@ -542,15 +542,39 @@ def encode_can_frames(record: FusedRecord, base_id: int) -> list[CanFrame]:
     return [CanFrame(base_id + k, counts[2 * k : 2 * k + 2].tobytes()) for k in range(_CAN_FRAMES)]
 
 
+# The two uppercase hex digits of each byte value, as one 2-byte word: numpy
+# gathers a word per payload byte far faster than two bytes.
+_HEX_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+_HEX_WORDS = np.column_stack(
+    (_HEX_DIGITS[np.arange(256) >> 4], _HEX_DIGITS[np.arange(256) & 15])
+).view(np.uint16).ravel()
+
+
 def _can_dump_lines(coords: np.ndarray, base_id: int) -> Iterator[str]:
-    """The dump lines of the frames of each row of ``(n, 6)`` coordinates, as
-    :func:`format_can_dump_line` writes those of :func:`encode_can_frames`;
-    every count is checked when called, before the first line is made."""
+    """The text of the dump lines of the frames of each row of ``(n, 6)``
+    coordinates, as :func:`format_can_dump_line` writes those of
+    :func:`encode_can_frames`, one string of ``\\n``-ended lines per
+    :data:`_ROW_BLOCK` rows, so memory stays flat. Every count is checked
+    when called, before the first block is made."""
     _check_base_id(base_id)
-    ids = [f"{base_id + k:08X}#" for k in range(_CAN_FRAMES)]
-    payloads = _counts(coords).tobytes().hex().upper()
-    # A frame's payload is two counts: 8 bytes, 16 hex digits.
-    return (ids[i // 16 % _CAN_FRAMES] + payloads[i : i + 16] for i in range(0, len(payloads), 16))
+    prefixes = "".join(f"{base_id + k:08X}#" for k in range(_CAN_FRAMES)).encode()
+    ids = np.frombuffer(prefixes, dtype=np.uint8).reshape(_CAN_FRAMES, -1)
+    # A frame's payload is two counts: 8 little-endian bytes.
+    payloads = _counts(coords).view(np.uint8).reshape(-1, _CAN_FRAMES, 8)
+    blocks = (payloads[start : start + _ROW_BLOCK] for start in range(0, len(payloads), _ROW_BLOCK))
+    return (_can_text(ids, block) for block in blocks)
+
+
+def _can_text(ids: np.ndarray, payloads: np.ndarray) -> str:
+    """The ``\\n``-ended dump lines of ``(m, 3, 8)`` payload bytes: each frame's
+    id prefix (a row of ``ids``), the hex words of its bytes, a newline."""
+    m, frames, size = payloads.shape
+    width = ids.shape[1]
+    lines = np.empty((m, frames, width + 2 * size + 1), dtype=np.uint8)
+    lines[..., :width] = ids
+    lines[..., width:-1] = _HEX_WORDS[payloads].view(np.uint8)
+    lines[..., -1] = ord("\n")
+    return lines.tobytes().decode("ascii")
 
 
 def decode_can_frames(frames: Sequence[CanFrame]) -> tuple[np.ndarray, np.ndarray]:

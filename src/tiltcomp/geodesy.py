@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _finite, _ranged, _vec3, _vector
+from ._fields import _check_fields, _finite, _ranged, _setters, _vec3, _vector
 
 __all__ = [
     "RtsObservation",
@@ -34,7 +34,7 @@ __all__ = [
 _ORTHO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RtsObservation:
     """One total-station measurement: slant distance [m], horizontal angle and
     zenith angle [rad], at ``timestamp`` seconds."""
@@ -69,18 +69,22 @@ def _check_observations(t, distance, hz, v) -> np.ndarray:
     return columns
 
 
+_put_t, _put_d, _put_hz, _put_v = _setters(RtsObservation)
+
+
 def _observations(t, distance, hz, v) -> list[RtsObservation]:
     """The :class:`RtsObservation` of each row of four float columns, checked
-    by :func:`_check_observations` and then filled directly: the floats are
-    what the dataclass constructor would store."""
-    new, put = object.__new__, object.__setattr__
+    by :func:`_check_observations` and then filled directly, each float into
+    its slot through the slot setters bound at import: the floats are what
+    the dataclass constructor would store."""
+    new = object.__new__
     observations = []
     for ti, di, hzi, vi in zip(*_check_observations(t, distance, hz, v).tolist()):
         obs = new(RtsObservation)
-        put(obs, "timestamp", ti)
-        put(obs, "slant_distance", di)
-        put(obs, "horizontal_angle", hzi)
-        put(obs, "zenith_angle", vi)
+        _put_t(obs, ti)
+        _put_d(obs, di)
+        _put_hz(obs, hzi)
+        _put_v(obs, vi)
         observations.append(obs)
     return observations
 

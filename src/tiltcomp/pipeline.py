@@ -12,9 +12,10 @@ the rotated prism->POI lever (``kinematics._poi``). :func:`polar_to_cartesian`,
 :func:`apply_helmert` and :func:`poi_position` run the same three formulas,
 so :meth:`Pipeline.drain` gives their results bit for bit while building only
 the two coordinate arrays each record holds. It fills each
-:class:`FusedRecord` directly, without its dataclass ``__init__`` and
-``__post_init__``: the kernel's plain floats and two new float64 ``(3,)``
-arrays are already what those would store.
+:class:`FusedRecord` and its :class:`Attitude` directly, slot by slot,
+without their dataclass ``__init__`` and ``__post_init__``: the kernel's
+plain floats and two new float64 ``(3,)`` arrays are already what those
+would store.
 
 Both streams must carry timestamps from one shared clock. The pipeline is a
 single state machine; its filter state is the newest entry of its attitude
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _ranged
+from ._fields import _check_fields, _ranged, _setters
 # filter_step and set_yaw are unused here but stay importable: bench/run.py
 # traces the attitude layer as pipeline.filter_step and pipeline.set_yaw.
 from .attitude import (  # noqa: F401
@@ -66,7 +67,7 @@ from .kinematics import LeverArms, _poi, poi_position, prism_to_poi_body  # noqa
 __all__ = ["FusedRecord", "PipelineConfig", "Pipeline"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusedRecord:
     """One fused output: prism and tilt-corrected POI positions in the
     navigation frame at an observation timestamp, plus the attitude estimate,
@@ -82,6 +83,12 @@ class FusedRecord:
     def __post_init__(self):
         object.__setattr__(self, "prism_nav", np.asarray(self.prism_nav, dtype=float))
         object.__setattr__(self, "poi_nav", np.asarray(self.poi_nav, dtype=float))
+
+
+_put_timestamp, _put_prism, _put_poi, _put_attitude, _put_alpha, _put_imu_timestamp = (
+    _setters(FusedRecord)
+)
+_put_roll, _put_pitch, _put_yaw = _setters(Attitude)
 
 
 @dataclass(frozen=True)
@@ -239,7 +246,7 @@ class Pipeline:
         records = []
         cfg, lever = self._config, self._lever
         helmert = cfg.helmert
-        new, put = object.__new__, object.__setattr__
+        new = object.__new__
         while self._buffer:
             obs = self._buffer.popleft()
             cutoff = obs.timestamp - cfg.rts_latency_s + cfg.pairing_tolerance_s
@@ -252,15 +259,19 @@ class Pipeline:
                 helmert, *_polar(obs.slant_distance, obs.horizontal_angle, obs.zenith_angle)
             )
             poi = _poi(*prism, roll, pitch, yaw, lever)
-            # Filled directly, as the dataclass __init__ would: setting each
-            # attribute keeps the compact per-instance layout that __dict__ would not.
+            # Filled directly, as the dataclass __init__s would: each value
+            # goes into its slot through the setters bound at import.
+            att = new(Attitude)
+            _put_roll(att, roll)
+            _put_pitch(att, pitch)
+            _put_yaw(att, yaw)
             record = new(FusedRecord)
-            put(record, "timestamp", obs.timestamp)
-            put(record, "prism_nav", np.array(prism))
-            put(record, "poi_nav", np.array(poi))
-            put(record, "attitude_used", Attitude(roll, pitch, yaw))
-            put(record, "alpha_used", alpha)
-            put(record, "imu_timestamp_used", self._att_times[idx])
+            _put_timestamp(record, obs.timestamp)
+            _put_prism(record, np.array(prism))
+            _put_poi(record, np.array(poi))
+            _put_attitude(record, att)
+            _put_alpha(record, alpha)
+            _put_imu_timestamp(record, self._att_times[idx])
             records.append(record)
         return records
 

@@ -1344,7 +1344,12 @@ def test_block_can_dump_matches_the_per_record_encoder(n, seed, placed, base_id)
             coords[row % n, col] = value
     records = list(map(coordinate_record, coords))
     expected = reference_dump(records, base_id)
-    assert list(codec._can_dump_lines(coords, base_id)) == expected
+    blocks = list(codec._can_dump_lines(coords, base_id))
+    assert "".join(blocks) == "".join(f"{line}\n" for line in expected)
+    # One string per block of at most _ROW_BLOCK records, none empty.
+    assert [block.count("\n") for block in blocks] == [
+        3 * min(_BLOCK, n - start) for start in range(0, n, _BLOCK)
+    ]
     assert per_record_dump(records, base_id) == expected
 
 
@@ -1435,4 +1440,5 @@ def test_table_writers_match_the_per_record_oracles(tmp_path_factory, n, seed, p
         with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
             codec._can_dump_lines(table[:, 1:7], 0x300)
     else:
-        assert list(codec._can_dump_lines(table[:, 1:7], 0x300)) == dump
+        text = "".join(codec._can_dump_lines(table[:, 1:7], 0x300))
+        assert text == "".join(f"{line}\n" for line in dump)

@@ -1,12 +1,17 @@
 """The package namespace: built from the library modules' ``__all__`` lists."""
 
 import ast
+import copy
 import dataclasses
+import gc
 import importlib.util
 import math
+import pickle
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +33,14 @@ CONFIG_CLASSES = (
     tiltcomp.ScenarioConfig,
     tiltcomp.LeverArms,
     tiltcomp.HelmertParams,
+)
+# One of each value class the library makes per sample or per record.
+VALUE_OBJECTS = (
+    tiltcomp.Attitude(0.1, -0.2, 3.0),
+    tiltcomp.ImuSample(0.01, [0.1, 0.2, 9.8], [1e-3, -2e-3, 3e-3]),
+    tiltcomp.RtsObservation(0.2, 12.5, 0.3, 1.4),
+    tiltcomp.FusedRecord(0.2, [1.0, 2.0, 3.0], [1.0, 2.0, 1.0], tiltcomp.Attitude(), 0.9, 0.19),
+    tiltcomp.CanFrame(0x300, bytes(range(8))),
 )
 
 
@@ -190,6 +203,72 @@ def test_every_config_number_and_vector_declares_its_rule():
                 cls(**{f.name: bad})
             checked.append(cls)
     assert set(checked) == set(CONFIG_CLASSES)
+
+
+def same_value(a, b) -> bool:
+    """Whether ``a`` and ``b`` are of one type and hold the same values: arrays
+    of one dtype, shape and bytes, and dataclasses field by field."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a):
+        return all(same_value(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return a == b
+
+
+@pytest.mark.parametrize("obj", VALUE_OBJECTS, ids=lambda obj: type(obj).__name__)
+def test_value_objects_are_slotted_and_frozen_and_still_copy(obj):
+    """A value object keeps its fields in slots, with no ``__dict__`` and no
+    weak reference; it stays frozen, and pickle, deepcopy and
+    ``dataclasses.replace`` give an equal object."""
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(TypeError):
+        vars(obj)
+    with pytest.raises(TypeError):
+        weakref.ref(obj)
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+    # A name that is no field has no slot: Python 3.11's frozen __setattr__
+    # raises TypeError for it, later versions FrozenInstanceError.
+    with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
+        obj.note = "not a field"
+    assert same_value(pickle.loads(pickle.dumps(obj)), obj)
+    assert same_value(copy.deepcopy(obj), obj)
+    again = dataclasses.replace(obj)
+    assert again == obj and same_value(again, obj)
+
+
+def held_per_item(make) -> float:
+    """The bytes per item that the list ``make()`` returns holds, by
+    tracemalloc: what deleting the list frees, over its length."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        items = make()
+        gc.collect()
+        count, held = len(items), tracemalloc.get_traced_memory()[0]
+        del items
+        gc.collect()
+        return (held - tracemalloc.get_traced_memory()[0]) / count
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_samples_and_records_stay_compact():
+    """Bytes held per object, with its floats and arrays, pinned a little
+    above today's (~361 B per IMU sample, two row views of the stream's
+    arrays included; ~536 B per record, its Attitude and two (3,) arrays
+    included). Each object's ``__dict__`` cost ~40 B more per sample and
+    ~90 B more per record."""
+    sample_bytes = held_per_item(lambda: tiltcomp.generate_scenario(
+        tiltcomp.ScenarioConfig(duration_s=30.0))[0])
+    assert sample_bytes < 372
+    imu, rts, _ = tiltcomp.generate_scenario(
+        tiltcomp.ScenarioConfig(duration_s=30.0, rts_rate_hz=100.0))
+    assert held_per_item(lambda: tiltcomp.Pipeline().replay(imu, rts)) < 552
 
 
 def _package_imports(path: Path) -> set[str]:

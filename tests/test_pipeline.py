@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -629,6 +630,12 @@ def test_drain_accepts_a_finite_prism_whose_coordinate_sum_overflows():
     assert float_bits(record.prism_nav) == float_bits(polar_to_cartesian(obs))
 
 
+def field_values(obj):
+    """``name -> value`` of each field of the dataclass ``obj``, in declaration
+    order; a slot left unfilled raises AttributeError."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def test_drain_records_equal_those_the_dataclass_constructor_builds():
     """drain builds its records without FusedRecord's and Attitude's __init__:
     each holds what the constructor would store, field by field, with arrays
@@ -645,16 +652,17 @@ def test_drain_records_equal_those_the_dataclass_constructor_builds():
             alpha_used=record.alpha_used,
             imu_timestamp_used=record.imu_timestamp_used,
         )
-        assert list(vars(record)) == list(vars(built))
+        assert not hasattr(record, "__dict__") and not hasattr(att, "__dict__")
+        assert list(field_values(record)) == list(field_values(built))
         assert same_records(record, built) and repr(record) == repr(built)
-        assert type(att) is Attitude and vars(att) == vars(built.attitude_used)
+        assert type(att) is Attitude and field_values(att) == field_values(built.attitude_used)
         for name in ("prism_nav", "poi_nav"):
             array = getattr(record, name)
             assert type(array) is np.ndarray and array.dtype == np.float64
             assert array.shape == (3,) and array.flags.owndata
         for name in ("timestamp", "alpha_used", "imu_timestamp_used"):
             assert type(getattr(record, name)) is float
-        assert all(type(v) is float for v in vars(att).values())
+        assert all(type(v) is float for v in field_values(att).values())
     arrays = [a for r in records for a in (r.prism_nav, r.poi_nav)]
     assert len({id(a) for a in arrays}) == len(arrays)
     assert not any(

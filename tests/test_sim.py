@@ -504,10 +504,12 @@ def constructed(cfg):
 
 
 def assert_same_fields(made, built):
-    """Field by field: float64 (3,) arrays and Python floats of the same bits."""
-    assert type(made) is type(built) and list(vars(made)) == list(vars(built))
-    for name, value in vars(built).items():
-        got = getattr(made, name)
+    """Field by field, in declaration order, each slot filled: float64 (3,)
+    arrays and Python floats of the same bits."""
+    assert type(made) is type(built) and not hasattr(made, "__dict__")
+    for f in dataclasses.fields(built):
+        name, value = f.name, getattr(built, f.name)
+        got = getattr(made, name)  # AttributeError for a slot left unfilled
         if isinstance(value, np.ndarray):
             assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (3,)
             assert got.tobytes() == value.tobytes(), name
