@@ -140,6 +140,7 @@ class FilterState:
     ``last_alpha`` is diagnostic: the blend weight used on the most recent step
     (0.0 right after seeding, where the accelerometer fully determines the pose).
     ``gyro_bias`` must be a finite 3-vector; it is stored as a (3,) float array.
+    The attitude's angles, and ``last_timestamp`` unless None, must be finite.
     """
 
     attitude: Attitude = Attitude()
@@ -148,6 +149,9 @@ class FilterState:
     last_alpha: float = 0.0
 
     def __post_init__(self):
+        att, t = self.attitude, self.last_timestamp
+        if not _finite(att.roll, att.pitch, att.yaw, 0.0 if t is None else t):
+            raise ValueError(f"attitude angles and last_timestamp must be finite, got {att}, {t}")
         object.__setattr__(self, "gyro_bias", _vec3(self.gyro_bias, "gyro_bias"))
 
 

@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 data error (an input that cannot be
 read or is malformed or inconsistent, or an output that cannot be written).
 Files are read and written by :mod:`tiltcomp.codec`. All randomness comes from
 the scenario config's ``seed`` key, so every run is reproducible from its inputs.
+
+Both commands' configs are built by one rule from a flat field-name map:
+``simulate``'s keys and each ``fuse`` config option's ``dest`` are field names,
+and a key or option left out is absent, so its field keeps its default.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .attitude import FilterConfig
 # encode_can_frames, format_can_dump_line, parse_imu_line, parse_rts_line,
 # write_fused_csv, write_imu_line and write_rts_line are unused here (fuse and
 # simulate read and write whole tables) but bench/run.py traces them by name.
@@ -54,11 +57,11 @@ from .codec import (  # noqa: F401
     write_truth_csv,
 )
 from .evaluate import STATS_CSV_HEADER, _check_label, compute_stats, render_report, stats_csv_row
-from .geodesy import HelmertParams, apply_helmert, fit_helmert
+from .geodesy import apply_helmert, fit_helmert
 from .kinematics import LeverArms
 from .pipeline import Pipeline, PipelineConfig
 # generate_scenario is unused here too; bench/run.py traces the simulator by it.
-from .sim import NoiseSpec, ScenarioConfig, _scenario, generate_scenario  # noqa: F401
+from .sim import ScenarioConfig, _scenario, generate_scenario  # noqa: F401
 
 __all__ = ["main", "parse_scenario_config", "ConfigError"]
 
@@ -74,51 +77,61 @@ def _parse_triple(text: str) -> np.ndarray:
     return np.array([float(p) for p in parts])
 
 
-def _format_triple(vector) -> str:
-    return ",".join(str(float(v)) for v in vector)
+# The text parser of a config field, picked by the type of its default.
+_PARSERS: dict[type, Callable[[str], object]] = {float: float, int: int, np.ndarray: _parse_triple}
 
 
-def _config_keys() -> dict[str, tuple[type, Callable[[str], object]]]:
-    """Config key -> (owning dataclass, value parser) for each config field whose
-    default is a float, an int or an array. The type of the default picks the
-    parser; object-valued fields (``noise``, ``lever_arms``) are not keys."""
-    parsers = {float: float, int: int, np.ndarray: _parse_triple}
+# A field whose default_factory is a config class holds a config (such as
+# ScenarioConfig.noise or PipelineConfig.filter_config); both walks descend into it.
+def _config_keys(cls) -> dict[str, Callable[[str], object]]:
+    """Field name -> text parser of each number, integer and ``x,y,z`` field
+    of config class ``cls`` and of the config classes it holds, depth first."""
     keys = {}
-    for owner in (ScenarioConfig, NoiseSpec, LeverArms):
-        for f in dataclasses.fields(owner):
-            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-            if type(default) in parsers:
-                keys[f.name] = (owner, parsers[type(default)])
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            keys.update(_config_keys(f.default_factory))
+            continue
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if type(default) in _PARSERS:
+            keys[f.name] = _PARSERS[type(default)]
     return keys
 
 
-_CONFIG_KEYS = _config_keys()
+def _build(cls, values: dict):
+    """Config class ``cls`` with each field named in the flat map ``values``
+    set to that value; a config class it holds and ``values`` does not name is
+    built the same way; other fields keep their defaults, other names are ignored."""
+    given = {}
+    for f in dataclasses.fields(cls):
+        if f.name in values:
+            given[f.name] = values[f.name]
+        elif dataclasses.is_dataclass(f.default_factory):
+            given[f.name] = _build(f.default_factory, values)
+    return cls(**given)
+
+
+_CONFIG_KEYS = _config_keys(ScenarioConfig)
 
 
 def parse_scenario_config(text: str) -> ScenarioConfig:
     """Build a scenario from ``key = value`` lines (# comments allowed).
 
-    Keys are the number, integer and ``x,y,z`` fields of
-    :class:`ScenarioConfig`, :class:`NoiseSpec` and :class:`LeverArms`;
-    unknown keys are rejected. Omitted keys keep their defaults.
+    Keys are the number, integer and ``x,y,z`` fields of :class:`ScenarioConfig`
+    and of the :class:`NoiseSpec` and :class:`LeverArms` it holds; unknown keys
+    are rejected. Omitted keys keep their defaults.
     """
     try:
         settings = _key_values(text, _CONFIG_KEYS, "config")
     except FormatError as exc:
         raise ConfigError(str(exc)) from exc
-    given: dict[type, dict] = {ScenarioConfig: {}, NoiseSpec: {}, LeverArms: {}}
+    values = {}
     for key, (line_number, value) in settings.items():
-        owner, parse = _CONFIG_KEYS[key]
         try:
-            given[owner][key] = parse(value)
+            values[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {line_number}: config key {key!r}: {exc}") from exc
     try:
-        return ScenarioConfig(
-            noise=NoiseSpec(**given[NoiseSpec]),
-            lever_arms=LeverArms(**given[LeverArms]),
-            **given[ScenarioConfig],
-        )
+        return _build(ScenarioConfig, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -155,24 +168,14 @@ def cmd_fuse(args) -> int:
     if not imu:
         return _data_error(f"{args.imu}: no IMU samples")
 
-    helmert = read_helmert_file(args.helmert) if args.helmert else HelmertParams()
-    config = PipelineConfig(
-        filter_config=FilterConfig(
-            alpha_base=args.alpha_base,
-            delta_a_threshold=args.delta_a_threshold,
-            gravity=args.gravity,
-            bias_calibration_count=args.bias_count,
-        ),
-        lever_arms=LeverArms(
-            imu_to_prism_b=_parse_triple(args.imu_to_prism),
-            imu_to_poi_b=_parse_triple(args.imu_to_poi),
-        ),
-        helmert=helmert,
-        pairing_tolerance_s=args.pairing_tolerance,
-        rts_latency_s=args.rts_latency,
-        hold_yaw=not args.integrate_yaw,
-    )
-    pipeline = Pipeline(config)
+    values = dict(vars(args))
+    if path := values.pop("helmert_file", None):
+        values["helmert"] = read_helmert_file(path)
+    # The lever arms arrive as x,y,z text, parsed here: a malformed one is a data error.
+    for key, parse in _config_keys(LeverArms).items():
+        if key in values:
+            values[key] = parse(values[key])
+    pipeline = Pipeline(_build(PipelineConfig, values))
     pipeline.set_yaw(math.radians(args.initial_yaw_deg))
     records = pipeline.replay(imu, rts)
     del imu, rts  # freed before the table is built: only the records are written
@@ -281,8 +284,8 @@ def _build_parser() -> _ArgumentParser:
         help="generate imu.txt, rts.txt, and truth.csv from a scenario config",
         description=(
             "Generate a pole-pivot scenario. The config is 'key = value' text; "
-            "the keys are the number, integer and x,y,z fields of ScenarioConfig, "
-            "NoiseSpec and LeverArms: " + ", ".join(_CONFIG_KEYS) + "."
+            "the keys are the number, integer and x,y,z fields of ScenarioConfig "
+            "and of the NoiseSpec and LeverArms it holds: " + ", ".join(_CONFIG_KEYS) + "."
         ),
     )
     p_sim.add_argument("--config", required=True, help="scenario config file")
@@ -291,46 +294,43 @@ def _build_parser() -> _ArgumentParser:
 
     p_fuse = sub.add_parser(
         "fuse",
+        argument_default=argparse.SUPPRESS,
         help="replay IMU and RTS streams into a fused CSV (and optional CAN dump)",
         description=(
             "Offline replay: streams are merged by timestamp (IMU first on "
             "ties) and each observation is paired with the newest attitude at "
-            "or before it, plus --pairing-tolerance."
+            "or before it, plus --pairing-tolerance. Each filter, lever-arm and pairing "
+            "option sets the PipelineConfig field its metavar names; left out, that field "
+            "keeps its default."
         ),
     )
     p_fuse.add_argument("--imu", required=True, help="IMU stream file")
     p_fuse.add_argument("--rts", required=True, help="observation stream file")
     p_fuse.add_argument("--out", required=True, help="fused CSV output path")
-    p_fuse.add_argument("--can-out", help="also write a CAN frame hex dump here")
+    p_fuse.add_argument("--can-out", default=None, help="also write a CAN frame hex dump here")
     p_fuse.add_argument(
         "--can-base-id",
         type=lambda s: int(s, 0),
         default=0x300,
         help="base identifier for the three coordinate frames (default 0x300)",
     )
-    p_fuse.add_argument("--helmert", help="transform file from helmert-fit (default identity)")
-    arms = LeverArms()
     p_fuse.add_argument(
-        "--imu-to-prism",
-        default=_format_triple(arms.imu_to_prism_b),
-        help="body lever arm IMU->prism, meters",
+        "--helmert", dest="helmert_file", help="transform file from helmert-fit (default identity)"
     )
     p_fuse.add_argument(
-        "--imu-to-poi",
-        default=_format_triple(arms.imu_to_poi_b),
-        help="body lever arm IMU->POI, meters",
+        "--imu-to-prism", dest="imu_to_prism_b", help="body lever arm IMU->prism, meters"
     )
-    p_fuse.add_argument("--alpha-base", type=float, default=FilterConfig.alpha_base)
-    p_fuse.add_argument("--delta-a-threshold", type=float, default=FilterConfig.delta_a_threshold)
-    p_fuse.add_argument("--gravity", type=float, default=FilterConfig.gravity)
-    p_fuse.add_argument("--bias-count", type=int, default=FilterConfig.bias_calibration_count)
-    p_fuse.add_argument(
-        "--pairing-tolerance", type=float, default=PipelineConfig.pairing_tolerance_s
-    )
-    p_fuse.add_argument("--rts-latency", type=float, default=PipelineConfig.rts_latency_s)
+    p_fuse.add_argument("--imu-to-poi", dest="imu_to_poi_b", help="body lever arm IMU->POI, meters")
+    p_fuse.add_argument("--alpha-base", type=float)
+    p_fuse.add_argument("--delta-a-threshold", type=float)
+    p_fuse.add_argument("--gravity", type=float)
+    p_fuse.add_argument("--bias-count", dest="bias_calibration_count", type=int)
+    p_fuse.add_argument("--pairing-tolerance", dest="pairing_tolerance_s", type=float)
+    p_fuse.add_argument("--rts-latency", dest="rts_latency_s", type=float)
     p_fuse.add_argument(
         "--integrate-yaw",
-        action="store_true",
+        dest="hold_yaw",
+        action="store_false",
         help="let yaw follow the gyro integral instead of holding the initial value",
     )
     p_fuse.add_argument("--initial-yaw-deg", type=float, default=0.0)

@@ -542,14 +542,6 @@ def encode_can_frames(record: FusedRecord, base_id: int) -> list[CanFrame]:
     return [CanFrame(base_id + k, counts[2 * k : 2 * k + 2].tobytes()) for k in range(_CAN_FRAMES)]
 
 
-# The two uppercase hex digits of each byte value, as one 2-byte word: numpy
-# gathers a word per payload byte far faster than two bytes.
-_HEX_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
-_HEX_WORDS = np.column_stack(
-    (_HEX_DIGITS[np.arange(256) >> 4], _HEX_DIGITS[np.arange(256) & 15])
-).view(np.uint16).ravel()
-
-
 def _can_dump_lines(coords: np.ndarray, base_id: int) -> Iterator[str]:
     """The text of the dump lines of the frames of each row of ``(n, 6)``
     coordinates, as :func:`format_can_dump_line` writes those of
@@ -567,12 +559,14 @@ def _can_dump_lines(coords: np.ndarray, base_id: int) -> Iterator[str]:
 
 def _can_text(ids: np.ndarray, payloads: np.ndarray) -> str:
     """The ``\\n``-ended dump lines of ``(m, 3, 8)`` payload bytes: each frame's
-    id prefix (a row of ``ids``), the hex words of its bytes, a newline."""
+    id prefix (a row of ``ids``), its bytes in uppercase hex as
+    :func:`format_can_dump_line` writes them, a newline."""
     m, frames, size = payloads.shape
     width = ids.shape[1]
+    digits = payloads.tobytes().hex().upper().encode()
     lines = np.empty((m, frames, width + 2 * size + 1), dtype=np.uint8)
     lines[..., :width] = ids
-    lines[..., width:-1] = _HEX_WORDS[payloads].view(np.uint8)
+    lines[..., width:-1] = np.frombuffer(digits, dtype=np.uint8).reshape(m, frames, 2 * size)
     lines[..., -1] = ord("\n")
     return lines.tobytes().decode("ascii")
 

@@ -216,8 +216,9 @@ def _scenario(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
 
-    n_imu = int(math.floor(cfg.duration_s * cfg.imu_rate_hz))
-    n_rts = int(math.floor(cfg.duration_s * cfg.rts_rate_hz))
+    # The decimal product's floor: 2.3 s at 100 Hz is 230 samples, not 229.99999999999997.
+    n_imu = math.floor(round(cfg.duration_s * cfg.imu_rate_hz, 9))
+    n_rts = math.floor(round(cfg.duration_s * cfg.rts_rate_hz, 9))
     t_imu = np.arange(n_imu) / cfg.imu_rate_hz
     t_rts = np.arange(n_rts) / cfg.rts_rate_hz
 
@@ -278,11 +279,11 @@ def generate_scenario(
 ) -> tuple[list[ImuSample], list[RtsObservation], np.ndarray]:
     """Synthesize the IMU stream, the observation stream, and ground truth.
 
-    Stream grids are i / rate starting at zero; counts are
-    floor(duration * rate). RNG draw order is fixed: bias direction, gyro
-    noise, accel noise, then range / horizontal-angle / zenith-angle noise.
-    Each sample's accel and gyro are rows of its stream's one ``(n, 3)``
-    array.
+    Stream grids are i / rate starting at zero; counts are floor(duration *
+    rate), the product first rounded to 9 decimals. RNG draw order is fixed:
+    bias direction, gyro noise, accel noise, then range / horizontal-angle /
+    zenith-angle noise. Each sample's accel and gyro are rows of its stream's
+    one ``(n, 3)`` array.
 
     Ground truth is one ``(n, 10)`` float64 table on the IMU grid (which
     contains every observation timestamp when the IMU rate is an integer

@@ -339,6 +339,25 @@ def test_filter_state_rejects_a_gyro_bias_that_is_not_a_finite_3_vector(bias, me
     assert state.gyro_bias.tolist() == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"last_timestamp": math.nan},
+        {"last_timestamp": math.inf},
+        {"last_timestamp": -math.inf},
+        {"attitude": Attitude(math.nan, 0.0, 0.0)},
+        {"attitude": Attitude(0.0, -math.inf, 0.0)},
+        {"attitude": Attitude(0.0, 0.0, math.inf)},
+        {"attitude": Attitude(yaw=math.nan), "last_timestamp": None},
+        {"attitude": Attitude(math.inf, -math.inf, 0.0), "last_timestamp": 1.0},
+    ],
+)
+def test_filter_state_rejects_a_non_finite_attitude_or_timestamp(kwargs):
+    # Stepped, such a state gives NaN angles with no error.
+    with pytest.raises(ValueError, match="attitude angles and last_timestamp must be finite"):
+        FilterState(**kwargs)
+
+
 def test_set_yaw_preserves_roll_and_pitch():
     state = FilterState(
         attitude=Attitude(roll=0.1, pitch=-0.2, yaw=0.5), last_timestamp=3.0

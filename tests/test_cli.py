@@ -3,6 +3,7 @@ import errno
 import hashlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -344,7 +345,8 @@ def assert_same_config(actual, expected):
             np.testing.assert_array_equal(a, b, err_msg=f.name)
 
 
-def test_fuse_flag_defaults_build_the_default_pipeline_config(tmp_path, monkeypatch):
+def fuse_config(tmp_path, monkeypatch, options):
+    """The one config ``fuse`` builds its pipeline from, given ``options``."""
     configs = []
 
     class RecordingPipeline(Pipeline):
@@ -354,9 +356,142 @@ def test_fuse_flag_defaults_build_the_default_pipeline_config(tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "Pipeline", RecordingPipeline)
     imu, rts = write_level_streams(tmp_path)
-    assert main(["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv")]) == 0
+    argv = ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv")]
+    assert main(argv + options) == 0
     assert len(configs) == 1
-    assert_same_config(configs[0], PipelineConfig())
+    return configs[0]
+
+
+def test_fuse_flag_defaults_build_the_default_pipeline_config(tmp_path, monkeypatch):
+    assert_same_config(fuse_config(tmp_path, monkeypatch, []), PipelineConfig())
+
+
+def replaced(config, path, value):
+    """``config`` with the field at the attribute ``path`` set to ``value``."""
+    name, *rest = path
+    inner = replaced(getattr(config, name), rest, value) if rest else value
+    return dataclasses.replace(config, **{name: inner})
+
+
+SITE = HelmertParams(
+    scale=1.5,
+    rotation=Rotation.from_euler("z", 30, degrees=True).as_matrix(),
+    translation=[100.0, -20.0, 3.0],
+)
+
+# Each fuse option that sets a config field: its argv, the field's path and
+# the value the field then holds (None: the site transform file).
+FUSE_FIELD_OPTIONS = {
+    "--alpha-base": (["0.75"], ("filter_config", "alpha_base"), 0.75),
+    "--delta-a-threshold": (["0.5"], ("filter_config", "delta_a_threshold"), 0.5),
+    "--gravity": (["9.81"], ("filter_config", "gravity"), 9.81),
+    "--bias-count": (["12"], ("filter_config", "bias_calibration_count"), 12),
+    "--imu-to-prism": (["0.01,0.02,0.08"], ("lever_arms", "imu_to_prism_b"), [0.01, 0.02, 0.08]),
+    "--imu-to-poi": (["0, 0, -1.5"], ("lever_arms", "imu_to_poi_b"), [0.0, 0.0, -1.5]),
+    "--pairing-tolerance": (["0.05"], ("pairing_tolerance_s",), 0.05),
+    "--rts-latency": (["0.2"], ("rts_latency_s",), 0.2),
+    "--integrate-yaw": ([], ("hold_yaw",), False),
+    "--helmert": (None, ("helmert",), SITE),
+}
+
+
+@pytest.mark.parametrize("option", FUSE_FIELD_OPTIONS)
+def test_each_fuse_option_sets_exactly_its_field(tmp_path, monkeypatch, option):
+    values, path, value = FUSE_FIELD_OPTIONS[option]
+    if values is None:
+        write_helmert_file(SITE, tmp_path / "site.helmert")
+        values = [str(tmp_path / "site.helmert")]
+    config = fuse_config(tmp_path, monkeypatch, [option, *values])
+    expected = replaced(PipelineConfig(), path, value)
+    assert_same_config(config, expected)
+    with pytest.raises(AssertionError):  # the value is not the field's default
+        assert_same_config(config, PipelineConfig())
+
+
+@pytest.mark.parametrize(
+    "option, value, code",
+    [
+        ("--alpha-base", "abc", 1),
+        ("--bias-count", "2.5", 1),
+        ("--imu-to-poi", "1,2", 2),
+        ("--imu-to-prism", "0,0,x", 2),
+        ("--alpha-base", "1.5", 2),
+        ("--bias-count", "0", 2),
+    ],
+)
+def test_a_bad_fuse_option_value_exits_with_its_code(tmp_path, capsys, option, value, code):
+    # A non-finite filter constant (exit 2) is test_fuse_rejects_non_finite_filter_constants.
+    imu, rts = write_level_streams(tmp_path)
+    argv = ["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv"),
+            f"{option}={value}"]
+    if code == 1:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        assert f"{option}: invalid" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "f.csv").exists()
+
+
+def help_text(capsys, command):
+    """The ``--help`` output of ``command``, its whitespace runs made single spaces."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+# Every fuse option and its help text (None: it has none).
+FUSE_HELP = {
+    "--imu": "IMU stream file",
+    "--rts": "observation stream file",
+    "--out": "fused CSV output path",
+    "--can-out": "also write a CAN frame hex dump here",
+    "--can-base-id": "base identifier for the three coordinate frames (default 0x300)",
+    "--helmert": "transform file from helmert-fit (default identity)",
+    "--imu-to-prism": "body lever arm IMU->prism, meters",
+    "--imu-to-poi": "body lever arm IMU->POI, meters",
+    "--alpha-base": None,
+    "--delta-a-threshold": None,
+    "--gravity": None,
+    "--bias-count": None,
+    "--pairing-tolerance": None,
+    "--rts-latency": None,
+    "--integrate-yaw": "let yaw follow the gyro integral instead of holding the initial value",
+    "--initial-yaw-deg": None,
+}
+
+
+def test_fuse_help_lists_every_option_with_its_help(capsys):
+    text = help_text(capsys, "fuse")
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == {*FUSE_HELP, "--help"}
+    options = text.split(" options: ", 1)[1]
+    for option, words in FUSE_HELP.items():
+        # Each option is listed once with its metavar, then its help text.
+        listed = re.findall(rf"{option}(?: [A-Z_]+)?(?= |$)", options)
+        assert len(listed) == 1, option
+        if words is not None:
+            assert f"{listed[0]} {words}" in options
+
+
+# The scenario keys in the order simulate --help lists them: a walk over the
+# config fields, depth first, each config class at the field that holds it.
+SIMULATE_HELP_KEYS = [
+    "duration_s", "imu_rate_hz", "rts_rate_hz", "idle_duration_s", "poi_nav",
+    "rts_station", "imu_to_prism_b", "imu_to_poi_b", "roll_amplitude_deg",
+    "roll_frequency_hz", "roll_phase_rad", "pitch_amplitude_deg",
+    "pitch_frequency_hz", "pitch_phase_rad", "yaw_deg", "yaw_rate_deg_s",
+    "gravity", "gyro_noise_density_deg", "gyro_bias_deg_per_h", "accel_sigma",
+    "rts_range_sigma_m", "rts_angle_sigma_rad", "seed",
+]
+
+
+def test_simulate_help_lists_every_config_key(capsys):
+    text = help_text(capsys, "simulate")
+    assert sorted(SIMULATE_HELP_KEYS) == sorted(ALL_CONFIG_KEYS)
+    assert ": " + ", ".join(SIMULATE_HELP_KEYS) + ". " in text
 
 
 def test_fuse_pairs_on_the_grid(tmp_path, capsys):

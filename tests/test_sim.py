@@ -83,6 +83,27 @@ def test_sample_counts_follow_rates():
     assert len(rts) == 4
 
 
+@pytest.mark.parametrize(
+    "duration_s, imu_rate_hz, rts_rate_hz, n_imu, n_rts",
+    [
+        (2.3, 100.0, 5.0, 230, 11),  # 2.3 * 100 is 229.99999999999997
+        (4.35, 100.0, 20.0, 435, 87),  # 4.35 * 100 is 434.99999999999994
+        (2.18, 100.0, 5.0, 218, 10),  # 2.18 * 100 is 218.00000000000003
+        (2.3, 100.0, 5.1, 230, 11),  # 11.73 samples of the tracker: floored
+    ],
+)
+def test_sample_counts_floor_the_decimal_product(
+    duration_s, imu_rate_hz, rts_rate_hz, n_imu, n_rts
+):
+    cfg = quiet(
+        duration_s=duration_s, imu_rate_hz=imu_rate_hz, rts_rate_hz=rts_rate_hz,
+        idle_duration_s=0.5,
+    )
+    imu, rts, truth = generate_scenario(cfg)
+    assert (len(imu), len(rts), len(truth)) == (n_imu, n_rts, n_imu)
+    assert imu[-1].timestamp == (n_imu - 1) / imu_rate_hz
+
+
 def test_streams_start_at_zero_on_exact_grids():
     imu, rts, truth = generate_scenario(quiet())
     assert imu[0].timestamp == 0.0
