@@ -56,6 +56,8 @@ from .codec import (  # noqa: F401
     write_rts_line,
     write_truth_csv,
 )
+from ._fields import _rule
+from .attitude import FilterConfig
 from .evaluate import STATS_CSV_HEADER, _check_label, compute_stats, render_report, stats_csv_row
 from .geodesy import apply_helmert, fit_helmert
 from .kinematics import LeverArms
@@ -321,19 +323,29 @@ def _build_parser() -> _ArgumentParser:
         "--imu-to-prism", dest="imu_to_prism_b", help="body lever arm IMU->prism, meters"
     )
     p_fuse.add_argument("--imu-to-poi", dest="imu_to_poi_b", help="body lever arm IMU->POI, meters")
-    p_fuse.add_argument("--alpha-base", type=float)
-    p_fuse.add_argument("--delta-a-threshold", type=float)
-    p_fuse.add_argument("--gravity", type=float)
-    p_fuse.add_argument("--bias-count", dest="bias_calibration_count", type=int)
-    p_fuse.add_argument("--pairing-tolerance", dest="pairing_tolerance_s", type=float)
-    p_fuse.add_argument("--rts-latency", dest="rts_latency_s", type=float)
+    # Number fields of PipelineConfig and its FilterConfig: each option's help
+    # is what the field holds and its unit, then its declared rule and default.
+    fields = {f.name: f for c in (FilterConfig, PipelineConfig) for f in dataclasses.fields(c)}
+    for option, name, words in (
+        ("--alpha-base", "alpha_base", "steady-state gyro weight, unitless"),
+        ("--delta-a-threshold", "delta_a_threshold", "accel-norm error at full gyro weight, m/s^2"),
+        ("--gravity", "gravity", "local gravity magnitude, m/s^2"),
+        ("--bias-count", "bias_calibration_count", "idle samples averaged for the gyro bias"),
+        ("--pairing-tolerance", "pairing_tolerance_s", "pairing slack past an observation, s"),
+        ("--rts-latency", "rts_latency_s", "age of observation timestamps on the IMU clock, s"),
+    ):
+        f = fields[name]
+        rule = f"{_rule(*f.metadata['range'][:3])} (default {f.default:g})"
+        p_fuse.add_argument(option, dest=name, type=type(f.default), help=f"{words}; {rule}")
     p_fuse.add_argument(
         "--integrate-yaw",
         dest="hold_yaw",
         action="store_false",
         help="let yaw follow the gyro integral instead of holding the initial value",
     )
-    p_fuse.add_argument("--initial-yaw-deg", type=float, default=0.0)
+    p_fuse.add_argument(
+        "--initial-yaw-deg", type=float, default=0.0, help="start yaw, degrees; finite (default 0)"
+    )
     p_fuse.set_defaults(func=cmd_fuse)
 
     p_fit = sub.add_parser(

@@ -15,15 +15,14 @@ Every run starts with an idle segment (zero rates, level pose) long enough
 for downstream gyro-bias calibration. All randomness flows from the seed, so
 identical configs produce bit-identical streams.
 
-One function, ``_motion``, gives the Euler angles and their rates at any
-times; one, ``_place``, places a body point (IMU or prism) from the fixed
-POI, its body lever and a stack of rotations. The IMU grid's rotations are
-built once and serve the gyro, the specific force, the truth prism and the
-stencil's central points. Kinematic accelerations difference the analytic
-IMU position with step 1e-4 s through one second-difference stencil, central
-or forward by sample: forward just after the idle/motion boundary, central
-elsewhere, and exact zeros during idle (the rate profile has a kink at motion
-start that a crossing stencil would smear into a spurious spike).
+One function, ``_motion``, gives the Euler angles, their rates and their
+accelerations at any times; one, ``_place``, places a body point (IMU or
+prism) from the fixed POI, its body lever and a stack of rotations. The
+specific force is the rigid body's in closed form: body-frame gravity
+``g * (-sin(pitch), cos(pitch) sin(roll), cos(pitch) cos(roll))`` minus the
+lever swing ``dw x l + w x (w x l)`` of the IMU about the POI, where ``w`` is
+the body rate, ``dw`` its derivative and ``l`` the IMU-to-POI lever. It is
+exact at every sample, the first moving one too; the swing is zero during idle.
 
 Every stream number has one source, ``_scenario``, which returns each stream
 as arrays and checks the observations' rules over whole columns. It has two
@@ -52,8 +51,6 @@ __all__ = [
     "ScenarioConfig",
     "generate_scenario",
 ]
-
-_DIFF_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -136,8 +133,8 @@ def _wrap_array(angles: np.ndarray) -> np.ndarray:
 
 
 def _motion(cfg: ScenarioConfig, t: np.ndarray):
-    """True (roll, pitch, yaw) [rad] and their rates [rad/s] at each time;
-    level and still during idle."""
+    """True (roll, pitch, yaw) [rad], their rates [rad/s] and their
+    accelerations [rad/s^2] at each time; level and still during idle."""
     tau = np.asarray(t, dtype=float) - cfg.idle_duration_s
     active = tau >= 0.0
     tau_m = np.where(active, tau, 0.0)
@@ -146,18 +143,18 @@ def _motion(cfg: ScenarioConfig, t: np.ndarray):
         amp = math.radians(amp_deg)
         w = 2.0 * math.pi * freq
         arg = w * tau_m + phase
+        sin_arg = np.sin(arg)
         return (
-            np.where(active, amp * (np.sin(arg) - math.sin(phase)), 0.0),
+            np.where(active, amp * (sin_arg - math.sin(phase)), 0.0),
             np.where(active, amp * w * np.cos(arg), 0.0),
+            np.where(active, -amp * w * w * sin_arg, 0.0),
         )
 
-    roll, roll_rate = sinusoid(cfg.roll_amplitude_deg, cfg.roll_frequency_hz, cfg.roll_phase_rad)
-    pitch, pitch_rate = sinusoid(
-        cfg.pitch_amplitude_deg, cfg.pitch_frequency_hz, cfg.pitch_phase_rad
-    )
+    roll = sinusoid(cfg.roll_amplitude_deg, cfg.roll_frequency_hz, cfg.roll_phase_rad)
+    pitch = sinusoid(cfg.pitch_amplitude_deg, cfg.pitch_frequency_hz, cfg.pitch_phase_rad)
     yaw_rate = np.where(active, math.radians(cfg.yaw_rate_deg_s), 0.0)
     yaw = _wrap_array(math.radians(cfg.yaw_deg) + yaw_rate * tau_m)
-    return (roll, pitch, yaw), (roll_rate, pitch_rate, yaw_rate)
+    return tuple(zip(roll, pitch, (yaw, yaw_rate, np.zeros_like(yaw))))
 
 
 def _rotations(rows) -> np.ndarray:
@@ -176,34 +173,11 @@ def _place(cfg: ScenarioConfig, rot: np.ndarray, lever_b: np.ndarray) -> np.ndar
 
 def _points(cfg: ScenarioConfig, t: np.ndarray, lever_b: np.ndarray) -> np.ndarray:
     """:func:`_place` of the body point at each time."""
-    (roll, pitch, yaw), _ = _motion(cfg, t)
+    roll, pitch, yaw = _motion(cfg, t)[0]
     rows = _zyx_rows(
         np.cos(roll), np.sin(roll), np.cos(pitch), np.sin(pitch), np.cos(yaw), np.sin(yaw)
     )
     return _place(cfg, _rotations(rows), lever_b)
-
-
-def _kinematic_accels(cfg: ScenarioConfig, t: np.ndarray, rot: np.ndarray) -> np.ndarray:
-    """Second derivative of the IMU position at each time, shape (n, 3);
-    ``rot`` is the rotation stack at the times, which places the central
-    stencil's middle points."""
-    h = _DIFF_STEP
-    lever = cfg.lever_arms.imu_to_poi_b
-    moving = t >= cfg.idle_duration_s
-    tm = t[moving]
-    central = tm >= cfg.idle_duration_s + h
-    lo = np.where(central, tm - h, tm)
-    hi = np.where(central, tm + h, tm + 2.0 * h)
-    # (lo - 2 mid + hi) / h^2, summed in that order in one buffer: -2 mid + lo
-    # is lo - 2 mid, bit for bit.
-    stencil = _place(cfg, rot, lever)[moving]
-    stencil[~central] = _points(cfg, tm[~central] + h, lever)
-    stencil *= -2.0
-    stencil += _points(cfg, lo, lever)
-    stencil += _points(cfg, hi, lever)
-    accel = np.zeros(t.shape + (3,))
-    accel[moving] = stencil / (h * h)
-    return accel
 
 
 def _scenario(cfg: ScenarioConfig):
@@ -233,21 +207,32 @@ def _scenario(cfg: ScenarioConfig):
     hz_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
     v_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
 
-    # One rotation per IMU-grid time serves the gyro, the specific force, the
-    # stencil's central points and the truth prism.
-    (roll, pitch, yaw), (roll_rate, pitch_rate, yaw_rate) = _motion(cfg, t_imu)
+    # One rotation per IMU-grid time serves the specific force and the truth prism.
+    (roll, pitch, yaw), rates, (roll_acc, pitch_acc, _) = _motion(cfg, t_imu)
     sr, cr = np.sin(roll), np.cos(roll)
     sp, cp = np.sin(pitch), np.cos(pitch)
     rot = _rotations(_zyx_rows(cr, sr, cp, sp, np.cos(yaw), np.sin(yaw)))
 
-    body_p = roll_rate - yaw_rate * sp
-    body_q = pitch_rate * cr + yaw_rate * cp * sr
-    body_r = -pitch_rate * sr + yaw_rate * cp * cr
-    gyro = np.column_stack([body_p, body_q, body_r]) + bias + gyro_noise
+    roll_rate, pitch_rate, yaw_rate = rates
+    p = roll_rate - yaw_rate * sp
+    q = pitch_rate * cr + yaw_rate * cp * sr
+    r = -pitch_rate * sr + yaw_rate * cp * cr
+    omega = np.column_stack([p, q, r])
+    gyro = omega + bias + gyro_noise
 
-    accel_nav = _kinematic_accels(cfg, t_imu, rot)
-    accel_nav[:, 2] += cfg.gravity
-    specific_force = np.einsum("nji,nj->ni", rot, accel_nav) + accel_noise
+    # The body rates' derivative by the chain rule; yaw's acceleration is 0.
+    turn = yaw_rate * pitch_rate
+    p_dot = roll_acc - turn * cp
+    q_dot = pitch_acc * cr - turn * sp * sr + roll_rate * r
+    r_dot = -pitch_acc * sr - turn * sp * cr - roll_rate * q
+
+    # The IMU sits at poi - R l, so its acceleration is -R (dw x l + w x (w x l)).
+    # Gravity in the body frame is g times R's last row; the + 0.0 keeps a
+    # level row's x, g * -0.0, at 0.0 whatever the sign of a zero noise draw.
+    imu_lever = cfg.lever_arms.imu_to_poi_b
+    swing = np.cross(np.column_stack([p_dot, q_dot, r_dot]), imu_lever)
+    swing += np.cross(omega, np.cross(omega, imu_lever))
+    specific_force = (cfg.gravity * rot[:, 2] + 0.0) - swing + accel_noise
 
     lever = prism_to_poi_body(cfg.lever_arms)
     prism = _place(cfg, rot, lever)

@@ -443,7 +443,7 @@ def help_text(capsys, command):
     return " ".join(capsys.readouterr().out.split())
 
 
-# Every fuse option and its help text (None: it has none).
+# Every fuse option and its help text.
 FUSE_HELP = {
     "--imu": "IMU stream file",
     "--rts": "observation stream file",
@@ -453,14 +453,16 @@ FUSE_HELP = {
     "--helmert": "transform file from helmert-fit (default identity)",
     "--imu-to-prism": "body lever arm IMU->prism, meters",
     "--imu-to-poi": "body lever arm IMU->POI, meters",
-    "--alpha-base": None,
-    "--delta-a-threshold": None,
-    "--gravity": None,
-    "--bias-count": None,
-    "--pairing-tolerance": None,
-    "--rts-latency": None,
+    "--alpha-base": "steady-state gyro weight, unitless; in [0, 1] (default 0.9)",
+    "--delta-a-threshold": "accel-norm error at full gyro weight, m/s^2; positive (default 1)",
+    "--gravity": "local gravity magnitude, m/s^2; positive (default 9.80665)",
+    "--bias-count": "idle samples averaged for the gyro bias; finite and >= 1 (default 1000)",
+    "--pairing-tolerance": "pairing slack past an observation, s; finite and >= 0 (default 0)",
+    "--rts-latency": (
+        "age of observation timestamps on the IMU clock, s; finite and >= 0 (default 0)"
+    ),
     "--integrate-yaw": "let yaw follow the gyro integral instead of holding the initial value",
-    "--initial-yaw-deg": None,
+    "--initial-yaw-deg": "start yaw, degrees; finite (default 0)",
 }
 
 
@@ -472,8 +474,7 @@ def test_fuse_help_lists_every_option_with_its_help(capsys):
         # Each option is listed once with its metavar, then its help text.
         listed = re.findall(rf"{option}(?: [A-Z_]+)?(?= |$)", options)
         assert len(listed) == 1, option
-        if words is not None:
-            assert f"{listed[0]} {words}" in options
+        assert f"{listed[0]} {words}" in options
 
 
 # The scenario keys in the order simulate --help lists them: a walk over the
@@ -678,10 +679,10 @@ DENSE_CONFIG = (
     "duration_s = 25\nseed = 5\nrts_rate_hz = 100\nroll_amplitude_deg = 20\n"
     "roll_frequency_hz = 0.3\npitch_amplitude_deg = 20\npitch_frequency_hz = 0.24\n"
 )
-PINNED_FUSE_OUTPUT = (
-    "39dc93eba6609f4917d09b90fb255963aa74cfe14e5c8de9fdf6a3fea4aa5cd2",
-    "9179b71aac420c8d345fbf0a55073762e9f66647393230ed648bd69c08f5bf68",
-)
+PINNED_FUSE_OUTPUT = {
+    "fused.csv": "f4f7f775adbb9af21fa2c4187171615c7584f68d24dcc6203c6fd32ba5a0f0fd",
+    "can.txt": "9179b71aac420c8d345fbf0a55073762e9f66647393230ed648bd69c08f5bf68",
+}
 
 
 def test_fuse_output_matches_pinned_fingerprints(tmp_path, capsys):
@@ -693,7 +694,9 @@ def test_fuse_output_matches_pinned_fingerprints(tmp_path, capsys):
          "--out", str(fused), "--can-out", str(dump)]
     ) == 0
     assert "wrote 1501 fused records" in capsys.readouterr().out
-    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (fused, dump))
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (fused, dump)
+    }
     assert digests == PINNED_FUSE_OUTPUT
 
 

@@ -59,7 +59,7 @@ def lever_kinematic_accel(attitude_at, arms, t, *, step=DIFF_STEP, motion_start=
 
 def attitude_at(cfg, t):
     """The scenario's true attitude at time ``t``, between samples too."""
-    (roll, pitch, yaw), _ = _motion(cfg, np.array([t]))
+    roll, pitch, yaw = _motion(cfg, np.array([t]))[0]
     return Attitude(roll=float(roll[0]), pitch=float(pitch[0]), yaw=float(yaw[0]))
 
 
@@ -144,6 +144,20 @@ def test_idle_segment_is_level_even_in_motion_scenarios():
     assert np.array_equal(truth[:100, 1:4], np.zeros((100, 3)))
 
 
+def test_zero_noise_idle_rows_print_unsigned_zeros(tmp_path, capsys):
+    """A level row's x is g * -sin(0) = -0.0 before noise, and a zero-sigma
+    noise draw keeps its normal's sign; every idle zero is still written
+    0.000000, never -0.000000."""
+    zero_noise = "".join(f"{f.name} = 0\n" for f in dataclasses.fields(NoiseSpec))
+    code, out = simulate(tmp_path, "duration_s = 3\nidle_duration_s = 1\n" + zero_noise)
+    assert code == 0
+    idle = (out / "imu.txt").read_text().splitlines()[:100]
+    assert idle == [
+        f"IMU,{i / 100:.6f},0.000000,0.000000,9.806650,0.000000,0.000000,0.000000"
+        for i in range(100)
+    ]
+
+
 def test_motion_follows_offset_sinusoid():
     cfg = quiet()
     assert attitude_at(cfg, 0.5) == Attitude()
@@ -155,7 +169,7 @@ def test_motion_follows_offset_sinusoid():
     assert att.roll == pytest.approx(amp * math.sin(w * 12.5), rel=1e-12)
 
     peak = amp * 2.0  # amplitude plus phase offset can reach double
-    (roll, pitch, _), _ = _motion(quiet(duration_s=300.0), np.linspace(0.0, 200.0, 400))
+    roll, pitch, _ = _motion(quiet(duration_s=300.0), np.linspace(0.0, 200.0, 400))[0]
     assert np.abs(roll).max() <= peak + 1e-12
     assert np.abs(pitch).max() <= peak + 1e-12
 
@@ -208,27 +222,81 @@ def test_gyro_encodes_body_rates_for_euler_motion():
         assert_allclose(imu[i].gyro, expected, atol=1e-7)
 
 
-def test_specific_force_matches_lever_swing_acceleration():
-    cfg = quiet()
+def richardson(estimate, step, orders):
+    """Richardson extrapolation of ``estimate(h)``, whose error series has a
+    term in h**p for each p of ``orders``: each pass over the estimates at
+    step, step/2, step/4, ... cancels the next term."""
+    table = [estimate(step / 2**k) for k in range(len(orders) + 1)]
+    for p in orders:
+        table = [(2**p * fine - coarse) / (2**p - 1) for coarse, fine in zip(table, table[1:])]
+    return table[0]
+
+
+def reference_accel(cfg, t):
+    """The IMU point's acceleration at ``t`` from its positions alone:
+    :func:`lever_kinematic_accel` extrapolated to ~1e-9 m/s^2 from central
+    differences (error terms h^2, h^4), or to ~1e-7 from forward ones (h,
+    h^2, h^3) at the first moving sample, where the motion starts."""
+
+    def differences(step):
+        return lever_kinematic_accel(
+            lambda s: attitude_at(cfg, s), cfg.lever_arms, t,
+            step=step, motion_start=cfg.idle_duration_s,
+        )
+
+    if t == cfg.idle_duration_s:
+        return richardson(differences, 2e-3, (1, 2, 3))
+    return richardson(differences, 4e-3, (2, 4))
+
+
+SLANTED = LeverArms(imu_to_prism_b=(0.05, 0.1, 0.08), imu_to_poi_b=(0.3, -0.2, -0.9))
+TURNING = {"yaw_rate_deg_s": 30.0, "roll_phase_rad": 0.4, "pitch_phase_rad": -0.3}
+SWINGS = {
+    "default": {},
+    "turning": TURNING,
+    "slanted_lever": {"lever_arms": SLANTED},
+    "fast_turning_slanted": {
+        "roll_frequency_hz": 1.0, "pitch_frequency_hz": 1.0, "lever_arms": SLANTED, **TURNING
+    },
+}
+
+
+@pytest.mark.parametrize("kwargs", SWINGS.values(), ids=SWINGS)
+def test_specific_force_matches_lever_swing_acceleration(kwargs):
+    """R @ f - g is the IMU point's acceleration: exactly zero during idle,
+    and within the reference's own error at the first moving sample and
+    after it (a 1e-4 s difference stencil misses by up to 2e-5 and 1e-1)."""
+    cfg = quiet(**kwargs)
     imu, _, truth = generate_scenario(cfg)
-    for i in (150, 237):
+    for i, atol in ((50, 0.0), (100, 1e-6), (101, 2e-8), (150, 2e-8), (237, 2e-8), (299, 2e-8)):
         sample = imu[i]
         r = rotation_b_to_n(Attitude(*truth[i, 1:4]))
         a_nav = r @ sample.accel - np.array([0.0, 0.0, cfg.gravity])
-        expected = lever_kinematic_accel(
-            lambda s: attitude_at(cfg, s),
-            cfg.lever_arms,
-            sample.timestamp,
-            motion_start=cfg.idle_duration_s,
-        )
-        assert_allclose(a_nav, expected, atol=1e-6)
+        assert_allclose(a_nav, reference_accel(cfg, sample.timestamp), rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("kwargs", SWINGS.values(), ids=SWINGS)
+def test_motion_accelerations_are_the_derivative_of_its_rates(kwargs):
+    """_motion's angular accelerations equal a central difference of its own
+    rates while moving, and are exactly zero during idle."""
+    cfg = quiet(**kwargs)
+    h = 4e-6
+    t = np.linspace(cfg.idle_duration_s + 2.0 * h, cfg.duration_s, 41)
+    lo, hi = t - h, t + h
+    rates_lo, rates_hi = _motion(cfg, lo)[1], _motion(cfg, hi)[1]
+    # Divided by the step the rounded times really take.
+    for before, after, accel in zip(rates_lo, rates_hi, _motion(cfg, t)[2], strict=True):
+        assert_allclose(accel, (after - before) / (hi - lo), rtol=0.0, atol=2e-8)
+    idle = np.linspace(0.0, cfg.idle_duration_s, 20, endpoint=False)
+    for accel in _motion(cfg, idle)[2]:
+        assert np.array_equal(accel, np.zeros(20))
 
 
 def test_no_acceleration_glitch_at_motion_onset():
     cfg = quiet()
     imu, _, _ = generate_scenario(cfg)
     deviation = np.array([abs(np.linalg.norm(s.accel) - G) for s in imu])
-    # a stencil crossing the idle/motion kink would blow this up by orders
+    # a swing differenced across the idle/motion kink would blow this up by orders
     assert deviation.max() < 0.05
 
 
@@ -449,30 +517,30 @@ def test_noise_zero_factory():
 # sha256 of simulate's imu.txt, rts.txt and truth.csv. The text, not the float
 # bits, is pinned, so the last bit of the platform's sin cannot move it.
 PINNED_STREAMS = {
-    # defaults: the IMU grid holds the forward-stencil row at t = 10.0 s
-    "duration_s = 30\n": (
-        "be356ccf0207df678a8cf32f8f886e152ecfe602108509cbac80c85974883f26",
-        "d71e65c1248f1a76fe72d005b8116bf55f92e1733ef22088ec3c3100448a19b9",
-        "fe3852982c62b6d90b743d002d80b6f0da41c679972246e6c536bc755b28493d",
-    ),
+    # defaults: the first moving row, t = 10.0 s, is on the IMU grid
+    "duration_s = 30\n": {
+        "imu.txt": "551cc497974435ed6f4c2d69a70f1e5344575675e5f70009cfedc5a087dcf5a7",
+        "rts.txt": "d71e65c1248f1a76fe72d005b8116bf55f92e1733ef22088ec3c3100448a19b9",
+        "truth.csv": "fe3852982c62b6d90b743d002d80b6f0da41c679972246e6c536bc755b28493d",
+    },
     "duration_s = 30\nseed = 5\nrts_rate_hz = 100\nroll_amplitude_deg = 20\n"
-    "roll_frequency_hz = 0.3\npitch_amplitude_deg = 20\npitch_frequency_hz = 0.24\n": (
-        "38b86ed97af73cace26af5ffc0e68cfc6f392954dec2afc6d598f69f0129e9c1",
-        "d5f77edaf346a4e0ef5ae3ced781bc5d0892d29f67c2efce90ec195f517ed39a",
-        "e9ccf6c283bef1a2f8d6a7e68d43aac7fcfcfccae8979b2be2155d2e803d2ef2",
-    ),
+    "roll_frequency_hz = 0.3\npitch_amplitude_deg = 20\npitch_frequency_hz = 0.24\n": {
+        "imu.txt": "9c8704215ed3b33f57e6bf08c0b9ccfdddac5508a46b17e49aee669b6d7e5c6a",
+        "rts.txt": "d5f77edaf346a4e0ef5ae3ced781bc5d0892d29f67c2efce90ec195f517ed39a",
+        "truth.csv": "e9ccf6c283bef1a2f8d6a7e68d43aac7fcfcfccae8979b2be2155d2e803d2ef2",
+    },
     "duration_s = 40\nseed = 9\nyaw_deg = 30\nyaw_rate_deg_s = -7\nroll_phase_rad = 0.4\n"
-    "pitch_phase_rad = -0.3\nrts_rate_hz = 7\n": (
-        "a05a9f2b29094101b942e9013204b2db2ec4ec8975472d67451e0dea79ef5a5b",
-        "de17702ea3c227a331fc244b1631e9f5b69cecf7749edc10fc52ec340ff5a923",
-        "53dd1dc7c486fe09ca42554ffc3ffdaf8ff591935edae06a7a952aa81bdc0b0d",
-    ),
+    "pitch_phase_rad = -0.3\nrts_rate_hz = 7\n": {
+        "imu.txt": "114b811f182966cd764fe5372ce2b0d1929be0d7f86d15c60fcbe6907392bf1c",
+        "rts.txt": "de17702ea3c227a331fc244b1631e9f5b69cecf7749edc10fc52ec340ff5a923",
+        "truth.csv": "53dd1dc7c486fe09ca42554ffc3ffdaf8ff591935edae06a7a952aa81bdc0b0d",
+    },
     # slanted levers: R @ lever sums three non-zero products per row
-    "duration_s = 30\nseed = 3\nimu_to_poi_b = 0.3,-0.2,-0.9\nimu_to_prism_b = 0.05,0.1,0.08\n": (
-        "bc83d4c77b4ed7730bce23ace0f04fccc4ef4d8e30864ccbe93736c32811827d",
-        "1e6ab56cbc4c9071ba8df088c8e5c4ccf108a5e03918775932a93c71466c49e9",
-        "c75bee09819755a43f9350902d2d54b1235ea55becc33a693dcb75f0f9a24a5e",
-    ),
+    "duration_s = 30\nseed = 3\nimu_to_poi_b = 0.3,-0.2,-0.9\nimu_to_prism_b = 0.05,0.1,0.08\n": {
+        "imu.txt": "7ab010988947eb0c981f8f4053f94d0cf48ed6128c9ba22da93e13ba1f52a35c",
+        "rts.txt": "1e6ab56cbc4c9071ba8df088c8e5c4ccf108a5e03918775932a93c71466c49e9",
+        "truth.csv": "c75bee09819755a43f9350902d2d54b1235ea55becc33a693dcb75f0f9a24a5e",
+    },
 }
 
 
@@ -482,10 +550,10 @@ PINNED_STREAMS = {
 def test_streams_match_pinned_fingerprints(tmp_path, capsys, config):
     (tmp_path / "scenario.cfg").write_text(config)
     assert main(["simulate", "--config", str(tmp_path / "scenario.cfg"), "--out-dir", str(tmp_path)]) == 0
-    digests = tuple(
-        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("imu.txt", "rts.txt", "truth.csv")
-    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_STREAMS[config]
+    }
     assert digests == PINNED_STREAMS[config]
 
 
