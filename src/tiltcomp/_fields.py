@@ -1,10 +1,12 @@
 """Config field rules, each declared with the field's default; the one checker
 that enforces them from ``__post_init__``; the one finiteness test; and the
-slot setters the bulk fills of value objects use. Imports nothing from the
-package, so every module can use it."""
+slot setters and the bulk fill that make value objects without their
+constructors. Imports nothing from the package, so every module can use it."""
 
 import math
+from collections import deque
 from dataclasses import field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -29,8 +31,18 @@ def _setters(cls) -> tuple:
     """The ``__set__`` of each field's slot of the slotted dataclass ``cls``, in
     field order: ``put(obj, value)`` stores a field of an instance made by
     ``object.__new__(cls)``, frozen or not, without a call of its ``__init__``.
-    Bound once, at import, by each module that fills objects in bulk."""
+    Bound at import where objects are filled one at a time; :func:`_fill`
+    binds them per call."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+def _fill(cls, *columns) -> list:
+    """An instance of slotted dataclass ``cls`` per row of ``columns`` (one per
+    field, in order), each checked value stored as is, by C loops alone."""
+    objs = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for put, column in zip(_setters(cls), columns, strict=True):
+        deque(map(put, objs, column), maxlen=0)
+    return objs
 
 
 def _integer(value) -> bool:

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _finite, _integer, _ranged, _setters, _vec3
+from ._fields import _check_fields, _finite, _integer, _ranged, _vec3
 
 __all__ = [
     "Attitude",
@@ -97,20 +97,6 @@ class ImuSample:
             )
         object.__setattr__(self, "accel", accel)
         object.__setattr__(self, "gyro", gyro)
-
-
-_put_timestamp, _put_accel, _put_gyro = _setters(ImuSample)
-
-
-def _imu_sample(timestamp: float, accel: np.ndarray, gyro: np.ndarray) -> ImuSample:
-    """An :class:`ImuSample` of a float and two (3,) float arrays the caller has
-    already checked, built without ``__post_init__``'s conversions: each value
-    goes straight into its slot, through the slot setters bound at import."""
-    sample = object.__new__(ImuSample)
-    _put_timestamp(sample, timestamp)
-    _put_accel(sample, accel)
-    _put_gyro(sample, gyro)
-    return sample
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if not math.isfinite(args.initial_yaw_deg):
+        return _data_error(f"--initial-yaw-deg must be finite, got {args.initial_yaw_deg}")
     if args.can_out:
         _check_base_id(args.can_base_id)
     imu = _read_imu(args.imu)
@@ -224,21 +226,23 @@ def cmd_eval(args) -> int:
 
     if args.truth:
         truth = read_truth_csv(args.truth)
-        # A repeated truth timestamp keeps its last row.
-        row_at = {t: i for i, t in enumerate(truth[:, 0].tolist())}
-        joined = [(k, row_at[t]) for k, t in enumerate(fused[:, 0].tolist()) if t in row_at]
-        if not joined:
+        # Fused row k joins the last truth row j of its time, in stable time order.
+        order = np.argsort(truth[:, 0], kind="stable")
+        last = np.searchsorted(truth[order, 0], fused[:, 0], side="right") - 1
+        k = np.flatnonzero(last >= 0)
+        k = k[truth[order[last[k]], 0] == fused[k, 0]]
+        j = order[last[k]]
+        if not len(k):
             return _data_error(
                 f"no fused timestamps found in {args.truth}; streams do not overlap"
             )
-        if skipped := len(fused) - len(joined):
+        if skipped := len(fused) - len(k):
             print(
                 f"warning: {_count(skipped, 'fused record')} without matching truth timestamp",
                 file=sys.stderr,
             )
-        rows = np.array(joined)
-        estimates = fused[rows[:, 0], 4:7]
-        references = truth[rows[:, 1], 7:10]
+        estimates = fused[k, 4:7]
+        references = truth[j, 7:10]
         if np.any(np.ptp(references, axis=0) > 1e-9):
             return _data_error(
                 "truth POI varies over the joined rows; evaluation needs a fixed "

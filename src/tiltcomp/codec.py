@@ -60,8 +60,9 @@ from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .attitude import Attitude, ImuSample, _imu_sample
-from .geodesy import HelmertParams, RtsObservation, _observations
+from ._fields import _fill
+from .attitude import Attitude, ImuSample
+from .geodesy import HelmertParams, RtsObservation, _check_observations
 from .pipeline import FusedRecord
 
 __all__ = [
@@ -291,7 +292,7 @@ def _numbers(line: str, fmt: _Format, line_number: int | None) -> list[float]:
 def parse_imu_line(line: str, line_number: int | None = None) -> ImuSample:
     """Parse one IMU stream line; whitespace around commas is tolerated."""
     t, ax, ay, az, gx, gy, gz = _numbers(line, _IMU, line_number)
-    return _imu_sample(t, np.array((ax, ay, az)), np.array((gx, gy, gz)))
+    return ImuSample(t, (ax, ay, az), (gx, gy, gz))
 
 
 def _read_imu(path) -> list[ImuSample]:
@@ -299,7 +300,7 @@ def _read_imu(path) -> list[ImuSample]:
     line; a sample's accel and gyro are rows of the file's one table."""
 
     def build(table: np.ndarray) -> list[ImuSample]:
-        return list(map(_imu_sample, table[:, 0].tolist(), table[:, 1:4], table[:, 4:7]))
+        return _fill(ImuSample, table[:, 0].tolist(), table[:, 1:4], table[:, 4:7])
 
     return _read_records(path, _IMU, build, parse_imu_line)
 
@@ -322,7 +323,7 @@ def _read_rts(path) -> list[RtsObservation]:
     each line."""
 
     def build(table: np.ndarray) -> list[RtsObservation]:
-        return _observations(*(table * _RTS.radians).T)
+        return _fill(RtsObservation, *_check_observations(*(table * _RTS.radians).T).tolist())
 
     return _read_records(path, _RTS, build, parse_rts_line)
 

@@ -67,14 +67,21 @@ def compute_stats(estimates: Sequence, reference) -> ErrorStats:
     ref = _vec3(reference, "reference")
 
     residuals_mm = (points - ref) * 1000.0
-    rmse3d = float(np.sqrt(np.mean(np.sum(residuals_mm**2, axis=1))))
+    squares = residuals_mm * residuals_mm
+    rmse3d = float(np.sqrt(np.mean(squares[:, 0] + squares[:, 1] + squares[:, 2])))
     # A finite RMSE implies finite estimates; only a non-finite one (which
     # finite estimates can reach by overflow) needs the elementwise test.
     if not math.isfinite(rmse3d) and not np.all(np.isfinite(points)):
         raise ValueError("estimates must be finite")
-    n = residuals_mm.shape[0]
-    mean = residuals_mm.mean(axis=0)
-    std = residuals_mm.std(axis=0, ddof=1) if n > 1 else np.zeros(3)
+    # The sums and divisions of ndarray.mean and ndarray.std(ddof=1), one sum shared.
+    n = len(residuals_mm)
+    mean = residuals_mm.sum(axis=0) / n
+    if n > 1:
+        residuals_mm -= mean
+        residuals_mm *= residuals_mm
+        std = np.sqrt(residuals_mm.sum(axis=0) / (n - 1))
+    else:
+        std = np.zeros(3)
     return ErrorStats(mean_mm=mean, std_mm=std, rmse3d_mm=rmse3d, n=n)
 
 

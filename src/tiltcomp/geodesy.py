@@ -9,8 +9,8 @@ everywhere; wire formats that carry degrees convert at the boundary.
 
 Streams of observations are checked as columns: ``_check_observations``
 applies :class:`RtsObservation`'s rules to every row at once and lets the
-constructor raise for the first row that breaks one, and ``_observations``
-then fills the objects directly. The simulator and the stream reader use them.
+constructor raise for the first row that breaks one; the simulator and the
+stream reader then fill the objects from its columns with ``_fields._fill``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import _check_fields, _finite, _ranged, _setters, _vec3, _vector
+from ._fields import _check_fields, _finite, _ranged, _vec3, _vector
 
 __all__ = [
     "RtsObservation",
@@ -67,26 +67,6 @@ def _check_observations(t, distance, hz, v) -> np.ndarray:
     if bad.any():
         RtsObservation(*columns[:, np.argmax(bad)].tolist())
     return columns
-
-
-_put_t, _put_d, _put_hz, _put_v = _setters(RtsObservation)
-
-
-def _observations(t, distance, hz, v) -> list[RtsObservation]:
-    """The :class:`RtsObservation` of each row of four float columns, checked
-    by :func:`_check_observations` and then filled directly, each float into
-    its slot through the slot setters bound at import: the floats are what
-    the dataclass constructor would store."""
-    new = object.__new__
-    observations = []
-    for ti, di, hzi, vi in zip(*_check_observations(t, distance, hz, v).tolist()):
-        obs = new(RtsObservation)
-        _put_t(obs, ti)
-        _put_d(obs, di)
-        _put_hz(obs, hzi)
-        _put_v(obs, vi)
-        observations.append(obs)
-    return observations
 
 
 @dataclass(frozen=True)

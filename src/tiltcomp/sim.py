@@ -27,11 +27,11 @@ exact at every sample, the first moving one too; the swing is zero during idle.
 Every stream number has one source, ``_scenario``, which returns each stream
 as arrays and checks the observations' rules over whole columns. It has two
 consumers: ``simulate`` formats the arrays straight into its files, and
-:func:`generate_scenario` fills the IMU and observation objects from them
-directly, each holding the same floats and array rows its dataclass
-constructor would. Ground truth is one table in both: an ``(n, 10)`` float64
-array whose columns follow :data:`~tiltcomp.codec.TRUTH_CSV_HEADER`, angles
-in radians.
+:func:`generate_scenario` fills the IMU and observation objects from them in
+one bulk pass per stream (``_fields._fill``), each holding the same floats
+and array rows its dataclass constructor would. Ground truth is one table in
+both: an ``(n, 10)`` float64 array whose columns follow
+:data:`~tiltcomp.codec.TRUTH_CSV_HEADER`, angles in radians.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._fields import _check_fields, _ranged, _vector
-from .attitude import ImuSample, _imu_sample
-from .geodesy import RtsObservation, _check_observations, _observations
+from ._fields import _check_fields, _fill, _ranged, _vector
+from .attitude import ImuSample
+from .geodesy import RtsObservation, _check_observations
 from .kinematics import LeverArms, _zyx_rows, prism_to_poi_body
 
 __all__ = [
@@ -158,9 +158,12 @@ def _motion(cfg: ScenarioConfig, t: np.ndarray):
 
 
 def _rotations(rows) -> np.ndarray:
-    """C-contiguous stack of body-to-navigation matrices, shape (n, 3, 3), from
-    the rows :func:`~tiltcomp.kinematics._zyx_rows` gives of (n,) arrays."""
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    """C-contiguous stack of body-to-navigation matrices, shape (n, 3, 3), filled
+    entry by entry from the rows :func:`~tiltcomp.kinematics._zyx_rows` gives."""
+    rot = np.empty((len(rows[2][2]), 3, 3))
+    for i, j in np.ndindex(3, 3):
+        rot[:, i, j] = rows[i][j]
+    return rot
 
 
 def _place(cfg: ScenarioConfig, rot: np.ndarray, lever_b: np.ndarray) -> np.ndarray:
@@ -182,10 +185,10 @@ def _points(cfg: ScenarioConfig, t: np.ndarray, lever_b: np.ndarray) -> np.ndarr
 
 def _scenario(cfg: ScenarioConfig):
     """The scenario as arrays, one per stream with its columns in wire order:
-    IMU ``(t, accel, gyro)``; observations ``(t, distance, azimuth,
-    zenith)``; ``t`` is ``(n,)`` and accel and gyro ``(n, 3)``. Truth is
-    :func:`generate_scenario`'s table. Grids, draw order and errors are
-    :func:`generate_scenario`'s.
+    IMU ``(t, accel, gyro)``, ``t`` ``(n,)`` and accel and gyro ``(n, 3)``;
+    observations one checked ``(4, n)`` array whose rows are ``(t, distance,
+    azimuth, zenith)``. Truth is :func:`generate_scenario`'s table. Grids,
+    draw order and errors are :func:`generate_scenario`'s.
     """
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
@@ -217,8 +220,9 @@ def _scenario(cfg: ScenarioConfig):
     p = roll_rate - yaw_rate * sp
     q = pitch_rate * cr + yaw_rate * cp * sr
     r = -pitch_rate * sr + yaw_rate * cp * cr
-    omega = np.column_stack([p, q, r])
-    gyro = omega + bias + gyro_noise
+    gyro = np.column_stack((p, q, r))
+    gyro += bias
+    gyro += gyro_noise
 
     # The body rates' derivative by the chain rule; yaw's acceleration is 0.
     turn = yaw_rate * pitch_rate
@@ -227,12 +231,16 @@ def _scenario(cfg: ScenarioConfig):
     r_dot = -pitch_acc * sr - turn * sp * cr - roll_rate * q
 
     # The IMU sits at poi - R l, so its acceleration is -R (dw x l + w x (w x l)).
+    # Each cross product is written out as np.cross computes it, a1*b2 - a2*b1.
     # Gravity in the body frame is g times R's last row; the + 0.0 keeps a
     # level row's x, g * -0.0, at 0.0 whatever the sign of a zero noise draw.
-    imu_lever = cfg.lever_arms.imu_to_poi_b
-    swing = np.cross(np.column_stack([p_dot, q_dot, r_dot]), imu_lever)
-    swing += np.cross(omega, np.cross(omega, imu_lever))
-    specific_force = (cfg.gravity * rot[:, 2] + 0.0) - swing + accel_noise
+    lx, ly, lz = cfg.lever_arms.imu_to_poi_b.tolist()
+    wx, wy, wz = q * lz - r * ly, r * lx - p * lz, p * ly - q * lx
+    specific_force = cfg.gravity * rot[:, 2] + 0.0
+    specific_force[:, 0] -= (q_dot * lz - r_dot * ly) + (q * wz - r * wy)
+    specific_force[:, 1] -= (r_dot * lx - p_dot * lz) + (r * wx - p * wz)
+    specific_force[:, 2] -= (p_dot * ly - q_dot * lx) + (p * wy - q * wx)
+    specific_force += accel_noise
 
     lever = prism_to_poi_body(cfg.lever_arms)
     prism = _place(cfg, rot, lever)
@@ -249,12 +257,11 @@ def _scenario(cfg: ScenarioConfig):
     zenith = np.arctan2(horiz, diff[:, 2]) + v_noise
     azimuth = np.arctan2(diff[:, 1], diff[:, 0]) + hz_noise
     distance = slant + range_noise
-    _check_observations(t_rts, distance, azimuth, zenith)
 
     poi = np.broadcast_to(cfg.poi_nav, prism.shape)
     return (
         (t_imu, specific_force, gyro),
-        (t_rts, distance, azimuth, zenith),
+        _check_observations(t_rts, distance, azimuth, zenith),
         np.column_stack((t_imu, roll, pitch, yaw, prism, poi)),
     )
 
@@ -267,8 +274,8 @@ def generate_scenario(
     Stream grids are i / rate starting at zero; counts are floor(duration *
     rate), the product first rounded to 9 decimals. RNG draw order is fixed:
     bias direction, gyro noise, accel noise, then range / horizontal-angle /
-    zenith-angle noise. Each sample's accel and gyro are rows of its stream's
-    one ``(n, 3)`` array.
+    zenith-angle noise. Both streams are filled in bulk from checked columns;
+    each sample's accel and gyro are rows of its stream's one ``(n, 3)`` array.
 
     Ground truth is one ``(n, 10)`` float64 table on the IMU grid (which
     contains every observation timestamp when the IMU rate is an integer
@@ -283,5 +290,5 @@ def generate_scenario(
     distance below zero or a zenith angle past 0 or pi).
     """
     (t_imu, accel, gyro), rts, truth = _scenario(cfg)
-    imu_stream = list(map(_imu_sample, t_imu.tolist(), accel, gyro))
-    return imu_stream, _observations(*rts), truth
+    imu_stream = _fill(ImuSample, t_imu.tolist(), accel, gyro)
+    return imu_stream, _fill(RtsObservation, *rts.tolist()), truth

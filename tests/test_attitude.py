@@ -551,10 +551,10 @@ def test_flat_kernel_matches_the_helper_chain_bit_for_bit(
     pitch clamp, NaN from overflow, and each rejected sample in the order the
     checks run (non-finite, then out of order, then zero norm). Where a seed
     step returns, its yaw is :func:`wrap_angle`'s."""
-    from tiltcomp.attitude import _imu_sample, _step
+    from tiltcomp.attitude import _step
 
     cfg = FilterConfig(alpha_base=alpha_base, delta_a_threshold=threshold)
-    sample = _imu_sample(t, np.array(accel), np.array(gyro))
+    sample = ImuSample(t, np.array(accel), np.array(gyro))
     args = (*angles, last_timestamp, sample, bias, cfg)
     got = kernel_outcome(_step, *args)
     assert got == kernel_outcome(oracle_step, *args)

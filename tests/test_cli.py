@@ -762,6 +762,17 @@ def test_fuse_rejects_non_finite_filter_constants(tmp_path, capsys, flag, value)
     assert f"must be positive, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fuse_names_a_non_finite_initial_yaw_option(tmp_path, capsys, value):
+    imu, rts = write_level_streams(tmp_path)
+    out = tmp_path / "f.csv"
+    rc = main(["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(out),
+               "--bias-count", "10", f"--initial-yaw-deg={value}"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --initial-yaw-deg must be finite, got {value}\n"
+    assert not out.exists()
+
+
 def _spoil(path):
     """Put a byte that is not UTF-8 at the end of a text file's first line."""
     data = path.read_bytes()
@@ -1256,6 +1267,44 @@ def test_eval_keeps_the_last_row_of_a_repeated_truth_timestamp(
     capsys.readouterr()
     assert run_eval(tmp_path, fused, ["--truth", str(repeated)])[0] == 2
     assert "truth POI varies over the joined rows" in capsys.readouterr().err
+
+
+def test_eval_joins_shuffled_truth_rows_as_the_record_join(tmp_path, capsys, default_noise_run):
+    """The join sorts the truth times, so truth rows in any order join as the
+    row-by-row join does: a repeated time keeps its last row in file order."""
+    fused, truth = default_noise_run
+    lines = truth_lines(truth)
+    order = np.random.default_rng(5).permutation(len(lines))
+    # Every eleventh row gone, so some fused records go unmatched; each
+    # seventh row a second time, before all others and with a moved POI.
+    kept = [k for k in order if k % 11]
+    shuffled = [shifted_poi(lines[k], 0.5) for k in kept if k % 7 == 0]
+    shuffled += [lines[k] for k in kept]
+    path = tmp_path / "shuffled.csv"
+    write_truth_lines(path, shuffled)
+    code, stats = run_eval(tmp_path, fused, ["--truth", str(path)])
+    assert code == 0
+    estimates, reference, skipped = record_join(fused, path)
+    assert skipped > 0
+    err = capsys.readouterr().err
+    assert err == f"warning: {skipped} fused records without matching truth timestamp\n"
+    row = stats_csv_row("run", compute_stats(estimates, reference))
+    assert stats.read_text().splitlines() == [STATS_CSV_HEADER, row]
+
+
+def test_eval_joins_a_negative_zero_truth_time_to_zero(tmp_path, capsys):
+    poi = [1.0, 2.0, 3.0]
+    record = FusedRecord(0.0, np.zeros(3), np.array(poi), Attitude(), 0.9, 0.0)
+    fused = tmp_path / "fused.csv"
+    write_fused_csv([record], fused)
+    truth = tmp_path / "truth.csv"
+    write_truth_lines(truth, ["-0.0,0,0,0,0,0,0,1,2,3"])
+    assert read_truth_csv(truth)[0, 0].hex() == "-0x0.0p+0"
+    code, stats = run_eval(tmp_path, fused, ["--truth", str(truth)])
+    assert code == 0
+    row = stats_csv_row("run", compute_stats([poi], poi))
+    assert stats.read_text().splitlines() == [STATS_CSV_HEADER, row]
+    assert capsys.readouterr().err == ""
 
 
 def test_eval_against_a_fixed_reference_matches_the_records(tmp_path, default_noise_run):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tiltcomp import (
@@ -117,6 +119,37 @@ def test_compute_stats_accepts_finite_estimates_whose_rmse_overflows():
         stats = compute_stats([[1e200, 0.0, 0.0]], np.zeros(3))
     assert math.isinf(stats.rmse3d_mm)
     assert stats.mean_mm[0] == 1e203
+
+
+def numpy_stats(estimates, reference):
+    """(mean, std, rmse) by numpy's own reductions: the formula compute_stats
+    must match bit for bit."""
+    residuals = (np.asarray(estimates, dtype=float) - reference) * 1000.0
+    rmse = float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
+    std = residuals.std(axis=0, ddof=1) if len(residuals) > 1 else np.zeros(3)
+    return residuals.mean(axis=0), std, rmse
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 72_000),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([0.0, 1e-9, 1e-4, 1.0, 1e3, 1e9]),
+    offset=st.floats(-1e6, 1e6),
+)
+@example(n=1, seed=0, spread=1.0, offset=0.0)
+@example(n=2, seed=1, spread=1e-4, offset=5.0)
+@example(n=72_000, seed=2, spread=0.01, offset=-3.0)
+def test_compute_stats_matches_numpy_mean_and_std_bit_for_bit(n, seed, spread, offset):
+    rng = np.random.default_rng(seed)
+    estimates = offset + spread * rng.standard_normal((n, 3))
+    reference = rng.standard_normal(3)
+    stats = compute_stats(estimates, reference)
+    mean, std, rmse = numpy_stats(estimates, reference)
+    assert stats.mean_mm.tobytes() == mean.tobytes()
+    assert stats.std_mm.tobytes() == std.tobytes()
+    assert stats.rmse3d_mm.hex() == rmse.hex()
+    assert stats.n == n
 
 
 def test_error_stats_validation():

@@ -27,6 +27,8 @@ from tiltcomp import (
     write_rts_line,
     write_truth_csv,
 )
+from tiltcomp import codec
+from tiltcomp._fields import _fill
 from tiltcomp.cli import main, parse_scenario_config
 from tiltcomp.sim import _motion, _scenario
 
@@ -627,6 +629,54 @@ def test_generated_objects_equal_those_the_dataclass_constructors_build(config):
     assert np.array_equal(truth[:, 7:10], np.broadcast_to(cfg.poi_nav, (len(imu), 3)))
     rows = truth[:: max(1, len(truth) // 7)]
     assert_allclose(rows[:, 1:4], np.transpose(_motion(cfg, rows[:, 0])[0]), atol=1e-15)
+
+
+def random_columns(n, seed):
+    """Valid columns of ``n`` IMU samples (times, two (n, 3) tables) and of
+    ``n`` observations (four lists of floats)."""
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.001, 0.02, n)).tolist()
+    imu = (t, rng.normal(0.0, 5.0, (n, 3)), rng.normal(0.0, 0.5, (n, 3)))
+    rts = (t, rng.uniform(1.0, 100.0, n).tolist(), rng.uniform(-math.pi, math.pi, n).tolist(),
+           rng.uniform(0.1, 3.0, n).tolist())
+    return imu, rts
+
+
+def assert_constructed(made, cls, rows):
+    """``made`` holds, object by object, what ``cls(*row)`` builds of each row."""
+    assert type(made) is list and len(made) == len(rows)
+    for item, row in zip(made, rows, strict=True):
+        assert_same_fields(item, cls(*row))
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+def test_fill_makes_what_the_dataclass_constructors_make(n):
+    """_fill stores each column's values as they are: the objects equal the
+    constructors', and each sample's arrays are rows of the given tables."""
+    imu, rts = random_columns(n, seed=n)
+    samples = _fill(ImuSample, *imu)
+    assert_constructed(samples, ImuSample, list(zip(*imu)))
+    assert all(s.accel.base is imu[1] and s.gyro.base is imu[2] for s in samples)
+    assert_constructed(_fill(RtsObservation, *rts), RtsObservation, list(zip(*rts)))
+    with pytest.raises(ValueError):
+        _fill(RtsObservation, *rts[:3])
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+def test_bulk_readers_make_what_the_dataclass_constructors_make(tmp_path, n):
+    """_read_imu and _read_rts fill their objects with _fill; each equals the
+    constructor's of its row of the file's table, angles in radians."""
+    imu, rts = random_columns(n, seed=100 + n)
+    imu_path, rts_path = tmp_path / "imu.txt", tmp_path / "rts.txt"
+    imu_path.write_text("".join(write_imu_line(s) + "\n" for s in _fill(ImuSample, *imu)))
+    rts_path.write_text("".join(write_rts_line(o) + "\n" for o in _fill(RtsObservation, *rts)))
+
+    table = codec._read_records(imu_path, codec._IMU)
+    samples = codec._read_imu(imu_path)
+    assert_constructed(samples, ImuSample, [(r[0], r[1:4], r[4:7]) for r in table.tolist()])
+    assert all(s.accel.base is samples[0].accel.base is s.gyro.base for s in samples)
+    table = codec._read_records(rts_path, codec._RTS) * codec._RTS.radians
+    assert_constructed(codec._read_rts(rts_path), RtsObservation, table.tolist())
 
 
 # Messages the parent printed for each fault, pinned.
