@@ -72,7 +72,15 @@ def _check_observations(t, distance, hz, v) -> np.ndarray:
 @dataclass(frozen=True)
 class HelmertParams:
     """Similarity transform nav = scale * rotation @ point + translation; the
-    rotation must be a finite, orthonormal 3x3 matrix with det +1; both are kept read-only."""
+    rotation must be a finite, orthonormal 3x3 matrix with det +1; both are kept read-only.
+
+    The placement kernel maps a point with each rotation row summed left to
+    right on plain floats, ``r0 * x + r1 * y + r2 * z``, not as a BLAS
+    product, so its bits are the same on every CPU. It reads the rows and
+    the translation as float tuples, stored once here as private attributes
+    that are no fields: the public arrays, ``repr`` and equality stay those
+    of the fields.
+    """
 
     scale: float = _ranged(1.0, 0.0, math.inf, above=True)
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
@@ -89,6 +97,8 @@ class HelmertParams:
             raise ValueError("rotation must be proper (det +1), got a reflection")
         rot.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "_rows", tuple(map(tuple, rot.tolist())))
+        object.__setattr__(self, "_shift", tuple(self.translation.tolist()))
 
 
 def _polar(distance: float, hz: float, v: float) -> tuple[float, float, float]:
@@ -100,14 +110,19 @@ def _polar(distance: float, hz: float, v: float) -> tuple[float, float, float]:
 def _helmert(params: HelmertParams, x: float, y: float, z: float) -> tuple[float, float, float]:
     """``s * R @ p + t`` on floats: the placement kernel's second formula.
 
-    ``R @ p`` stays a BLAS product: ``ndarray.dot`` makes the same call as
-    ``@`` and is bit-identical to it, while the three-term sums
-    ``r0 * x + r1 * y + r2 * z`` round differently.
+    Each component of ``R @ p`` is the left-to-right sum ``r0 * x + r1 * y +
+    r2 * z`` of its row, so the bits are fixed on every CPU; they equal those
+    of a BLAS product without fused multiply-add. The sums stay written out:
+    a shared helper would cost a call per record.
     """
-    qx, qy, qz = params.rotation.dot((x, y, z)).tolist()
-    tx, ty, tz = params.translation.tolist()
+    (a, b, c), (d, e, f), (g, h, i) = params._rows
+    tx, ty, tz = params._shift
     s = params.scale
-    return s * qx + tx, s * qy + ty, s * qz + tz
+    return (
+        s * (a * x + b * y + c * z) + tx,
+        s * (d * x + e * y + f * z) + ty,
+        s * (g * x + h * y + i * z) + tz,
+    )
 
 
 def polar_to_cartesian(obs: RtsObservation) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,23 +57,19 @@ def _zyx_rows(cr, sr, cp, sp, cy, sy):
     )
 
 
-def _rotation(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    return np.array(
-        _zyx_rows(
-            math.cos(roll), math.sin(roll),
-            math.cos(pitch), math.sin(pitch),
-            math.cos(yaw), math.sin(yaw),
-        )
-    )
-
-
 def rotation_b_to_n(att: Attitude) -> np.ndarray:
     """Rotation matrix from the body frame to the navigation frame.
 
     Composition order is exactly ``Rz(yaw) @ Ry(pitch) @ Rx(roll)``; the
     returned 3x3 matrix is orthonormal with determinant +1.
     """
-    return _rotation(att.roll, att.pitch, att.yaw)
+    return np.array(
+        _zyx_rows(
+            math.cos(att.roll), math.sin(att.roll),
+            math.cos(att.pitch), math.sin(att.pitch),
+            math.cos(att.yaw), math.sin(att.yaw),
+        )
+    )
 
 
 def prism_to_poi_body(arms: LeverArms) -> np.ndarray:
@@ -81,18 +78,30 @@ def prism_to_poi_body(arms: LeverArms) -> np.ndarray:
 
 
 def _poi(
-    px: float, py: float, pz: float, roll: float, pitch: float, yaw: float, lever: np.ndarray
+    px: float, py: float, pz: float, roll: float, pitch: float, yaw: float,
+    lever: Sequence[float],
 ) -> tuple[float, float, float]:
     """``prism + R_b2n @ lever`` on floats: the placement kernel's last formula.
 
-    ``lever`` is the (3,) prism->POI body lever. The rotation product stays
-    the BLAS ``ndarray.dot``, bit-identical to ``@``. Raises ValueError for a
-    non-finite prism.
+    ``lever`` is the prism->POI body lever as three floats. The rotation's rows
+    come from :func:`_zyx_rows`, and each component of ``R_b2n @ lever`` is
+    the left-to-right sum ``r0 * lx + r1 * ly + r2 * lz`` of its row, so the
+    bits are fixed on every CPU; they equal those of a BLAS product without
+    fused multiply-add. Raises ValueError for a non-finite prism.
     """
     if not _finite(px, py, pz):
         raise ValueError(f"prism_nav must be finite, got {np.array((px, py, pz))}")
-    dx, dy, dz = _rotation(roll, pitch, yaw).dot(lever).tolist()
-    return px + dx, py + dy, pz + dz
+    (a, b, c), (d, e, f), (g, h, i) = _zyx_rows(
+        math.cos(roll), math.sin(roll),
+        math.cos(pitch), math.sin(pitch),
+        math.cos(yaw), math.sin(yaw),
+    )
+    lx, ly, lz = lever
+    return (
+        px + (a * lx + b * ly + c * lz),
+        py + (d * lx + e * ly + f * lz),
+        pz + (g * lx + h * ly + i * lz),
+    )
 
 
 def poi_position(prism_nav, att: Attitude, arms: LeverArms) -> np.ndarray:
@@ -103,4 +112,5 @@ def poi_position(prism_nav, att: Attitude, arms: LeverArms) -> np.ndarray:
     ValueError unless ``prism_nav`` is a finite 3-vector.
     """
     prism = _vec3(prism_nav, "prism_nav").tolist()
-    return np.array(_poi(*prism, att.roll, att.pitch, att.yaw, prism_to_poi_body(arms)))
+    lever = prism_to_poi_body(arms).tolist()
+    return np.array(_poi(*prism, att.roll, att.pitch, att.yaw, lever))

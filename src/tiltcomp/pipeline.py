@@ -8,14 +8,16 @@ optional tolerance for live clocks) and emits tilt-corrected records.
 
 Each paired observation is placed by one scalar kernel on plain floats: polar
 to Cartesian (``geodesy._polar``), the Helmert map (``geodesy._helmert``) and
-the rotated prism->POI lever (``kinematics._poi``). :func:`polar_to_cartesian`,
-:func:`apply_helmert` and :func:`poi_position` run the same three formulas,
-so :meth:`Pipeline.drain` gives their results bit for bit while building only
-the two coordinate arrays each record holds. It fills each
-:class:`FusedRecord` and its :class:`Attitude` directly, slot by slot,
-without their dataclass ``__init__`` and ``__post_init__``: the kernel's
-plain floats and two new float64 ``(3,)`` arrays are already what those
-would store.
+the rotated prism->POI lever (``kinematics._poi``). Each rotated component is
+the left-to-right sum ``r0 * x + r1 * y + r2 * z``, with no array and no BLAS
+call, so a record's prism and POI have the same bits on every CPU.
+:func:`polar_to_cartesian`, :func:`apply_helmert` and :func:`poi_position` run
+the same three formulas, so :meth:`Pipeline.drain` gives their results bit for
+bit while building only the two coordinate arrays each record holds. It
+fills each :class:`FusedRecord` and its :class:`Attitude` directly, slot by
+slot, without their dataclass ``__init__`` and ``__post_init__``: the
+kernel's plain floats and two new float64 ``(3,)`` arrays are already what
+those would store.
 
 Both streams must carry timestamps from one shared clock. The pipeline is a
 single state machine; its filter state is the newest entry of its attitude
@@ -145,7 +147,7 @@ class Pipeline:
     def __init__(self, config: PipelineConfig | None = None):
         self._config = config = config if config is not None else PipelineConfig()
         self._filter_config, self._hold_yaw = config.filter_config, config.hold_yaw
-        self._lever = prism_to_poi_body(config.lever_arms)
+        self._lever = tuple(prism_to_poi_body(config.lever_arms).tolist())
         self._calib_samples: list[ImuSample] = []
         self._bias: tuple[float, float, float] | None = None
         self._yaw = 0.0

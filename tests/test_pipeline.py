@@ -573,6 +573,22 @@ def drain_one(config, obs, roll, pitch, yaw):
     return pipe.drain()
 
 
+def rotated(rows, vector):
+    """``rows @ vector`` in the placement kernel's order: each component the
+    left-to-right sum ``r0 * v0 + r1 * v1 + r2 * v2`` on Python floats."""
+    v0, v1, v2 = vector
+    return [r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in rows]
+
+
+def assert_near_matmul(rows, vector, got):
+    """Each component of ``got`` lies within 4 ulp of ``sum |r_i * v_i|`` of
+    numpy's ``rows @ vector``, whose bits depend on the BLAS kernel the CPU
+    selects (a fused multiply-add rounds once, a multiply and an add twice)."""
+    rows, vector = np.array(rows), np.array(vector)
+    bound = 4.0 * np.spacing(np.abs(rows) @ np.abs(vector))
+    assert np.all(np.abs(np.array(got) - rows @ vector) <= bound)
+
+
 ONE_SAMPLE = FilterConfig(bias_calibration_count=1)
 TRIPLE = st.tuples(finite(-2.0, 2.0), finite(-2.0, 2.0), finite(-2.0, 2.0))
 
@@ -595,8 +611,9 @@ def test_drain_places_an_observation_as_the_public_functions_do(
     distance, hz, zenith, roll, pitch, yaw, frame, scale, translation, imu_to_prism, imu_to_poi
 ):
     """drain's float kernel gives the prism and POI of polar_to_cartesian,
-    apply_helmert and poi_position bit for bit, and those of the numpy
-    formulas ``s * R @ p + t`` and ``prism + R_b2n @ lever``."""
+    apply_helmert and poi_position bit for bit, and those of the float
+    formulas ``s * R @ p + t`` and ``prism + R_b2n @ lever`` summed in the
+    kernel's order; each product lies within a few ulp of numpy's ``@``."""
     helmert = HelmertParams(scale, rotation_b_to_n(Attitude(*frame)), np.array(translation))
     arms = LeverArms(np.array(imu_to_prism), np.array(imu_to_poi))
     config = PipelineConfig(filter_config=ONE_SAMPLE, lever_arms=arms, helmert=helmert)
@@ -608,11 +625,22 @@ def test_drain_places_an_observation_as_the_public_functions_do(
     assert float_bits(record.poi_nav) == float_bits(
         poi_position(prism, record.attitude_used, arms)
     )
-    p = polar_to_cartesian(obs)
-    mapped = helmert.scale * (helmert.rotation @ p) + helmert.translation
+    p, frame_rows = polar_to_cartesian(obs).tolist(), helmert.rotation.tolist()
+    q = rotated(frame_rows, p)
+    mapped = [helmert.scale * c + t for c, t in zip(q, helmert.translation.tolist())]
     assert float_bits(prism) == float_bits(mapped)
-    lever = rotation_b_to_n(record.attitude_used) @ prism_to_poi_body(arms)
-    assert float_bits(record.poi_nav) == float_bits(prism + lever)
+    assert_near_matmul(frame_rows, p, q)
+    body_rows = rotation_b_to_n(record.attitude_used).tolist()
+    lever = prism_to_poi_body(arms).tolist()
+    d = rotated(body_rows, lever)
+    assert float_bits(record.poi_nav) == float_bits([a + b for a, b in zip(prism.tolist(), d)])
+    assert_near_matmul(body_rows, lever, d)
+    # A large translation or prism absorbs the last bits of the products;
+    # with neither, the products' own bits show.
+    unmoved = HelmertParams(1.0, helmert.rotation)
+    assert float_bits(apply_helmert(unmoved, p)) == float_bits([c + 0.0 for c in q])
+    origin = poi_position(np.zeros(3), record.attitude_used, arms)
+    assert float_bits(origin) == float_bits([0.0 + c for c in d])
 
 
 def test_drain_rejects_a_prism_that_is_not_finite():
