@@ -25,7 +25,10 @@ the body rate, ``dw`` its derivative and ``l`` the IMU-to-POI lever. It is
 exact at every sample, the first moving one too; the swing is zero during idle.
 
 Every stream number has one source, ``_scenario``, which returns each stream
-as arrays and checks the observations' rules over whole columns. It has two
+as arrays and checks the observations' rules over whole columns. Its working
+set is its outputs plus one block of rows: the noise is drawn first,
+whole-stream and in a fixed order, and becomes the returned streams, into
+which each block of the time grid adds its signal. It has two
 consumers: ``simulate`` formats the arrays straight into its files, and
 :func:`generate_scenario` fills the IMU and observation objects from them in
 one bulk pass per stream (``_fields._fill``), each holding the same floats
@@ -127,6 +130,11 @@ class ScenarioConfig:
             )
 
 
+# Rows of a grid that _scenario computes at a time: its temporaries beyond
+# the returned arrays are a block long. Any size >= 1 gives the same bits.
+_BLOCK = 4096
+
+
 def _wrap_array(angles: np.ndarray) -> np.ndarray:
     wrapped = np.mod(angles + np.pi, 2.0 * np.pi) - np.pi
     return np.where(wrapped <= -np.pi, np.pi, wrapped)
@@ -189,6 +197,14 @@ def _scenario(cfg: ScenarioConfig):
     observations one checked ``(4, n)`` array whose rows are ``(t, distance,
     azimuth, zenith)``. Truth is :func:`generate_scenario`'s table. Grids,
     draw order and errors are :func:`generate_scenario`'s.
+
+    The working set is the outputs plus one block. Every draw comes first,
+    whole-stream and in its fixed order: the IMU noise draws are the accel
+    and gyro arrays returned, and the observation draws fill the rows of the
+    observation table. Then each :data:`_BLOCK` rows of a grid add their
+    signal into their noise in place (``noise + signal`` has the bits of
+    ``signal + noise``) and fill their rows of the truth table, so no
+    per-sample temporary outgrows a block and the block size moves no bit.
     """
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
@@ -196,74 +212,81 @@ def _scenario(cfg: ScenarioConfig):
     # The decimal product's floor: 2.3 s at 100 Hz is 230 samples, not 229.99999999999997.
     n_imu = math.floor(round(cfg.duration_s * cfg.imu_rate_hz, 9))
     n_rts = math.floor(round(cfg.duration_s * cfg.rts_rate_hz, 9))
-    t_imu = np.arange(n_imu) / cfg.imu_rate_hz
-    t_rts = np.arange(n_rts) / cfg.rts_rate_hz
 
     bias_direction = rng.standard_normal(3)
     bias_direction /= np.linalg.norm(bias_direction)
     bias = math.radians(noise.gyro_bias_deg_per_h) / 3600.0 * bias_direction
 
-    gyro_sigma = math.radians(noise.gyro_noise_density_deg) * math.sqrt(cfg.imu_rate_hz)
-    gyro_noise = gyro_sigma * rng.standard_normal((n_imu, 3))
-    accel_noise = noise.accel_sigma * rng.standard_normal((n_imu, 3))
-    range_noise = noise.rts_range_sigma_m * rng.standard_normal(n_rts)
-    hz_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
-    v_noise = noise.rts_angle_sigma_rad * rng.standard_normal(n_rts)
+    gyro = rng.standard_normal((n_imu, 3))
+    gyro *= math.radians(noise.gyro_noise_density_deg) * math.sqrt(cfg.imu_rate_hz)
+    accel = rng.standard_normal((n_imu, 3))
+    accel *= noise.accel_sigma
+    obs = np.empty((4, n_rts))
+    obs[0] = np.arange(n_rts) / cfg.rts_rate_hz
+    angle_sigma = noise.rts_angle_sigma_rad
+    for row, sigma in zip(obs[1:], (noise.rts_range_sigma_m, angle_sigma, angle_sigma)):
+        rng.standard_normal(out=row)
+        row *= sigma
 
-    # One rotation per IMU-grid time serves the specific force and the truth prism.
-    (roll, pitch, yaw), rates, (roll_acc, pitch_acc, _) = _motion(cfg, t_imu)
-    sr, cr = np.sin(roll), np.cos(roll)
-    sp, cp = np.sin(pitch), np.cos(pitch)
-    rot = _rotations(_zyx_rows(cr, sr, cp, sp, np.cos(yaw), np.sin(yaw)))
-
-    roll_rate, pitch_rate, yaw_rate = rates
-    p = roll_rate - yaw_rate * sp
-    q = pitch_rate * cr + yaw_rate * cp * sr
-    r = -pitch_rate * sr + yaw_rate * cp * cr
-    gyro = np.column_stack((p, q, r))
-    gyro += bias
-    gyro += gyro_noise
-
-    # The body rates' derivative by the chain rule; yaw's acceleration is 0.
-    turn = yaw_rate * pitch_rate
-    p_dot = roll_acc - turn * cp
-    q_dot = pitch_acc * cr - turn * sp * sr + roll_rate * r
-    r_dot = -pitch_acc * sr - turn * sp * cr - roll_rate * q
-
-    # The IMU sits at poi - R l, so its acceleration is -R (dw x l + w x (w x l)).
-    # Each cross product is written out as np.cross computes it, a1*b2 - a2*b1.
-    # Gravity in the body frame is g times R's last row; the + 0.0 keeps a
-    # level row's x, g * -0.0, at 0.0 whatever the sign of a zero noise draw.
-    lx, ly, lz = cfg.lever_arms.imu_to_poi_b.tolist()
-    wx, wy, wz = q * lz - r * ly, r * lx - p * lz, p * ly - q * lx
-    specific_force = cfg.gravity * rot[:, 2] + 0.0
-    specific_force[:, 0] -= (q_dot * lz - r_dot * ly) + (q * wz - r * wy)
-    specific_force[:, 1] -= (r_dot * lx - p_dot * lz) + (r * wx - p * wz)
-    specific_force[:, 2] -= (p_dot * ly - q_dot * lx) + (p * wy - q * wx)
-    specific_force += accel_noise
-
+    # Observations first: a faulty scenario raises before the IMU stream is built.
     lever = prism_to_poi_body(cfg.lever_arms)
-    prism = _place(cfg, rot, lever)
+    for start in range(0, n_rts, _BLOCK):
+        t, distance, azimuth, zenith = obs[:, start : start + _BLOCK]
+        diff = _points(cfg, t, lever) - cfg.rts_station
+        horiz = np.hypot(diff[:, 0], diff[:, 1])
+        if np.any(horiz < 1e-9):
+            bad = float(t[np.argmax(horiz < 1e-9)])
+            raise ValueError(
+                f"infeasible geometry at t={bad}: prism on the station's vertical axis, "
+                "zenith angle undefined"
+            )
+        zenith += np.arctan2(horiz, diff[:, 2])
+        azimuth += np.arctan2(diff[:, 1], diff[:, 0])
+        distance += np.linalg.norm(diff, axis=1)
+    rts = _check_observations(*obs)
+    del obs  # rts is a checked copy
 
-    diff = _points(cfg, t_rts, lever) - cfg.rts_station
-    horiz = np.hypot(diff[:, 0], diff[:, 1])
-    slant = np.linalg.norm(diff, axis=1)
-    if np.any(horiz < 1e-9):
-        bad = float(t_rts[np.argmax(horiz < 1e-9)])
-        raise ValueError(
-            f"infeasible geometry at t={bad}: prism on the station's vertical axis, "
-            "zenith angle undefined"
-        )
-    zenith = np.arctan2(horiz, diff[:, 2]) + v_noise
-    azimuth = np.arctan2(diff[:, 1], diff[:, 0]) + hz_noise
-    distance = slant + range_noise
+    t_imu = np.arange(n_imu) / cfg.imu_rate_hz
+    truth = np.empty((n_imu, 10))
+    truth[:, 0] = t_imu
+    truth[:, 7:] = cfg.poi_nav
+    lx, ly, lz = cfg.lever_arms.imu_to_poi_b.tolist()
+    for start in range(0, n_imu, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        # One rotation per IMU-grid time serves the specific force and the truth prism.
+        (roll, pitch, yaw), rates, (roll_acc, pitch_acc, _) = _motion(cfg, t_imu[rows])
+        sr, cr = np.sin(roll), np.cos(roll)
+        sp, cp = np.sin(pitch), np.cos(pitch)
+        rot = _rotations(_zyx_rows(cr, sr, cp, sp, np.cos(yaw), np.sin(yaw)))
 
-    poi = np.broadcast_to(cfg.poi_nav, prism.shape)
-    return (
-        (t_imu, specific_force, gyro),
-        _check_observations(t_rts, distance, azimuth, zenith),
-        np.column_stack((t_imu, roll, pitch, yaw, prism, poi)),
-    )
+        roll_rate, pitch_rate, yaw_rate = rates
+        p = roll_rate - yaw_rate * sp
+        q = pitch_rate * cr + yaw_rate * cp * sr
+        r = -pitch_rate * sr + yaw_rate * cp * cr
+        gyro[rows] += np.column_stack((p, q, r)) + bias
+
+        # The body rates' derivative by the chain rule; yaw's acceleration is 0.
+        turn = yaw_rate * pitch_rate
+        p_dot = roll_acc - turn * cp
+        q_dot = pitch_acc * cr - turn * sp * sr + roll_rate * r
+        r_dot = -pitch_acc * sr - turn * sp * cr - roll_rate * q
+
+        # The IMU sits at poi - R l, so its acceleration is -R (dw x l + w x (w x l)).
+        # Each cross product is written out as np.cross computes it, a1*b2 - a2*b1.
+        # Gravity in the body frame is g times R's last row; the + 0.0 keeps a
+        # level row's x, g * -0.0, at 0.0 whatever the sign of a zero noise draw.
+        wx, wy, wz = q * lz - r * ly, r * lx - p * lz, p * ly - q * lx
+        specific_force = cfg.gravity * rot[:, 2] + 0.0
+        specific_force[:, 0] -= (q_dot * lz - r_dot * ly) + (q * wz - r * wy)
+        specific_force[:, 1] -= (r_dot * lx - p_dot * lz) + (r * wx - p * wz)
+        specific_force[:, 2] -= (p_dot * ly - q_dot * lx) + (p * wy - q * wx)
+        accel[rows] += specific_force
+
+        truth[rows, 1] = roll
+        truth[rows, 2] = pitch
+        truth[rows, 3] = yaw
+        truth[rows, 4:7] = _place(cfg, rot, lever)
+    return (t_imu, accel, gyro), rts, truth
 
 
 def generate_scenario(
@@ -274,8 +297,12 @@ def generate_scenario(
     Stream grids are i / rate starting at zero; counts are floor(duration *
     rate), the product first rounded to 9 decimals. RNG draw order is fixed:
     bias direction, gyro noise, accel noise, then range / horizontal-angle /
-    zenith-angle noise. Both streams are filled in bulk from checked columns;
-    each sample's accel and gyro are rows of its stream's one ``(n, 3)`` array.
+    zenith-angle noise. Every draw is whole-stream and made before any
+    signal is computed; an error source added later draws from a generator
+    of its own, so that these draws stay as they are. Both streams are
+    filled in bulk from checked columns; each sample's accel and gyro are
+    rows of its stream's one ``(n, 3)`` array. Beyond the returned streams
+    and table, generation holds one block of rows at a time.
 
     Ground truth is one ``(n, 10)`` float64 table on the IMU grid (which
     contains every observation timestamp when the IMU rate is an integer

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from tiltcomp import (
     write_rts_line,
     write_truth_csv,
 )
-from tiltcomp import codec
+from tiltcomp import codec, sim
 from tiltcomp._fields import _fill
 from tiltcomp.cli import main, parse_scenario_config
 from tiltcomp.sim import _motion, _scenario
@@ -543,12 +544,19 @@ PINNED_STREAMS = {
         "rts.txt": "1e6ab56cbc4c9071ba8df088c8e5c4ccf108a5e03918775932a93c71466c49e9",
         "truth.csv": "c75bee09819755a43f9350902d2d54b1235ea55becc33a693dcb75f0f9a24a5e",
     },
+    # 10 000 IMU rows: _scenario's blocks meet twice, and the last is partial
+    "duration_s = 100\nseed = 11\nrts_rate_hz = 7\nyaw_deg = -40\nyaw_rate_deg_s = 3\n"
+    "roll_frequency_hz = 0.05\npitch_frequency_hz = 0.04\n"
+    "imu_to_poi_b = 0.3,-0.2,-0.9\nimu_to_prism_b = 0.05,0.1,0.08\n": {
+        "imu.txt": "adb8a3b8c51314592a0160f7a83f471726bd915bff4556a569700e8e072d36e3",
+        "rts.txt": "6bfd680ae4e52345078abb348cde1fd85f611f335d36e6e9b3ada19496fce384",
+        "truth.csv": "922d9666b59bd907ef15ce9aa6acd0332981bb46167e8baf98e86f451491f59f",
+    },
 }
+PINNED_IDS = ["defaults", "tracker_100hz", "yaw_7hz", "slanted_levers", "multi_block"]
 
 
-@pytest.mark.parametrize(
-    "config", PINNED_STREAMS, ids=["defaults", "tracker_100hz", "yaw_7hz", "slanted_levers"]
-)
+@pytest.mark.parametrize("config", PINNED_STREAMS, ids=PINNED_IDS)
 def test_streams_match_pinned_fingerprints(tmp_path, capsys, config):
     (tmp_path / "scenario.cfg").write_text(config)
     assert main(["simulate", "--config", str(tmp_path / "scenario.cfg"), "--out-dir", str(tmp_path)]) == 0
@@ -561,7 +569,7 @@ def test_streams_match_pinned_fingerprints(tmp_path, capsys, config):
 
 NO_SAMPLES = "duration_s = 0.005\nidle_duration_s = 0.001\n"
 CONSUMER_CONFIGS = [*PINNED_STREAMS, NO_SAMPLES]
-CONSUMER_IDS = ["defaults", "tracker_100hz", "yaw_7hz", "slanted_levers", "no_samples"]
+CONSUMER_IDS = [*PINNED_IDS, "no_samples"]
 
 
 def simulate(tmp_path, config):
@@ -702,6 +710,61 @@ def test_a_faulty_scenario_raises_and_simulate_writes_nothing(tmp_path, capsys, 
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+# Three IMU blocks at the default block size, the last partial; a 7 Hz
+# tracker off the 333 Hz IMU grid, slanted levers and a yaw rate.
+MULTI_BLOCK = ScenarioConfig(
+    duration_s=27.3, imu_rate_hz=333.0, rts_rate_hz=7.0, seed=13,
+    lever_arms=LeverArms(np.array([0.05, 0.1, 0.08]), np.array([0.3, -0.2, -0.9])),
+    yaw_deg=170.0, yaw_rate_deg_s=11.0, roll_phase_rad=0.7, pitch_phase_rad=-0.2,
+)
+
+
+def scenario_bytes(cfg):
+    """Every array _scenario returns, as (shape, raw bytes): signed zeros count."""
+    (t, accel, gyro), rts, truth = _scenario(cfg)
+    return [(a.shape, a.tobytes()) for a in (t, accel, gyro, rts, truth)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_the_block_size_moves_no_bit(monkeypatch, block):
+    """_scenario computes its grids a block of rows at a time; any block size,
+    one row, an odd size or the whole stream, gives the default's bytes."""
+    reference = scenario_bytes(MULTI_BLOCK)
+    n_imu = reference[0][0][0]
+    assert n_imu == 9090 and n_imu > 2 * sim._BLOCK and n_imu % sim._BLOCK
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    assert scenario_bytes(MULTI_BLOCK) == reference
+
+
+def test_a_faulty_scenario_raises_alike_one_row_at_a_time(monkeypatch):
+    """Each fault's message is the whole-stream one with one-row blocks too."""
+    monkeypatch.setattr(sim, "_BLOCK", 1)
+    for config, message in SCENARIO_FAULTS.items():
+        with pytest.raises(ValueError) as raised:
+            _scenario(parse_scenario_config(config))
+        assert str(raised.value) == message
+
+
+# Beyond its ~8.3 MB of outputs, a 600 s scenario's temporaries (one
+# 4096-row block, and the observation check's copy) trace to ~2.0 MB;
+# whole-stream temporaries took its peak to ~28 MB.
+WORKING_SET_MARGIN = 3_000_000
+
+
+def test_the_generator_holds_its_outputs_plus_one_block():
+    """_scenario's traced peak on a 600 s scenario, 60 000 IMU rows, stays
+    within the bytes of the arrays it returns plus one block's margin."""
+    tracemalloc.start()
+    try:
+        (t, accel, gyro), rts, truth = _scenario(ScenarioConfig(duration_s=600.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (t, accel, gyro, rts, truth))
+    assert len(t) == 60_000 and outputs > 8_000_000
+    assert peak <= outputs + WORKING_SET_MARGIN, f"peak {peak} B, outputs {outputs} B"
 
 
 def test_a_scenario_with_no_samples_writes_empty_streams(tmp_path, capsys):
