@@ -22,13 +22,17 @@ as a file the bulk pass doubts goes through the line parser, so every byte
 is the template's. The one-line writers use the template alone.
 
 Every reader takes the format of its file, and one record reader reads each
-numeric record file whole: one C pass parses its lines into an ``(n, k)``
-float array. ``fuse`` builds its samples and observations from it; the
-fused and truth CSVs read back as that table, angles in radians, and
-``eval`` takes their columns. A file the pass doubts goes through the line
-parser, line by line, which reads it alike or raises the FormatError naming
-the faulty line. The line parser, which also serves the public ``parse_*``
-functions, reads a line field by field, blanks around commas tolerated.
+numeric record file whole into an ``(n, k)`` float array. A CSV table is
+read straight from its file: numpy's C reader parses the open file's rows,
+with no copy of its text. A stream file, or a table that pass doubts, is
+read whole as text, and one C pass parses its list of lines. ``fuse``
+builds its samples and observations from a stream's table; the fused and
+truth CSVs read back as their table, angles made radians in place, and
+``eval`` takes their columns. A file the list pass doubts goes through the
+line parser, line by line, which reads it alike or raises the FormatError
+naming the faulty line. The line parser, which also serves the public
+``parse_*`` functions, reads a line field by field, blanks around commas
+tolerated.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2). Hex dumps use
@@ -41,12 +45,12 @@ The transform file, like the scenario config, is ``key = value`` text where
 ``#`` starts a comment; a line without ``=``, an unknown or a repeated key is
 rejected.
 
-Every file is opened here, by one reader and one writer, as UTF-8 whatever
-the locale (other bytes raise :class:`FormatError` naming the file). Lines
-break at ``\n``, ``\r\n`` or ``\r`` only, as an editor shows them, are numbered
-from 1, and are written with ``\n``. Angles are radians inside the toolkit;
-codecs convert at the boundary. Parsing failures raise :class:`FormatError`
-with line-number context, never anything else. Decimal points only.
+Every file is opened here as UTF-8 whatever the locale (other bytes raise
+:class:`FormatError` naming the file). Lines break at ``\n``, ``\r\n`` or
+``\r`` only, as an editor shows them, are numbered from 1, and are written
+with ``\n``. Angles are radians inside the toolkit; codecs convert at the
+boundary. Parsing failures raise :class:`FormatError` with line-number
+context, never anything else. Decimal points only.
 """
 
 from __future__ import annotations
@@ -323,7 +327,7 @@ def _read_rts(path) -> list[RtsObservation]:
     each line."""
 
     def build(table: np.ndarray) -> list[RtsObservation]:
-        return _fill(RtsObservation, *_check_observations(*(table * _RTS.radians).T).tolist())
+        return _fill(RtsObservation, *_check_observations((table * _RTS.radians).T).tolist())
 
     return _read_records(path, _RTS, build, parse_rts_line)
 
@@ -385,14 +389,46 @@ def _bulk(records: list[str], tag: str | None, k: int) -> np.ndarray | None:
     return table
 
 
+def _read_table(path, fmt: _Format) -> np.ndarray | None:
+    """The finite ``(n, k)`` float table of a CSV file of ``fmt``, parsed
+    straight from the open file in numpy's C reader, with no copy of its
+    text; None when in doubt: a header that is not line 1, no data row, a
+    line the reader refuses (a blank-only one too), a byte that is not
+    UTF-8, another field count or a non-finite value. What it accepts, the
+    line parser reads to the same bits, and it skips an empty line as the
+    line parser does."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            if f.readline().strip() != ",".join(fmt.names):
+                return None
+            # np.loadtxt warns when it finds no data, so a data row must come first.
+            for line in f:
+                if line.strip():
+                    break
+            else:
+                return None
+            # The handle, not the path: np.loadtxt would decompress a path by its name.
+            table = np.loadtxt(chain([line], f), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(fmt.names) or not np.isfinite(table).all():
+        return None
+    return table
+
+
 def _read_records(path, fmt: _Format, build=None, parse=None):
     """The records of a file of ``fmt``: ``build`` of (without ``build``, just)
     the ``(n, k)`` float table of its non-blank lines, read in one C pass. A
-    CSV table's header must be line 1. When the pass doubts a line, or
-    ``build`` raises ValueError, each line goes through ``parse(line,
+    CSV table's header must be line 1, and the table is read straight from
+    its file (:func:`_read_table`); the passes below are its fallback. A
+    stream file, or a table that pass doubts, is read whole as text, and its
+    non-blank lines go through :func:`_bulk`. When that pass doubts a line,
+    or ``build`` raises ValueError, each line goes through ``parse(line,
     line_number)`` (:func:`_numbers` without ``parse``) instead, which reads
     what the pass could not (``1_0``, non-ASCII digits, blanks around the
     tag) or raises the FormatError naming the first faulty line."""
+    if fmt.tag is None and build is None and (table := _read_table(path, fmt)) is not None:
+        return table
     lines = _read_text(path).split("\n")
     start = 1
     if fmt.tag is None:
@@ -468,8 +504,11 @@ def write_fused_csv(records: Iterable[FusedRecord], path) -> None:
 
 def read_fused_csv(path) -> np.ndarray:
     """The ``(n, 12)`` float64 table of a fused CSV, columns in
-    :data:`FUSED_CSV_HEADER` order, angles in radians."""
-    return _read_records(path, _FUSED) * _FUSED.radians
+    :data:`FUSED_CSV_HEADER` order, angles in radians: read straight from
+    the file (:func:`_read_records`), its angles converted in place."""
+    table = _read_records(path, _FUSED)
+    table *= _FUSED.radians
+    return table
 
 
 def write_truth_csv(table, path) -> None:
@@ -484,8 +523,12 @@ def write_truth_csv(table, path) -> None:
 
 
 def read_truth_csv(path) -> np.ndarray:
-    """The ground-truth table of a truth CSV, as :func:`write_truth_csv` takes it."""
-    return _read_records(path, _TRUTH) * _TRUTH.radians
+    """The ground-truth table of a truth CSV, as :func:`write_truth_csv` takes
+    it: read straight from the file (:func:`_read_records`), its angles
+    converted in place."""
+    table = _read_records(path, _TRUTH)
+    table *= _TRUTH.radians
+    return table
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,10 +7,11 @@ horizontal sight has V = pi/2 and z = D*cos(V). The horizontal angle Hz is
 counterclockwise mathematical, x = R_h*cos(Hz), y = R_h*sin(Hz). Radians
 everywhere; wire formats that carry degrees convert at the boundary.
 
-Streams of observations are checked as columns: ``_check_observations``
-applies :class:`RtsObservation`'s rules to every row at once and lets the
-constructor raise for the first row that breaks one; the simulator and the
-stream reader then fill the objects from its columns with ``_fields._fill``.
+Streams of observations are checked as one ``(4, n)`` table, one column per
+observation: ``_check_observations`` applies :class:`RtsObservation`'s rules
+to every observation at once, in place, and lets the constructor raise for
+the first one that breaks a rule; the simulator and the stream reader then
+fill the objects from its rows with ``_fields._fill``.
 """
 
 from __future__ import annotations
@@ -56,17 +57,19 @@ class RtsObservation:
             )
 
 
-def _check_observations(t, distance, hz, v) -> np.ndarray:
-    """The ``(4, n)`` float array of four observation columns (timestamp,
-    slant distance, horizontal and zenith angle), each row tested by
-    :class:`RtsObservation`'s rules, all rows at once. The first row that
-    breaks one goes through the constructor, which raises its ValueError."""
-    columns = np.array((t, distance, hz, v), dtype=float)
-    bad = ~np.isfinite(columns).all(axis=0)
-    bad |= ~(columns[1] > 0.0) | ~((columns[3] > 0.0) & (columns[3] < math.pi))
+def _check_observations(table) -> np.ndarray:
+    """The ``(4, n)`` observation table ``table``, its rows timestamp, slant
+    distance, horizontal and zenith angle, each observation (a column)
+    tested by :class:`RtsObservation`'s rules, all at once; a float64 table
+    is checked in place and returned itself, not copied. The first
+    observation that breaks a rule goes through the constructor, which
+    raises its ValueError."""
+    table = np.asarray(table, dtype=float)
+    bad = ~np.isfinite(table).all(axis=0)
+    bad |= ~(table[1] > 0.0) | ~((table[3] > 0.0) & (table[3] < math.pi))
     if bad.any():
-        RtsObservation(*columns[:, np.argmax(bad)].tolist())
-    return columns
+        RtsObservation(*table[:, np.argmax(bad)].tolist())
+    return table
 
 
 @dataclass(frozen=True)

@@ -243,8 +243,7 @@ def _scenario(cfg: ScenarioConfig):
         zenith += np.arctan2(horiz, diff[:, 2])
         azimuth += np.arctan2(diff[:, 1], diff[:, 0])
         distance += np.linalg.norm(diff, axis=1)
-    rts = _check_observations(*obs)
-    del obs  # rts is a checked copy
+    rts = _check_observations(obs)
 
     t_imu = np.arange(n_imu) / cfg.imu_rate_hz
     truth = np.empty((n_imu, 10))

@@ -1,8 +1,12 @@
+import bz2
 import dataclasses
+import gzip
+import lzma
 import math
 import re
 import struct
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -1274,6 +1278,97 @@ def test_bulk_pass_refuses_no_data_a_missing_tag_field_count_or_non_finite_value
     for bad in (" " + good, "RTS" + good[3:], good + ",1", good.rsplit(",", 1)[0],
                 good[:-3] + "nan", good[:-3] + "1e999", "IMU,", good + "\x00"):
         assert codec._bulk([good, bad], "IMU", 7) is None, repr(bad)
+
+
+# The CSV tables are read straight from their file (codec._read_table);
+# today's list pass and line parser are that pass's fallback.
+CSV_TABLES = {"fused": codec._FUSED, "truth": codec._TRUTH, "pairs": codec._PAIRS}
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_TABLES))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_clean_table_is_read_by_the_file_pass_alone(tmp_path_factory, kind, data):
+    """A clean CSV table, any line break, empty lines but no blank padding,
+    at least one row: neither the list pass nor the line parser runs, and
+    the table is the line parser's, bit for bit."""
+    _, header, count, bulk, line_by_line = RECORD_FILES[kind]
+    rows = data.draw(st.lists(clean_record_line(kind, None, count), min_size=1, max_size=8))
+    rows = data.draw(st.permutations(rows + data.draw(st.lists(st.just(""), max_size=2))))
+    separator = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = separator.join([header, *rows]) + data.draw(st.sampled_from(["", separator]))
+    path = tmp_path_factory.mktemp("table") / f"{kind}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = read_outcome(line_by_line, path)
+    with (mock.patch.object(codec, "_bulk", wraps=codec._bulk) as listed,
+          mock.patch.object(codec, "_numbers", wraps=codec._numbers) as per_line):
+        assert read_outcome(bulk, path) == expected
+    assert expected[0] == "records"
+    assert not listed.called and not per_line.called
+
+
+def test_file_pass_reads_each_token_as_the_line_parser_reads_it(tmp_path):
+    """The list pass's token check, made through a file: each token as a
+    one-column table under a one-name header. What the file pass accepts,
+    the line parser reads to the same bits."""
+    path = tmp_path / "row.csv"
+    accepted = 0
+    for char in _TOKEN_CHARS:
+        for token in _tokens_around(char):
+            path.write_bytes(f"x\n{token}\n".encode("utf-8"))
+            table = codec._read_table(path, ONE_FIELD)
+            if table is None:
+                continue
+            accepted += 1
+            (value,) = codec._numbers(token, ONE_FIELD, 2)
+            assert table.shape == (1, 1)
+            assert table[0, 0].hex() == value.hex(), repr(token)
+    assert accepted > 50
+
+
+@pytest.mark.parametrize("suffix, compress", [
+    (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
+])
+def test_a_compressed_table_is_not_utf8_text(tmp_path, suffix, compress):
+    """The file pass opens the file itself: a valid fused CSV compressed under
+    a name numpy would decompress is refused as bytes that are not UTF-8."""
+    path = tmp_path / f"fused.csv{suffix}"
+    path.write_bytes(compress(_fused_text().encode("utf-8")))
+    with pytest.raises(FormatError, match=rf"fused\.csv\{suffix}: not UTF-8 text"):
+        read_fused_csv(path)
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_TABLES))
+@pytest.mark.parametrize("rest", ["", "\n", "\n\n", " \n\t\n\x1c\n", "\r\n  \r\n"])
+def test_a_table_with_no_row_is_empty_and_warns_nothing(tmp_path, kind, rest):
+    fmt = CSV_TABLES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes((",".join(fmt.names) + rest).encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert codec._read_records(path, fmt).shape == (0, len(fmt.names))
+        reader = {"fused": read_fused_csv, "truth": read_truth_csv, "pairs": read_pairs_csv}[kind]
+        assert len(reader(path)) == 0
+
+
+# A 30 000-row truth table is 2.4 MB. Read through a whole-file string and
+# its line lists, the traced peak is ~10.6 MB; straight from the file, ~3.0 MB.
+TABLE_READ_MARGIN = 1_000_000
+
+
+def test_reading_a_truth_table_holds_the_table_and_little_more(tmp_path):
+    """read_truth_csv's traced peak stays within the table's bytes plus a
+    fixed margin: no copy of the file's text, its lines or the table."""
+    path = tmp_path / "truth.csv"
+    write_truth_csv(np.random.default_rng(7).uniform(-500.0, 500.0, (30_000, 10)), path)
+    tracemalloc.start()
+    try:
+        table = read_truth_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (30_000, 10)
+    assert peak <= table.nbytes + TABLE_READ_MARGIN, f"peak {peak} B, table {table.nbytes} B"
 
 
 def test_samples_read_in_bulk_give_the_kernel_the_accel_norms_of_fresh_arrays(tmp_path):

@@ -12,6 +12,7 @@ from tiltcomp import (
     fit_helmert,
     polar_to_cartesian,
 )
+from tiltcomp.geodesy import _check_observations
 
 
 def test_polar_horizontal_shot_along_x():
@@ -77,6 +78,45 @@ def test_rts_observation_rejects_each_non_finite_field(field, value):
     fields = dict(zip(RTS_FIELDS, (0.0, 5.0, 0.2, 1.5)), **{field: value})
     with pytest.raises(ValueError, match="^RTS observation has non-finite fields: "):
         RtsObservation(**fields)
+
+
+def observation_table():
+    """A valid ``(4, 3)`` observation table: rows t, distance, Hz, V."""
+    return np.array([[0.0, 0.2, 0.4], [5.0, 6.0, 7.0], [0.2, -0.1, 3.0], [1.5, 0.1, 3.1]])
+
+
+def test_the_observation_check_returns_a_float64_table_itself():
+    table = observation_table()
+    before = table.tobytes()
+    assert _check_observations(table) is table
+    assert table.tobytes() == before
+    view = table.T.copy().T  # one observation per row, as a stream file reads
+    assert _check_observations(view) is view
+    whole = _check_observations(np.array([[0, 1], [5, 6], [0, 1], [1, 2]]))
+    assert whole.dtype == np.float64 and whole.tolist() == [[0, 1], [5, 6], [0, 1], [1, 2]]
+
+
+# The first observation that breaks a rule raises RtsObservation's message;
+# a later fault in another field is not the one named.
+OBSERVATION_FAULTS = [
+    (1, -2.5, "slant distance must be positive, got -2.5"),
+    (1, 0.0, "slant distance must be positive, got 0.0"),
+    (3, 0.0, "zenith angle must lie strictly between 0 and pi, got 0.0"),
+    (3, math.pi, "zenith angle must lie strictly between 0 and pi, got 3.141592653589793"),
+    (3, 4.0, "zenith angle must lie strictly between 0 and pi, got 4.0"),
+    (0, math.nan, "RTS observation has non-finite fields: (nan, 6.0, -0.1, 0.1)"),
+    (2, math.inf, "RTS observation has non-finite fields: (0.2, 6.0, inf, 0.1)"),
+]
+
+
+@pytest.mark.parametrize("row, value, message", OBSERVATION_FAULTS)
+def test_the_observation_check_names_the_first_faulty_observation(row, value, message):
+    table = observation_table()
+    table[row, 1] = value
+    table[1, 2] = -1.0
+    with pytest.raises(ValueError) as raised:
+        _check_observations(table)
+    assert str(raised.value) == message
 
 
 def test_rts_observation_accepts_finite_fields_whose_sum_overflows():
