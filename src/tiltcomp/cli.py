@@ -259,6 +259,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _can_id(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal or 0x-prefixed hex integer, got {text!r}"
+        ) from None
+
+
 def _label(text: str) -> str:
     try:
         return _check_label(text)
@@ -316,7 +325,7 @@ def _build_parser() -> _ArgumentParser:
     p_fuse.add_argument("--can-out", default=None, help="also write a CAN frame hex dump here")
     p_fuse.add_argument(
         "--can-base-id",
-        type=lambda s: int(s, 0),
+        type=_can_id,
         default=0x300,
         help="base identifier for the three coordinate frames (default 0x300)",
     )

@@ -18,21 +18,19 @@ would write as ``nan`` or ``inf``, which no reader reads, raises FormatError
 naming the row and the field, and no file is left. One numpy kernel then
 writes each block of rows as fixed-point counts of the last decimal; a row
 the kernel cannot prove exact goes through the format's ``%`` template, just
-as a file the bulk pass doubts goes through the line parser, so every byte
+as a file the C reader doubts goes through the line parser, so every byte
 is the template's. The one-line writers use the template alone.
 
 Every reader takes the format of its file, and one record reader reads each
-numeric record file whole into an ``(n, k)`` float array. A CSV table is
-read straight from its file: numpy's C reader parses the open file's rows,
-with no copy of its text. A stream file, or a table that pass doubts, is
-read whole as text, and one C pass parses its list of lines. ``fuse``
-builds its samples and observations from a stream's table; the fused and
-truth CSVs read back as their table, angles made radians in place, and
-``eval`` takes their columns. A file the list pass doubts goes through the
-line parser, line by line, which reads it alike or raises the FormatError
-naming the faulty line. The line parser, which also serves the public
-``parse_*`` functions, reads a line field by field, blanks around commas
-tolerated.
+numeric record file whole into an ``(n, k)`` float array: numpy's C reader
+parses the rows of the open file, after each stream line's tag, with no copy
+of its text. ``fuse`` builds its samples and observations from a stream's
+table; the fused and truth CSVs read back as their table, angles made
+radians in place, and ``eval`` takes their columns. A file that pass doubts
+goes through the line parser, line by line, which reads it alike or raises
+the FormatError naming the faulty line. The line parser, which also serves
+the public ``parse_*`` functions, reads a line field by field, blanks around
+commas tolerated.
 
 CAN payloads carry prism and POI coordinates as little-endian signed 32-bit
 counts of 0.1 mm across three frames (base id, +1, +2). Hex dumps use
@@ -59,7 +57,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -197,7 +195,7 @@ def _lines(fmt: _Format, *columns) -> Iterator[str]:
     checked when called (:func:`_wire`); :func:`_text` then formats it
     :data:`_ROW_BLOCK` rows at a time, one string of ``\\n``-ended lines per
     block, so memory stays flat. A row the kernel cannot prove exact goes
-    through the ``%`` template, just as a file the bulk pass doubts goes
+    through the ``%`` template, just as a file the C reader doubts goes
     through the line parser."""
     wire = _wire(fmt, *columns)
     blocks = (wire[start : start + _ROW_BLOCK] for start in range(0, len(wire), _ROW_BLOCK))
@@ -367,48 +365,41 @@ def _read_text(path) -> str:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _bulk(records: list[str], tag: str | None, k: int) -> np.ndarray | None:
-    """The fields after ``tag`` (None for a CSV row) of every line in
-    ``records`` as one finite ``(n, k)`` float array, parsed in one C pass;
-    None for no data, or when a line lacks the exact tag and comma, or the
-    pass fails or finds another shape or a non-finite value. The pass reads a number as
-    ``float`` does, blanks around it stripped as ``str.strip`` strips them,
-    so what it accepts the line parser reads alike."""
-    prefix = f"{tag}," if tag else ""
+def _after_tag(lines: Iterable[str], tag: str) -> Iterator[str]:
+    """The rest of each of ``lines`` after ``tag`` and its comma; ValueError
+    for a line without them, or with only blanks after them, which numpy's C
+    reader would skip as an empty line."""
+    prefix = f"{tag},"
     cut = len(prefix)
-    fields = [line[cut:] for line in records if line.startswith(prefix)]
-    # np.loadtxt skips an empty line, and warns when it finds no data at all.
-    if len(fields) < len(records) or not any(fields):
-        return None
-    try:
-        table = np.loadtxt(fields, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape != (len(records), k) or not np.isfinite(table).all():
-        return None
-    return table
+    for line in lines:
+        rest = line[cut:]
+        if not line.startswith(prefix) or not rest or rest.isspace():
+            raise ValueError(f"not a {tag} record line")
+        yield rest
 
 
 def _read_table(path, fmt: _Format) -> np.ndarray | None:
-    """The finite ``(n, k)`` float table of a CSV file of ``fmt``, parsed
-    straight from the open file in numpy's C reader, with no copy of its
-    text; None when in doubt: a header that is not line 1, no data row, a
-    line the reader refuses (a blank-only one too), a byte that is not
-    UTF-8, another field count or a non-finite value. What it accepts, the
-    line parser reads to the same bits, and it skips an empty line as the
-    line parser does."""
+    """The finite ``(n, k)`` float table of the non-blank lines of a file of
+    ``fmt``, after each line's tag, parsed straight from the open file in
+    numpy's C reader, with no copy of its text; None when in doubt: a CSV
+    header that is not line 1, no data row, a line without the exact tag and
+    comma or with nothing after them, a line the reader refuses, a byte that
+    is not UTF-8, another field count or a non-finite value. The reader reads
+    a number as ``float`` does, blanks around it stripped as ``str.strip``
+    strips them, so what it accepts the line parser reads to the same bits."""
     try:
         with open(path, encoding="utf-8") as f:
-            if f.readline().strip() != ",".join(fmt.names):
+            if fmt.tag is None and f.readline().strip() != ",".join(fmt.names):
                 return None
+            # A line is blank exactly when str.strip empties it.
+            lines = filterfalse(str.isspace, f)
+            rows = lines if fmt.tag is None else _after_tag(lines, fmt.tag)
             # np.loadtxt warns when it finds no data, so a data row must come first.
-            for line in f:
-                if line.strip():
-                    break
-            else:
+            first = next(rows, None)
+            if first is None:
                 return None
             # The handle, not the path: np.loadtxt would decompress a path by its name.
-            table = np.loadtxt(chain([line], f), delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if table.shape[1] != len(fmt.names) or not np.isfinite(table).all():
@@ -418,17 +409,19 @@ def _read_table(path, fmt: _Format) -> np.ndarray | None:
 
 def _read_records(path, fmt: _Format, build=None, parse=None):
     """The records of a file of ``fmt``: ``build`` of (without ``build``, just)
-    the ``(n, k)`` float table of its non-blank lines, read in one C pass. A
-    CSV table's header must be line 1, and the table is read straight from
-    its file (:func:`_read_table`); the passes below are its fallback. A
-    stream file, or a table that pass doubts, is read whole as text, and its
-    non-blank lines go through :func:`_bulk`. When that pass doubts a line,
-    or ``build`` raises ValueError, each line goes through ``parse(line,
+    the ``(n, k)`` float table of its non-blank lines, read straight from the
+    file in one C pass (:func:`_read_table`); a CSV table's header must be
+    line 1. When that pass doubts the file, or ``build`` raises ValueError,
+    the file is read whole as text and each line goes through ``parse(line,
     line_number)`` (:func:`_numbers` without ``parse``) instead, which reads
     what the pass could not (``1_0``, non-ASCII digits, blanks around the
     tag) or raises the FormatError naming the first faulty line."""
-    if fmt.tag is None and build is None and (table := _read_table(path, fmt)) is not None:
-        return table
+    table = _read_table(path, fmt)
+    if table is not None:
+        try:
+            return table if build is None else build(table)
+        except ValueError:
+            pass
     lines = _read_text(path).split("\n")
     start = 1
     if fmt.tag is None:
@@ -439,12 +432,6 @@ def _read_records(path, fmt: _Format, build=None, parse=None):
             raise FormatError(f"{path}: header mismatch: expected {header!r}, got {lines[0]!r}")
         del lines[0]
         start = 2
-    table = _bulk([line for line in lines if line.strip()], fmt.tag, len(fmt.names))
-    if table is not None:
-        try:
-            return table if build is None else build(table)
-        except ValueError:
-            pass
     rows = [_numbers(line, fmt, i) if parse is None else parse(line, i)
             for i, line in enumerate(lines, start) if line.strip()]
     return rows if parse else np.array(rows, dtype=float).reshape(len(rows), len(fmt.names))

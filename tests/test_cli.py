@@ -738,6 +738,22 @@ def test_fuse_rejects_a_can_base_id_without_room_before_replay(tmp_path, capsys,
     assert not out.exists() and not dump.exists()
 
 
+@pytest.mark.parametrize("base_id", ["zz", "0xZZ", "1.5", ""])
+def test_fuse_refuses_a_can_base_id_that_is_not_an_integer(tmp_path, capsys, base_id):
+    imu, rts = write_level_streams(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuse", "--imu", str(imu), "--rts", str(rts), "--out", str(tmp_path / "f.csv"),
+              f"--can-base-id={base_id}"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert (
+        f"argument --can-base-id: expected a decimal or 0x-prefixed hex integer, got {base_id!r}"
+        in err
+    )
+    assert "<lambda>" not in err
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_fuse_accepts_the_highest_can_base_id(tmp_path):
     imu, rts = write_level_streams(tmp_path)
     dump = tmp_path / "frames.dump"

@@ -1003,9 +1003,8 @@ def test_file_readers_raise_only_format_errors(tmp_path_factory, reader, valid, 
         pass
 
 
-# Whole record files: the bulk reader against the line-by-line reader it falls
-# back to, which parses each non-blank line as the file readers did before the
-# bulk pass.
+# Whole record files: the record reader against the line-by-line reader it
+# falls back to, which parses each non-blank line on its own.
 
 
 def read_line_by_line(path, parse, header=None, what=""):
@@ -1107,7 +1106,7 @@ _FILE_ODD = st.one_of(
 _BLANK_LINE = st.sampled_from(["", " ", "\t", "\x1c", "  "])
 
 
-# Numbers the bulk pass reads but an observation refuses: a distance not above
+# Numbers the file pass reads but an observation refuses: a distance not above
 # zero, a zenith angle at or beyond 0 or 180 degrees.
 _RTS_NO_DISTANCE = ["0", "-0.0", "-1e-300", "-2.5", "-1e6"]
 _RTS_NO_ZENITH = ["0", "-0.0", "-0.000001", "180", "180.0", "180.000001", "359.9", "-90", "1e300"]
@@ -1156,7 +1155,7 @@ def record_file(draw, kind):
 @given(data=st.data())
 def test_bulk_reader_agrees_with_the_line_by_line_reader(tmp_path_factory, kind, data):
     """Bit for bit the same records, or the same FormatError message; a clean
-    file is read by the bulk pass alone, with no line parsed on its own."""
+    file is read by the file pass alone, with no line parsed on its own."""
     text, clean = data.draw(record_file(kind))
     path = tmp_path_factory.mktemp("records") / f"{kind}.txt"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
@@ -1176,7 +1175,7 @@ def test_bulk_reader_agrees_with_the_line_by_line_reader(tmp_path_factory, kind,
 def test_bulk_reader_refuses_an_observation_out_of_range_as_the_line_reader(
     tmp_path, distance, zenith
 ):
-    """A file the bulk pass reads whole whose third observation breaks a rule:
+    """A file the file pass reads whole whose third observation breaks a rule:
     the same FormatError, naming line 3."""
     good = "RTS,0.2,5.0,10.0,90.0"
     path = tmp_path / "rts.txt"
@@ -1252,78 +1251,96 @@ _TOKEN_CHARS = sorted(
 
 
 ONE_FIELD = codec._declare("row", None, ["x"], None)
+ONE_TAGGED_FIELD = codec._declare("row", "ROW", ["x"], None)
 
 
-def test_bulk_pass_reads_each_token_as_the_line_parser_reads_it():
-    """What the C pass accepts, the line parser reads to the same bits; a
-    token the pass refuses goes to the line parser anyway."""
-    accepted = 0
-    for char in _TOKEN_CHARS:
-        for token in _tokens_around(char):
-            table = codec._bulk([token], None, 1)
-            if table is None:
-                continue
-            accepted += 1
-            (value,) = codec._numbers(token, ONE_FIELD, 1)
-            assert table.shape == (1, 1)
-            assert table[0, 0].hex() == value.hex(), repr(token)
-    assert accepted > 50
+# Every record file is read straight from its file (codec._read_table); the
+# line parser is that pass's one fallback.
 
 
-def test_bulk_pass_refuses_no_data_a_missing_tag_field_count_or_non_finite_value():
-    good = "IMU," + ",".join(["0.5"] * 7)
-    assert codec._bulk([good, good], "IMU", 7).tolist() == [[0.5] * 7] * 2
-    assert codec._bulk([], "IMU", 7) is None
-    assert codec._bulk(["IMU,"], "IMU", 7) is None
-    for bad in (" " + good, "RTS" + good[3:], good + ",1", good.rsplit(",", 1)[0],
-                good[:-3] + "nan", good[:-3] + "1e999", "IMU,", good + "\x00"):
-        assert codec._bulk([good, bad], "IMU", 7) is None, repr(bad)
-
-
-# The CSV tables are read straight from their file (codec._read_table);
-# today's list pass and line parser are that pass's fallback.
-CSV_TABLES = {"fused": codec._FUSED, "truth": codec._TRUTH, "pairs": codec._PAIRS}
-
-
-@pytest.mark.parametrize("kind", sorted(CSV_TABLES))
+@pytest.mark.parametrize("kind", sorted(RECORD_FILES))
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_a_clean_table_is_read_by_the_file_pass_alone(tmp_path_factory, kind, data):
-    """A clean CSV table, any line break, empty lines but no blank padding,
-    at least one row: neither the list pass nor the line parser runs, and
-    the table is the line parser's, bit for bit."""
-    _, header, count, bulk, line_by_line = RECORD_FILES[kind]
-    rows = data.draw(st.lists(clean_record_line(kind, None, count), min_size=1, max_size=8))
-    rows = data.draw(st.permutations(rows + data.draw(st.lists(st.just(""), max_size=2))))
+    """A clean record file, any line break, empty or blank-only lines, at
+    least one row: the line parser never runs, and the table is the line
+    parser's, bit for bit."""
+    tag, header, count, bulk, line_by_line = RECORD_FILES[kind]
+    rows = data.draw(st.lists(clean_record_line(kind, tag, count), min_size=1, max_size=8))
+    blanks = data.draw(st.lists(st.sampled_from(["", " ", "\t", "\x1c"]), max_size=2))
+    rows = data.draw(st.permutations(rows + blanks))
     separator = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = separator.join([header, *rows]) + data.draw(st.sampled_from(["", separator]))
-    path = tmp_path_factory.mktemp("table") / f"{kind}.csv"
+    lines = rows if header is None else [header, *rows]
+    text = separator.join(lines) + data.draw(st.sampled_from(["", separator]))
+    path = tmp_path_factory.mktemp("table") / f"{kind}.txt"
     path.write_bytes(text.encode("utf-8"))
     expected = read_outcome(line_by_line, path)
-    with (mock.patch.object(codec, "_bulk", wraps=codec._bulk) as listed,
-          mock.patch.object(codec, "_numbers", wraps=codec._numbers) as per_line):
+    with (mock.patch.object(codec, "_numbers", wraps=codec._numbers) as per_line,
+          mock.patch.object(codec, "parse_imu_line", wraps=codec.parse_imu_line) as imu_line,
+          mock.patch.object(codec, "parse_rts_line", wraps=codec.parse_rts_line) as rts_line):
         assert read_outcome(bulk, path) == expected
     assert expected[0] == "records"
-    assert not listed.called and not per_line.called
+    assert not per_line.called and not imu_line.called and not rts_line.called
 
 
 def test_file_pass_reads_each_token_as_the_line_parser_reads_it(tmp_path):
-    """The list pass's token check, made through a file: each token as a
-    one-column table under a one-name header. What the file pass accepts,
-    the line parser reads to the same bits."""
-    path = tmp_path / "row.csv"
-    accepted = 0
-    for char in _TOKEN_CHARS:
-        for token in _tokens_around(char):
-            path.write_bytes(f"x\n{token}\n".encode("utf-8"))
-            table = codec._read_table(path, ONE_FIELD)
-            if table is None:
-                continue
-            accepted += 1
-            (value,) = codec._numbers(token, ONE_FIELD, 2)
-            assert table.shape == (1, 1)
-            assert table[0, 0].hex() == value.hex(), repr(token)
-    assert accepted > 50
+    """Each token as the one field of a one-row file: a CSV row under a
+    one-name header, and a stream line after its tag. What the file pass
+    accepts, the line parser reads to the same bits; a token it refuses goes
+    to the line parser anyway."""
+    path = tmp_path / "row.txt"
+    for fmt, header in ((ONE_FIELD, "x\n"), (ONE_TAGGED_FIELD, "")):
+        accepted = 0
+        for char in _TOKEN_CHARS:
+            for token in _tokens_around(char):
+                line = token if fmt.tag is None else f"{fmt.tag},{token}"
+                path.write_bytes(f"{header}{line}\n".encode("utf-8"))
+                table = codec._read_table(path, fmt)
+                if table is None:
+                    continue
+                accepted += 1
+                (value,) = codec._numbers(line, fmt, None)
+                assert table.shape == (1, 1)
+                assert table[0, 0].hex() == value.hex(), (fmt.tag, token)
+        assert accepted > 50, fmt.tag
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+def test_file_pass_refuses_no_data_a_missing_tag_field_count_or_non_finite_value(tmp_path, end):
+    """A tagged file holding a line that lacks its exact tag and comma, has
+    nothing but blanks after them, another field count or a non-finite
+    value, or no line at all, is doubted: the line parser reads it."""
+    good = "IMU," + ",".join(["0.5"] * 7)
+    path = tmp_path / "imu.txt"
+
+    def read(*lines):
+        path.write_bytes(("\n".join(lines) + end if lines else "").encode("utf-8"))
+        return codec._read_table(path, codec._IMU)
+
+    assert read(good, good).tolist() == [[0.5] * 7] * 2
+    assert read() is None
+    assert read("IMU,") is None
+    for bad in (" " + good, "RTS" + good[3:], good + ",1", good.rsplit(",", 1)[0],
+                good[:-3] + "nan", good[:-3] + "1e999", "IMU,", "IMU, ", "IMU,\t\x1c",
+                good + "\x00"):
+        assert read(good, bad) is None, repr(bad)
+
+
+@pytest.mark.parametrize("kind", ["imu", "rts"])
+@pytest.mark.parametrize("rest", ["", " ", "\t\x1c "])
+@pytest.mark.parametrize("last", [False, True], ids=["inside", "last"])
+def test_a_tag_with_nothing_after_it_is_the_line_parsers_error(tmp_path, kind, rest, last):
+    """A bare tag and comma, or blanks alone after them, in an otherwise
+    clean stream: the line parser's FormatError naming that line, though
+    numpy's C reader would skip the empty rest of it."""
+    tag, _, count, read, line_by_line = RECORD_FILES[kind]
+    good = ",".join([tag, *["0.5"] * count])
+    lines = [good, f"{tag},{rest}"] if last else [good, f"{tag},{rest}", good]
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    expected = read_outcome(line_by_line, path)
+    assert expected == ("error", f"line 2: {tag} line needs {count + 1} comma-separated fields, got 2")
+    assert read_outcome(read, path) == expected
 
 
 @pytest.mark.parametrize("suffix, compress", [
@@ -1336,6 +1353,9 @@ def test_a_compressed_table_is_not_utf8_text(tmp_path, suffix, compress):
     path.write_bytes(compress(_fused_text().encode("utf-8")))
     with pytest.raises(FormatError, match=rf"fused\.csv\{suffix}: not UTF-8 text"):
         read_fused_csv(path)
+
+
+CSV_TABLES = {"fused": codec._FUSED, "truth": codec._TRUTH, "pairs": codec._PAIRS}
 
 
 @pytest.mark.parametrize("kind", sorted(CSV_TABLES))
@@ -1356,18 +1376,38 @@ def test_a_table_with_no_row_is_empty_and_warns_nothing(tmp_path, kind, rest):
 TABLE_READ_MARGIN = 1_000_000
 
 
+def traced_peak(read, path):
+    """``read(path)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return read(path), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_reading_a_truth_table_holds_the_table_and_little_more(tmp_path):
     """read_truth_csv's traced peak stays within the table's bytes plus a
     fixed margin: no copy of the file's text, its lines or the table."""
     path = tmp_path / "truth.csv"
     write_truth_csv(np.random.default_rng(7).uniform(-500.0, 500.0, (30_000, 10)), path)
-    tracemalloc.start()
-    try:
-        table = read_truth_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(read_truth_csv, path)
     assert table.shape == (30_000, 10)
+    assert peak <= table.nbytes + TABLE_READ_MARGIN, f"peak {peak} B, table {table.nbytes} B"
+
+
+# A 30 000-line IMU stream's table is 1.68 MB. Read through a whole-file
+# string and its line lists, the traced peak is ~9.7 MB; straight from the
+# file, ~1.9 MB.
+def test_reading_an_imu_stream_holds_the_table_and_little_more(tmp_path):
+    """The record reader's traced peak on an IMU stream stays within its
+    table's bytes plus a fixed margin: no copy of the file's text or lines."""
+    rng = np.random.default_rng(8)
+    n = 30_000
+    path = tmp_path / "imu.txt"
+    columns = (np.arange(n) * 0.01, rng.normal(0.0, 3.0, (n, 3)), rng.normal(0.0, 0.1, (n, 3)))
+    codec._write_text(path, codec._lines(codec._IMU, *columns))
+    table, peak = traced_peak(lambda p: codec._read_records(p, codec._IMU), path)
+    assert table.shape == (n, 7)
     assert peak <= table.nbytes + TABLE_READ_MARGIN, f"peak {peak} B, table {table.nbytes} B"
 
 
